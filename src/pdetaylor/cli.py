@@ -209,7 +209,7 @@ def _write_text(path: str, lines: list[str]) -> None:
 
 def _check_horizons(cfg: RunConfig, problem) -> None:
     for t1 in cfg.t1_values:
-        if t1 < 0 or t1 > problem.t_end:
+        if not (0.0 <= t1 <= problem.t_end):  # also rejects NaN and inf
             raise _UsageError(
                 f"t1={t1:g} outside [0, {problem.t_end:g}] for problem {problem.name}"
             )

@@ -3,22 +3,32 @@
 The state of a problem ``U_t = F(U, U_x, U_xx, t, x)`` advanced by an
 infinitesimal step ``h`` is a truncated series ``U(h, X) = C_0 + C_1*h + ...
 + C_K*h**K`` whose coefficients are spatial jets at the batch points ``X``.
-The coefficients are grown one order per iteration:
+The right-hand side is called once and the coefficients are then grown one
+order per iteration (Taylor-mode propagation):
 
 1. seed ``C_0`` with the initial condition evaluated on a jet of ``x``;
-2. at iteration ``i``, spatially differentiate only the newest coefficient
-   ``C_{i-1}`` (all older derivatives are reused unchanged), evaluate ``F`` on
-   the series truncated at order ``i - 1``, and read off its top coefficient
-   ``F_{i-1}``; then ``C_i = F_{i-1} / i``.
+2. call ``F`` once on :class:`~pdetaylor.series.LazySeries` nodes for ``U``,
+   ``U_x``, ``U_xx``, ``t`` and ``x``; the ``U`` nodes read the coefficients
+   stored so far, differentiating each in space only when it is first read;
+3. at iteration ``i``, ask each output node of ``F`` for its coefficient
+   ``F_{i-1}``; each node in the graph computes exactly one new coefficient
+   from the ones it has memoised, and ``C_i = F_{i-1} / i``.
 
-Because the series coefficient of order ``k`` in any product depends only on
-input coefficients of order ``<= k``, the computed ``C_0 ... C_K`` do not
-change if the expansion is re-run with a larger ``K``.
+That costs ``O(K**2)`` jet products per product in ``F`` instead of the
+``O(K**3)`` of re-evaluating ``F`` at every order.  Every recurrence step is
+the one :class:`~pdetaylor.series.TruncatedSeries` uses, in the same
+summation order, and the coefficient of order ``k`` of any product depends
+only on input coefficients of order ``<= k``; so the computed ``C_0 ... C_K``
+are those of re-evaluating ``F`` at every order, and they do not change if
+the expansion is re-run with a larger ``K``.
 
-Each spatial differentiation consumes jet orders, so ``C_0`` is seeded with
-``2*(K+1)`` orders (two per iteration for a second-order operator) and the
-working jet order shrinks by two per iteration; coefficient values are exact
-to the end regardless, for the same triangularity reason.
+Each spatial differentiation consumes jet orders.  With ``s`` the problem's
+spatial order (two for ``U_xx``), ``C_0`` is seeded with ``s*K`` jet orders
+and iteration ``i`` works at jet order ``W_i = s*(K - i)``: every operand,
+including the stored history of every node, is truncated to ``W_i`` before
+the step, and ``C_i`` is stored at ``W_i``.  ``C_K`` is never differentiated.
+Coefficient values are exact to the end regardless, for the same
+triangularity reason.
 
 The expansion stores the raw coefficients ``C_i``; multiplying by ``i!`` only
 when actual derivatives are requested keeps the factorial round-off out of
@@ -35,7 +45,7 @@ import numpy as np
 
 from .jets import BatchAlgebra, JetAlgebra, derivative, seed_variable
 from .problems import PdeProblem
-from .series import TruncatedSeries
+from .series import LazySeries, SeriesTape, TruncatedSeries
 
 MAX_ORDER = 20
 
@@ -57,8 +67,11 @@ class TaylorExpansion:
 
     ``coeffs[m][i]`` is the batch of values of ``C_i`` for component ``m``:
     the i-th Taylor coefficient (not the derivative) at each point.
-    ``jet_tails[m][i]`` retains the full spatial jet each coefficient was born
-    with, for diagnostics.
+    ``jet_tails[m][i]`` retains the spatial jet each coefficient was born
+    with, for diagnostics: it has the working jet order ``W_i =
+    spatial_order * (max_order - i)`` of the iteration that computed it.
+    The coefficients come from one call of the problem's ``rhs`` on lazy
+    series, followed by one new coefficient per node and order.
     """
 
     problem: str
@@ -104,7 +117,7 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
 
     m = problem.components
     step = problem.spatial_order
-    seed_order = step * (max_order + 1)
+    seed_order = step * max_order
     batch = BatchAlgebra(x.size)
     seed = seed_variable(x, seed_order)
 
@@ -112,42 +125,43 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
     if len(g) != m:
         raise ValueError(f"initial condition returned {len(g)} components, expected {m}")
 
-    # Per component: the coefficient jets and their reusable spatial derivatives.
+    # Per component: the coefficient jets, C_i stored at jet order W_i.
     jets = [[g[c]] for c in range(m)]
-    jets_x = [[derivative(g[c], 1)] for c in range(m)]
-    jets_xx = [[derivative(g[c], 2)] for c in range(m)]
+    tape = SeriesTape()
+
+    def spatial(c, d):
+        # d-th x-derivative of component c; its coefficient k is read at W_{k+1},
+        # from C_k stored at W_k = W_{k+1} + step jet orders
+        return LazySeries(
+            tape, lambda alg, k: derivative(jets[c][k].truncated(alg.order + d), d)
+        )
+
+    u = [spatial(c, 0) for c in range(m)]
+    u_x = [spatial(c, 1) for c in range(m)]
+    u_xx = [spatial(c, 2) for c in range(m)]
+    t_node = LazySeries(tape, lambda alg, k: alg.one() if k == 1 else alg.zero())
+    x_node = LazySeries(
+        tape, lambda alg, k: seed.truncated(alg.order) if k == 0 else alg.zero()
+    )
+
+    f = problem.rhs(u, u_x, u_xx, t_node, x_node)
+    if len(f) != m:
+        raise ValueError(f"rhs returned {len(f)} components, expected {m}")
+    if not all(isinstance(fc, LazySeries) and fc.tape is tape for fc in f):
+        raise TypeError(
+            "rhs must return lazy series built from its arguments; "
+            "write it entirely in series operations"
+        )
 
     for i in range(1, max_order + 1):
         work_order = seed_order - step * i
         alg = JetAlgebra(batch, work_order)
-        n_eps = i - 1
-
-        u = [_series_of_jets(alg, jets[c], work_order) for c in range(m)]
-        u_x = [_series_of_jets(alg, jets_x[c], work_order) for c in range(m)]
-        u_xx = [_series_of_jets(alg, jets_xx[c], work_order) for c in range(m)]
-        t_series = (
-            TruncatedSeries.infinitesimal(alg, n_eps)
-            if n_eps >= 1
-            else TruncatedSeries.zeros(alg, 0)
-        )
-        x_series = TruncatedSeries.constant(alg, seed.truncated(work_order), n_eps)
-
-        f = problem.rhs(u, u_x, u_xx, t_series, x_series)
-        if len(f) != m:
-            raise ValueError(f"rhs returned {len(f)} components, expected {m}")
+        tape.advance(alg, lambda jet: jet.truncated(work_order))
         for c in range(m):
-            if not isinstance(f[c], TruncatedSeries) or f[c].order != n_eps:
-                raise TypeError(
-                    "rhs must return series of the same order it was given; "
-                    "write it entirely in series operations"
-                )
-            top = f[c].coeffs[n_eps]
-            new_jet = top * (1.0 / i)
+            new_jet = f[c].coeff(i - 1) * (1.0 / i)
             if not alg.finite(new_jet):
                 raise DivergenceError(order=i, component=c)
             jets[c].append(new_jet)
-            jets_x[c].append(derivative(new_jet, 1))
-            jets_xx[c].append(derivative(new_jet, 2))
 
     coeffs = tuple(
         tuple(jet.coeffs[0] for jet in jets[c]) for c in range(m)
@@ -161,8 +175,3 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
         coeffs=coeffs,
         jet_tails=tails,
     )
-
-
-def _series_of_jets(alg: JetAlgebra, jet_list, work_order: int) -> TruncatedSeries:
-    """Stack stored jets as series coefficients, trimmed to the working order."""
-    return TruncatedSeries(alg, tuple(j.truncated(work_order) for j in jet_list))

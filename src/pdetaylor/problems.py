@@ -4,14 +4,18 @@ Each problem bundles the pieces the expansion driver and the benchmark
 harness need:
 
 * ``ic``          initial condition evaluated on a spatial jet seed,
-* ``rhs``         right-hand side evaluated on series-of-jets arguments,
+* ``rhs``         right-hand side evaluated on lazy series-of-jets arguments,
 * ``ic_numpy``    the same initial condition on plain arrays,
 * ``rhs_numpy``   the same right-hand side on plain arrays,
 * closed-form ``exact_solution`` / ``exact_time_derivative`` where one exists.
 
-``rhs`` must be written entirely in series operations (arithmetic operators
-plus the lifts from :mod:`pdetaylor.series`); the driver feeds it series in
-the time infinitesimal whose coefficients are spatial jets.  The numpy pair
+``rhs`` is called once per expansion, with
+:class:`~pdetaylor.series.LazySeries` nodes in the time infinitesimal whose
+coefficients are spatial jets, and must return one node per component.  It
+builds the expression graph that the driver then evaluates one order at a
+time, so it may use only arithmetic operators (with other nodes or plain
+numbers) and the lifts from :mod:`pdetaylor.series`: nodes have no
+``coeffs``, ``order`` or shifts.  The numpy pair
 is deliberately a separate implementation of the same equations: it backs the
 finite-difference reference solver, which must not share code with the series
 path it cross-checks.

@@ -23,6 +23,13 @@ constant term is evaluated in the coefficient algebra, which recurses through
 nested series automatically.
 
 Series are immutable once constructed; share them freely.
+
+A :class:`LazySeries` is the same arithmetic evaluated one order at a time:
+an expression over lazy nodes is built once, and each node then computes
+and memoises one new coefficient per request (McIlroy, "Power series, power
+serious", 1999; Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Both
+kinds run each recurrence through one per-coefficient step function, so they
+produce bit-identical coefficients.
 """
 
 from __future__ import annotations
@@ -311,13 +318,7 @@ class TruncatedSeries:
             return NotImplemented
         self._check_compatible(other)
         a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(len(a)):
-            acc = alg.mul(a[0], b[k])
-            for i in range(1, k + 1):
-                acc = alg.add(acc, alg.mul(a[i], b[k - i]))
-            out.append(acc)
-        return TruncatedSeries(alg, out)
+        return TruncatedSeries(alg, [_mul_step(alg, a, b, k) for k in range(len(a))])
 
     __rmul__ = __mul__
 
@@ -330,16 +331,9 @@ class TruncatedSeries:
             return NotImplemented
         self._check_compatible(other)
         a, b = self.coeffs, other.coeffs
-        if not alg.is_invertible(b[0]):
-            raise InfinitesimalDivisorError(
-                "division by a series with non-invertible leading coefficient"
-            )
         q = []
         for k in range(len(a)):
-            acc = a[k]
-            for j in range(1, k + 1):
-                acc = alg.sub(acc, alg.mul(b[j], q[k - j]))
-            q.append(alg.div(acc, b[0]))
+            q.append(_div_step(alg, a[k], b, q, k))
         return TruncatedSeries(alg, q)
 
     def __rtruediv__(self, other):
@@ -398,81 +392,350 @@ class TruncatedSeries:
         return TruncatedSeries(self.algebra, self.coeffs + pad)
 
 
+# -- recurrence steps -------------------------------------------------------
+#
+# Each step computes coefficient k of a result from indexable sequences that
+# hold orders 0..k of its input and 0..k-1 of the result.  TruncatedSeries runs
+# a step for every k at once and LazySeries for one new k at a time; sharing
+# the step keeps the two bit-identical.  Only the constant term of a lift ever
+# evaluates the function itself, so a lift over nested series recurses
+# through the algebra.
+
+
+def _mul_step(alg, a, b, k):
+    """Coefficient k of a product: a_0*b_k + a_1*b_{k-1} + ... + a_k*b_0."""
+    acc = alg.mul(a[0], b[k])
+    for i in range(1, k + 1):
+        acc = alg.add(acc, alg.mul(a[i], b[k - i]))
+    return acc
+
+
+def _div_step(alg, a_k, b, q, k):
+    """Coefficient k of a quotient q = a / b: (a_k - sum_{j=1..k} b_j*q_{k-j}) / b_0."""
+    if k == 0 and not alg.is_invertible(b[0]):
+        raise InfinitesimalDivisorError(
+            "division by a series with non-invertible leading coefficient"
+        )
+    acc = a_k
+    for j in range(1, k + 1):
+        acc = alg.sub(acc, alg.mul(b[j], q[k - j]))
+    return alg.div(acc, b[0])
+
+
+def _weighted_sum(alg, a, f, k):
+    """sum_{j=1..k} j*a_j*f_{k-j}, shared by the exp, sin and cos recurrences."""
+    acc = alg.mul(a[1], f[k - 1])
+    for j in range(2, k + 1):
+        acc = alg.add(acc, alg.scale(alg.mul(a[j], f[k - j]), float(j)))
+    return acc
+
+
+def _exp_step(alg, a, out, k):
+    """k*E_k = sum_{j=1..k} j*A_j*E_{k-j}, E_0 = exp(A_0)."""
+    if k == 0:
+        return alg.exp(a[0])
+    return alg.scale(_weighted_sum(alg, a, out, k), 1.0 / k)
+
+
+def _sin_cos_step(alg, a, s, c, k):
+    """(S_k, C_k) with k*S_k = sum j*A_j*C_{k-j} and k*C_k = -sum j*A_j*S_{k-j}."""
+    if k == 0:
+        return alg.sin_cos(a[0])
+    return (
+        alg.scale(_weighted_sum(alg, a, c, k), 1.0 / k),
+        alg.scale(_weighted_sum(alg, a, s, k), -1.0 / k),
+    )
+
+
+def _log_step(alg, a, out, k):
+    """L_k = (A_k - (1/k) sum_{j<k} j*L_j*A_{k-j}) / A_0."""
+    if k == 0:
+        return alg.log(a[0])
+    acc = None
+    for j in range(1, k):
+        term = alg.scale(alg.mul(out[j], a[k - j]), float(j))
+        acc = term if acc is None else alg.add(acc, term)
+    num = a[k] if acc is None else alg.sub(a[k], alg.scale(acc, 1.0 / k))
+    return alg.div(num, a[0])
+
+
+def _power_step(alg, a, out, k, e):
+    """k*A_0*P_k = sum_{j=1..k} ((e+1)*j - k) * A_j * P_{k-j}, P_0 = A_0**e."""
+    if k == 0:
+        if not alg.is_invertible(a[0]):
+            raise LiftDomainError(
+                "power with non-integer or negative exponent needs an invertible constant term"
+            )
+        return alg.pow(a[0], e)
+    acc = None
+    for j in range(1, k + 1):
+        w = (e + 1.0) * j - k
+        term = alg.scale(alg.mul(a[j], out[k - j]), w)
+        acc = term if acc is None else alg.add(acc, term)
+    return alg.div(alg.scale(acc, 1.0 / k), a[0])
+
+
+# -- lazy series ---------------------------------------------------------------
+
+
+class SeriesTape:
+    """Shared state of one graph of :class:`LazySeries`.
+
+    ``algebra`` is the coefficient algebra of the order being computed now.
+    The coefficient histories that later steps read are registered here, and
+    :meth:`advance` re-expresses every stored coefficient in the next algebra
+    with ``narrow``, so a step only ever combines elements of one algebra.
+    The expansion driver narrows jets to its shrinking working order this way.
+    """
+
+    def __init__(self):
+        self.algebra = None
+        self._histories = []
+
+    def advance(self, algebra, narrow) -> None:
+        """Move to ``algebra``, mapping every kept coefficient through ``narrow``."""
+        self.algebra = algebra
+        for history in self._histories:
+            history[:] = [narrow(c) for c in history]
+
+    def history(self) -> list:
+        """A new coefficient list that :meth:`advance` keeps narrowed."""
+        h = []
+        self._histories.append(h)
+        return h
+
+
+class LazySeries:
+    """A series in one infinitesimal whose coefficients are computed on demand.
+
+    ``coeff(k)`` computes coefficient ``k`` as ``rule(tape.algebra, k)`` once
+    every lower one exists, and memoises it.  Operators and the analytic
+    lifts build new nodes and compute nothing, so an expression is evaluated
+    once into a graph, which then yields one new coefficient per order: about
+    ``n**2`` coefficient products for ``n`` orders, where re-evaluating a
+    :class:`TruncatedSeries` expression at every order costs about ``n**3``.
+    Each operation computes its coefficients with the same recurrence step as
+    the :class:`TruncatedSeries` operation, so the values are bit-identical.
+
+    A node keeps only its newest coefficient, unless a later step reads its
+    older ones: operands of series products and quotients and the inputs and
+    outputs of lifts keep their whole history on the tape.  A node has no
+    order, coefficient tuple or shifts; only operators and lifts apply.
+    """
+
+    __slots__ = ("tape", "_rule", "_history", "_newest", "_count")
+
+    def __init__(self, tape: SeriesTape, rule):
+        self.tape = tape
+        self._rule = rule
+        self._history = None
+        self._newest = None
+        self._count = 0
+
+    def coeff(self, k: int):
+        """Coefficient ``k``: the newest one, or the next one, computed now."""
+        if k == self._count:
+            self._newest = self._rule(self.tape.algebra, k)
+            self._count += 1
+            if self._history is not None:
+                self._history.append(self._newest)
+        elif k != self._count - 1:
+            raise ValueError(
+                f"coefficient {k} requested, but only order {self._count} can be computed next"
+            )
+        return self._newest
+
+    def _kept(self) -> list:
+        """The coefficient history, kept from now on because a later step reads it."""
+        if self._history is None:
+            if self._count:
+                raise RuntimeError("a node's history must be requested before evaluation starts")
+            self._history = self.tape.history()
+        return self._history
+
+    def _operand(self, other):
+        if not isinstance(other, LazySeries):
+            return None
+        if other.tape is not self.tape:
+            raise ValueError("lazy series of different tapes cannot be combined")
+        return other
+
+    def __add__(self, other):
+        s = _as_scalar(other)
+        if s is not None:
+            def shifted(alg, k):
+                a = self.coeff(k)
+                return alg.add(a, alg.from_real(s)) if k == 0 else a
+            return LazySeries(self.tape, shifted)
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return LazySeries(self.tape, lambda alg, k: alg.add(self.coeff(k), b.coeff(k)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        s = _as_scalar(other)
+        if s is not None:
+            def shifted(alg, k):
+                a = self.coeff(k)
+                return alg.sub(a, alg.from_real(s)) if k == 0 else a
+            return LazySeries(self.tape, shifted)
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return LazySeries(self.tape, lambda alg, k: alg.sub(self.coeff(k), b.coeff(k)))
+
+    def __rsub__(self, other):
+        s = _as_scalar(other)
+        if s is None:
+            return NotImplemented
+        return (-self) + s
+
+    def __neg__(self):
+        return LazySeries(self.tape, lambda alg, k: alg.neg(self.coeff(k)))
+
+    def __mul__(self, other):
+        s = _as_scalar(other)
+        if s is not None:
+            return LazySeries(self.tape, lambda alg, k: alg.scale(self.coeff(k), s))
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        ha, hb = self._kept(), b._kept()
+
+        def product(alg, k):
+            self.coeff(k)
+            b.coeff(k)
+            return _mul_step(alg, ha, hb, k)
+
+        return LazySeries(self.tape, product)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        s = _as_scalar(other)
+        if s is not None:
+            return self * (1.0 / s)
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        hb = b._kept()
+
+        def quotient(alg, k):
+            a_k = self.coeff(k)
+            b.coeff(k)
+            return _div_step(alg, a_k, hb, hq, k)
+
+        q = LazySeries(self.tape, quotient)
+        hq = q._kept()
+        return q
+
+    def __rtruediv__(self, other):
+        s = _as_scalar(other)
+        if s is None:
+            return NotImplemented
+        return reciprocal(self) * s
+
+    def __pow__(self, exponent):
+        s = _as_scalar(exponent)
+        if s is None:
+            return NotImplemented
+        return power(self, s)
+
+
 # -- analytic lifts -----------------------------------------------------
 #
-# Each recurrence below follows from differentiating f(A(eps)) with respect
-# to eps and matching coefficients; only the constant term ever evaluates f
-# itself, so a lift over nested series recurses through the algebra.
+# Every public lift accepts a TruncatedSeries and returns one, or accepts a
+# LazySeries and returns a new node of the same tape.
 
 
-def exp(series: TruncatedSeries) -> TruncatedSeries:
-    """Exponential: k*E_k = sum_{j=1..k} j*A_j*E_{k-j}, E_0 = exp(A_0)."""
+def _lift(series, step):
+    """Apply a lift whose step reads its input and its own earlier output."""
+    if isinstance(series, LazySeries):
+        a = series._kept()
+
+        def lifted(alg, k):
+            series.coeff(k)
+            return step(alg, a, out, k)
+
+        node = LazySeries(series.tape, lifted)
+        out = node._kept()
+        return node
     _require_series(series)
     alg = series.algebra
     a = series.coeffs
-    out = [alg.exp(a[0])]
-    for k in range(1, len(a)):
-        acc = alg.mul(a[1], out[k - 1])
-        for j in range(2, k + 1):
-            acc = alg.add(acc, alg.scale(alg.mul(a[j], out[k - j]), float(j)))
-        out.append(alg.scale(acc, 1.0 / k))
+    out = []
+    for k in range(len(a)):
+        out.append(step(alg, a, out, k))
     return TruncatedSeries(alg, out)
 
 
-def sin_cos(series: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
+def _one_like(series):
+    """The constant series 1 of the same kind, algebra and order as ``series``."""
+    if isinstance(series, LazySeries):
+        return LazySeries(series.tape, lambda alg, k: alg.one() if k == 0 else alg.zero())
+    _require_series(series)
+    return TruncatedSeries.constant(series.algebra, series.algebra.one(), series.order)
+
+
+def exp(series):
+    """Exponential: k*E_k = sum_{j=1..k} j*A_j*E_{k-j}, E_0 = exp(A_0)."""
+    return _lift(series, _exp_step)
+
+
+def sin_cos(series):
     """Sine and cosine together; their recurrences are coupled."""
+    if isinstance(series, LazySeries):
+        a = series._kept()
+        s, c = series.tape.history(), series.tape.history()
+
+        def pair(alg, k):
+            if k == len(s):
+                series.coeff(k)
+                s_k, c_k = _sin_cos_step(alg, a, s, c, k)
+                s.append(s_k)
+                c.append(c_k)
+            return s[k], c[k]
+
+        return (
+            LazySeries(series.tape, lambda alg, k: pair(alg, k)[0]),
+            LazySeries(series.tape, lambda alg, k: pair(alg, k)[1]),
+        )
     _require_series(series)
     alg = series.algebra
     a = series.coeffs
-    s0, c0 = alg.sin_cos(a[0])
-    s, c = [s0], [c0]
-    for k in range(1, len(a)):
-        sacc = alg.mul(a[1], c[k - 1])
-        cacc = alg.mul(a[1], s[k - 1])
-        for j in range(2, k + 1):
-            sacc = alg.add(sacc, alg.scale(alg.mul(a[j], c[k - j]), float(j)))
-            cacc = alg.add(cacc, alg.scale(alg.mul(a[j], s[k - j]), float(j)))
-        s.append(alg.scale(sacc, 1.0 / k))
-        c.append(alg.scale(cacc, -1.0 / k))
+    s, c = [], []
+    for k in range(len(a)):
+        s_k, c_k = _sin_cos_step(alg, a, s, c, k)
+        s.append(s_k)
+        c.append(c_k)
     return TruncatedSeries(alg, s), TruncatedSeries(alg, c)
 
 
-def sin(series: TruncatedSeries) -> TruncatedSeries:
+def sin(series):
     return sin_cos(series)[0]
 
 
-def cos(series: TruncatedSeries) -> TruncatedSeries:
+def cos(series):
     return sin_cos(series)[1]
 
 
-def log(series: TruncatedSeries) -> TruncatedSeries:
+def log(series):
     """Natural logarithm: L_k = (A_k - (1/k) sum_{j<k} j*L_j*A_{k-j}) / A_0."""
-    _require_series(series)
-    alg = series.algebra
-    a = series.coeffs
-    out = [alg.log(a[0])]
-    for k in range(1, len(a)):
-        acc = None
-        for j in range(1, k):
-            term = alg.scale(alg.mul(out[j], a[k - j]), float(j))
-            acc = term if acc is None else alg.add(acc, term)
-        num = a[k] if acc is None else alg.sub(a[k], alg.scale(acc, 1.0 / k))
-        out.append(alg.div(num, a[0]))
-    return TruncatedSeries(alg, out)
+    return _lift(series, _log_step)
 
 
-def power(series: TruncatedSeries, exponent: float) -> TruncatedSeries:
+def power(series, exponent: float):
     """Raise a series to a constant real power.
 
     Non-negative integer exponents use plain repeated multiplication, which
     needs no invertible constant term; anything else uses the recurrence
     k*A_0*P_k = sum_{j=1..k} ((e+1)*j - k) * A_j * P_{k-j}.
     """
-    _require_series(series)
     e = float(exponent)
-    alg = series.algebra
     if e.is_integer() and e >= 0:
-        result = TruncatedSeries.constant(alg, alg.one(), series.order)
+        result = _one_like(series)
         base = series
         n = int(e)
         while n:
@@ -482,30 +745,15 @@ def power(series: TruncatedSeries, exponent: float) -> TruncatedSeries:
             if n:
                 base = base * base
         return result
-    a = series.coeffs
-    if not alg.is_invertible(a[0]):
-        raise LiftDomainError("power with non-integer or negative exponent needs an invertible constant term")
-    out = [alg.pow(a[0], e)]
-    for k in range(1, len(a)):
-        acc = None
-        for j in range(1, k + 1):
-            w = (e + 1.0) * j - k
-            term = alg.scale(alg.mul(a[j], out[k - j]), w)
-            acc = term if acc is None else alg.add(acc, term)
-        out.append(alg.div(alg.scale(acc, 1.0 / k), a[0]))
-    return TruncatedSeries(alg, out)
+    return _lift(series, lambda alg, a, out, k: _power_step(alg, a, out, k, e))
 
 
-def reciprocal(series: TruncatedSeries) -> TruncatedSeries:
-    _require_series(series)
-    alg = series.algebra
-    ones = TruncatedSeries.constant(alg, alg.one(), series.order)
-    return ones / series
+def reciprocal(series):
+    return _one_like(series) / series
 
 
-def sech(series: TruncatedSeries) -> TruncatedSeries:
+def sech(series):
     """Hyperbolic secant via 1 / cosh, with cosh built from exp."""
-    _require_series(series)
     e = exp(series)
     cosh = (e + reciprocal(e)) * 0.5
     return reciprocal(cosh)
@@ -522,7 +770,7 @@ _LIFTS = {
 }
 
 
-def analytic_lift(name: str, series: TruncatedSeries, exponent: float | None = None):
+def analytic_lift(name: str, series, exponent: float | None = None):
     """Apply a named analytic function to a series.
 
     ``pow_const`` requires ``exponent``; the other names are exp, sin, cos,
@@ -542,4 +790,4 @@ def analytic_lift(name: str, series: TruncatedSeries, exponent: float | None = N
 
 def _require_series(obj):
     if not isinstance(obj, TruncatedSeries):
-        raise TypeError(f"expected a TruncatedSeries, got {type(obj).__name__}")
+        raise TypeError(f"expected a TruncatedSeries or LazySeries, got {type(obj).__name__}")

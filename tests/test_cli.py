@@ -236,6 +236,13 @@ def test_horizon_beyond_problem_end(tmp_path):
     assert cli.main(["taylor", "--problem", "heat", "--t1", "-0.1", "--out", str(tmp_path)]) == 2
 
 
+def test_non_finite_horizon_is_a_usage_error(tmp_path, capsys):
+    for bad in ("nan", "inf", "-inf"):
+        assert cli.main(["taylor", "--problem", "heat", f"--t1={bad}", "--out", str(tmp_path)]) == 2
+        assert "outside [0, 1]" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_argparse_level_errors_map_to_exit_codes(capsys):
     assert cli.main([]) == 2  # a subcommand is required
     assert cli.main(["derive", "--format", "xml"]) == 2

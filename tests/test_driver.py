@@ -213,4 +213,4 @@ def test_expansion_metadata_and_tails():
     # each retained jet still starts with the coefficient batch it produced
     for i, tail in enumerate(exp.jet_tails[0]):
         np.testing.assert_array_equal(tail.coeffs[0], exp.coeffs[0][i])
-        assert tail.order == 2 * (3 + 1 - i)
+        assert tail.order == 2 * (3 - i)
