@@ -93,8 +93,8 @@ def sample_points(problem: PdeProblem, count: int, tau: float, seed: int) -> np.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if tau < 0:
-        raise ValueError("exclusion threshold must be >= 0")
+    if not tau >= 0:  # also rejects NaN
+        raise ValueError(f"exclusion threshold must be >= 0, got {tau}")
     gmax = max(
         float(np.abs(problem.ic_numpy(_probe_grid(problem))[m]).max())
         for m in range(problem.components)
@@ -349,41 +349,20 @@ def reference_solve(
     n_steps = max(1, math.ceil(t1 / dt))
     dt = t1 / n_steps
 
-    if periodic:
-        def dx(u):
-            return (
-                -np.roll(u, -2) + 8 * np.roll(u, -1) - 8 * np.roll(u, 1) + np.roll(u, 2)
-            ) / (12 * h)
-
-        def dxx(u):
-            return (
-                -np.roll(u, -2)
-                + 16 * np.roll(u, -1)
-                - 30 * u
-                + 16 * np.roll(u, 1)
-                - np.roll(u, 2)
-            ) / (12 * h * h)
-    else:
-        def _extend(u):
-            return np.concatenate(([-u[2], -u[1]], u, [-u[-2], -u[-3]]))
-
-        def dx(u):
-            ue = _extend(u)
-            return (-ue[4:] + 8 * ue[3:-1] - 8 * ue[1:-3] + ue[:-4]) / (12 * h)
-
-        def dxx(u):
-            ue = _extend(u)
-            return (
-                -ue[4:] + 16 * ue[3:-1] - 30 * ue[2:-2] + 16 * ue[1:-3] - ue[:-4]
-            ) / (12 * h * h)
-
-    m = problem.components
+    def pad(s):
+        # two ghost cells at each end of every component: a periodic wrap, or
+        # an odd reflection through the zero-valued Dirichlet endpoints
+        if periodic:
+            return np.concatenate((s[:, -2:], s, s[:, :2]), axis=1)
+        return np.concatenate((-s[:, 2:0:-1], s, -s[:, -2:-4:-1]), axis=1)
 
     def deriv(t, s):
-        u = [s[c] for c in range(m)]
-        ux = [dx(u[c]) for c in range(m)]
-        uxx = [dxx(u[c]) for c in range(m)]
-        out = np.stack(problem.rhs_numpy(u, ux, uxx, t, grid))
+        ue = pad(s)
+        ux = (-ue[:, 4:] + 8 * ue[:, 3:-1] - 8 * ue[:, 1:-3] + ue[:, :-4]) / (12 * h)
+        uxx = (
+            -ue[:, 4:] + 16 * ue[:, 3:-1] - 30 * ue[:, 2:-2] + 16 * ue[:, 1:-3] - ue[:, :-4]
+        ) / (12 * h * h)
+        out = np.stack(problem.rhs_numpy(list(s), list(ux), list(uxx), t, grid))
         if not periodic:
             out[:, 0] = 0.0
             out[:, -1] = 0.0

@@ -26,9 +26,10 @@ Each spatial differentiation consumes jet orders.  With ``s`` the problem's
 spatial order (two for ``U_xx``), ``C_0`` is seeded with ``s*K`` jet orders
 and iteration ``i`` works at jet order ``W_i = s*(K - i)``: every operand,
 including the stored history of every node, is truncated to ``W_i`` before
-the step, and ``C_i`` is stored at ``W_i``.  ``C_K`` is never differentiated.
-Coefficient values are exact to the end regardless, for the same
-triangularity reason.
+the step, and ``C_i`` is computed at ``W_i``.  ``C_K`` is never
+differentiated.  Coefficient values are exact to the end regardless, for the
+same triangularity reason.  Iteration ``i`` reads only ``C_{i-1}``, so the
+driver holds one jet per component, and of older orders only the values.
 
 The expansion stores the raw coefficients ``C_i``; multiplying by ``i!`` only
 when actual derivatives are requested keeps the factorial round-off out of
@@ -45,7 +46,7 @@ import numpy as np
 
 from .jets import BatchAlgebra, JetAlgebra, derivative, seed_variable
 from .problems import PdeProblem
-from .series import LazySeries, SeriesTape, TruncatedSeries
+from .series import LazySeries, SeriesTape
 
 MAX_ORDER = 20
 
@@ -66,12 +67,10 @@ class TaylorExpansion:
     """Time-Taylor coefficients of a problem's solution at t = 0.
 
     ``coeffs[m][i]`` is the batch of values of ``C_i`` for component ``m``:
-    the i-th Taylor coefficient (not the derivative) at each point.
-    ``jet_tails[m][i]`` retains the spatial jet each coefficient was born
-    with, for diagnostics: it has the working jet order ``W_i =
-    spatial_order * (max_order - i)`` of the iteration that computed it.
-    The coefficients come from one call of the problem's ``rhs`` on lazy
-    series, followed by one new coefficient per node and order.
+    the i-th Taylor coefficient (not the derivative) at each point.  The
+    coefficients come from one call of the problem's ``rhs`` on lazy series,
+    followed by one new coefficient per node and order; the spatial jets
+    they were computed as are not kept.
     """
 
     problem: str
@@ -79,7 +78,6 @@ class TaylorExpansion:
     max_order: int
     components: int
     coeffs: tuple[tuple[np.ndarray, ...], ...]
-    jet_tails: tuple[tuple[TruncatedSeries, ...], ...]
 
     def derivatives(self) -> list[list[np.ndarray]]:
         """Time derivatives ``d^i U/dt^i = i! * C_i`` per component and order."""
@@ -125,15 +123,18 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
     if len(g) != m:
         raise ValueError(f"initial condition returned {len(g)} components, expected {m}")
 
-    # Per component: the coefficient jets, C_i stored at jet order W_i.
-    jets = [[g[c]] for c in range(m)]
+    # Per component: the newest coefficient jet, C_i stored at jet order W_i,
+    # and the value batches of C_0 ... C_i.
+    newest = list(g)
+    values = [[jet.coeffs[0]] for jet in newest]
     tape = SeriesTape()
 
     def spatial(c, d):
-        # d-th x-derivative of component c; its coefficient k is read at W_{k+1},
-        # from C_k stored at W_k = W_{k+1} + step jet orders
+        # d-th x-derivative of component c.  Every node is asked for coefficient
+        # k = i - 1 at iteration i, while ``newest`` still holds C_k; it is read
+        # at W_{k+1}, from C_k stored at W_k = W_{k+1} + step jet orders.
         return LazySeries(
-            tape, lambda alg, k: derivative(jets[c][k].truncated(alg.order + d), d)
+            tape, lambda alg, k: derivative(newest[c].truncated(alg.order + d), d)
         )
 
     u = [spatial(c, 0) for c in range(m)]
@@ -157,21 +158,19 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
         work_order = seed_order - step * i
         alg = JetAlgebra(batch, work_order)
         tape.advance(alg, lambda jet: jet.truncated(work_order))
+        new_jets = []
         for c in range(m):
             new_jet = f[c].coeff(i - 1) * (1.0 / i)
             if not alg.finite(new_jet):
                 raise DivergenceError(order=i, component=c)
-            jets[c].append(new_jet)
+            new_jets.append(new_jet)
+            values[c].append(new_jet.coeffs[0])
+        newest[:] = new_jets
 
-    coeffs = tuple(
-        tuple(jet.coeffs[0] for jet in jets[c]) for c in range(m)
-    )
-    tails = tuple(tuple(jets[c]) for c in range(m))
     return TaylorExpansion(
         problem=problem.name,
         points=x,
         max_order=max_order,
         components=m,
-        coeffs=coeffs,
-        jet_tails=tails,
+        coeffs=tuple(tuple(v) for v in values),
     )

@@ -3,10 +3,12 @@
 A jet at points ``X`` (a 1-D float64 array) truncated at order ``p`` stores
 the scaled derivatives ``f(X), f'(X), f''(X)/2!, ..., f^(p)(X)/p!`` of some
 function ``f``, one batch array per order.  Jets are ordinary
-:class:`~pdetaylor.series.TruncatedSeries` instances over a
-:class:`BatchAlgebra`, so all series arithmetic and analytic lifts apply
-unchanged; storing ``f^(k)/k!`` keeps the product rule a plain convolution
-with no factorial bookkeeping.
+:class:`~pdetaylor.series.TruncatedSeries` instances whose coefficients are
+NumPy arrays combined by NumPy's own operators, so all series arithmetic and
+analytic lifts apply unchanged; :class:`BatchAlgebra` adds only the batch
+size, the constants and the elementwise analytic primitives.  Storing
+``f^(k)/k!`` keeps the product rule a plain convolution with no factorial
+bookkeeping.
 
 :func:`seed_variable` builds the jet of the identity function, ``[X, 1, 0,
 ..., 0]``; evaluating an expression on the seed yields the jet of that
@@ -15,7 +17,9 @@ orders shorter than its input.
 
 :class:`JetAlgebra` lets jets themselves serve as series coefficients, giving
 the nesting time-series -> space-jet -> point-batch used by the expansion
-driver.
+driver.  Jets already add, subtract, multiply, divide and scale as series, so
+the algebra supplies only the jet order, the constant jets and the lifts
+that evaluate an analytic function on a jet.
 """
 
 from __future__ import annotations
@@ -51,21 +55,6 @@ class BatchAlgebra(CoefficientAlgebra):
 
     def one(self):
         return np.ones(self.size)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-    def scale(self, a, s):
-        return a * s
 
     def is_zero(self, a):
         return bool(np.all(a == 0.0))
@@ -119,13 +108,10 @@ def derivative(jet: TruncatedSeries, m: int = 1) -> TruncatedSeries:
         raise InsufficientJetOrderError(
             f"jet of order {jet.order} cannot produce derivative order {m}"
         )
-    alg = jet.algebra
     coeffs = jet.coeffs
     for _ in range(m):
-        coeffs = tuple(
-            alg.scale(coeffs[k + 1], float(k + 1)) for k in range(len(coeffs) - 1)
-        )
-    return TruncatedSeries(alg, coeffs)
+        coeffs = tuple(coeffs[k + 1] * float(k + 1) for k in range(len(coeffs) - 1))
+    return TruncatedSeries(jet.algebra, coeffs)
 
 
 def values(jet: TruncatedSeries) -> np.ndarray:
@@ -151,21 +137,6 @@ class JetAlgebra(CoefficientAlgebra):
 
     def one(self):
         return TruncatedSeries.constant(self.inner, self.inner.one(), self.order)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-    def scale(self, a, s):
-        return a * s
 
     def is_zero(self, a):
         return all(self.inner.is_zero(c) for c in a.coeffs)

@@ -99,7 +99,11 @@ def _merge_params(defaults: dict[str, float], overrides: dict[str, float] | None
                 f"unknown parameter(s) {sorted(unknown)} for problem {name!r}; "
                 f"valid: {sorted(defaults)}"
             )
-        params.update({k: float(v) for k, v in overrides.items()})
+        for k, v in overrides.items():
+            v = float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"parameter {k!r} of problem {name!r} must be finite, got {v}")
+            params[k] = v
     return params
 
 
@@ -111,6 +115,8 @@ def _heat(overrides=None) -> PdeProblem:
     """
     params = _merge_params({"alpha": 0.4, "length": 1.0, "mode": 1.0}, overrides, "heat")
     alpha, length, mode = params["alpha"], params["length"], params["mode"]
+    if length <= 0:
+        raise ValueError(f"parameter 'length' of problem 'heat' must be positive, got {length}")
     c = mode * PI / length
     kappa = -alpha * c * c
 

@@ -11,7 +11,11 @@ input coefficients of order ``<= k``.  Division inverts the convolution and
 requires an invertible leading coefficient; dividing by a pure infinitesimal
 is an error rather than a renormalisation.
 
-Coefficients live in a pluggable :class:`CoefficientAlgebra`.  The scalar
+Coefficients combine through their own ``+``, ``-``, ``*``, ``/`` and
+``* float`` operators, so Python floats, NumPy batches and jets all work
+unchanged.  A :class:`CoefficientAlgebra` supplies only what differs between
+those spaces: the constants zero, one and a real number, the zero,
+invertibility and finiteness tests, and the analytic primitives.  The scalar
 algebra over Python floats is provided here; batched (NumPy) and spatial-jet
 algebras live in :mod:`pdetaylor.jets`.  Because a jet is itself a truncated
 series, series can nest: a series in the time infinitesimal whose coefficients
@@ -60,11 +64,16 @@ class TruncationWarning(RuntimeWarning):
 
 
 class CoefficientAlgebra(ABC):
-    """Operations a coefficient type must support to sit under a series.
+    """What differs between the coefficient spaces a series can sit over.
 
-    Implementations are small stateless (or shape-carrying) objects; two
-    algebra instances compare equal when they describe the same coefficient
-    space, which is what series compatibility checks rely on.
+    Ring arithmetic is not part of it: coefficients combine through their own
+    ``+``, ``-``, ``*`` and ``/`` operators and their ``* float`` scaling.  An
+    algebra supplies the constants ``zero``, ``one`` and ``from_real``, the
+    predicates ``is_zero``, ``is_invertible`` and ``finite``, and the analytic
+    primitives evaluated on the constant term of a lift.  Implementations are
+    small stateless (or shape-carrying) objects; two algebra instances compare
+    equal when they describe the same coefficient space, which is what series
+    compatibility checks rely on.
     """
 
     @abstractmethod
@@ -72,22 +81,6 @@ class CoefficientAlgebra(ABC):
 
     @abstractmethod
     def one(self): ...
-
-    @abstractmethod
-    def add(self, a, b): ...
-
-    @abstractmethod
-    def sub(self, a, b): ...
-
-    @abstractmethod
-    def mul(self, a, b): ...
-
-    @abstractmethod
-    def div(self, a, b): ...
-
-    @abstractmethod
-    def scale(self, a, s: float):
-        """Multiply an element by an ordinary real number."""
 
     @abstractmethod
     def is_zero(self, a) -> bool: ...
@@ -117,11 +110,8 @@ class CoefficientAlgebra(ABC):
     @abstractmethod
     def sech(self, a): ...
 
-    def neg(self, a):
-        return self.scale(a, -1.0)
-
     def from_real(self, s: float):
-        return self.scale(self.one(), float(s))
+        return self.one() * float(s)
 
 
 class RealAlgebra(CoefficientAlgebra):
@@ -132,21 +122,6 @@ class RealAlgebra(CoefficientAlgebra):
 
     def one(self):
         return 1.0
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-    def scale(self, a, s):
-        return a * s
 
     def is_zero(self, a):
         return a == 0.0
@@ -275,14 +250,12 @@ class TruncatedSeries:
         s = _as_scalar(other)
         alg = self.algebra
         if s is not None:
-            head = alg.add(self.coeffs[0], alg.from_real(s))
+            head = self.coeffs[0] + alg.from_real(s)
             return TruncatedSeries(alg, (head,) + self.coeffs[1:])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        return TruncatedSeries(
-            alg, tuple(alg.add(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return TruncatedSeries(alg, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -290,14 +263,12 @@ class TruncatedSeries:
         s = _as_scalar(other)
         alg = self.algebra
         if s is not None:
-            head = alg.sub(self.coeffs[0], alg.from_real(s))
+            head = self.coeffs[0] - alg.from_real(s)
             return TruncatedSeries(alg, (head,) + self.coeffs[1:])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        return TruncatedSeries(
-            alg, tuple(alg.sub(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return TruncatedSeries(alg, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         s = _as_scalar(other)
@@ -306,19 +277,17 @@ class TruncatedSeries:
         return (-self) + s
 
     def __neg__(self):
-        alg = self.algebra
-        return TruncatedSeries(alg, tuple(alg.neg(c) for c in self.coeffs))
+        return TruncatedSeries(self.algebra, tuple(c * -1.0 for c in self.coeffs))
 
     def __mul__(self, other):
         s = _as_scalar(other)
-        alg = self.algebra
         if s is not None:
-            return TruncatedSeries(alg, tuple(alg.scale(c, s) for c in self.coeffs))
+            return TruncatedSeries(self.algebra, tuple(c * s for c in self.coeffs))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
         a, b = self.coeffs, other.coeffs
-        return TruncatedSeries(alg, [_mul_step(alg, a, b, k) for k in range(len(a))])
+        return TruncatedSeries(self.algebra, [_mul_step(a, b, k) for k in range(len(a))])
 
     __rmul__ = __mul__
 
@@ -397,16 +366,17 @@ class TruncatedSeries:
 # Each step computes coefficient k of a result from indexable sequences that
 # hold orders 0..k of its input and 0..k-1 of the result.  TruncatedSeries runs
 # a step for every k at once and LazySeries for one new k at a time; sharing
-# the step keeps the two bit-identical.  Only the constant term of a lift ever
-# evaluates the function itself, so a lift over nested series recurses
-# through the algebra.
+# the step keeps the two bit-identical.  Steps combine coefficients with their
+# own operators, so they run unchanged on floats, arrays and jets.  Only the
+# constant term of a lift ever evaluates the function itself, through the
+# algebra, so a lift over nested series recurses.
 
 
-def _mul_step(alg, a, b, k):
+def _mul_step(a, b, k):
     """Coefficient k of a product: a_0*b_k + a_1*b_{k-1} + ... + a_k*b_0."""
-    acc = alg.mul(a[0], b[k])
+    acc = a[0] * b[k]
     for i in range(1, k + 1):
-        acc = alg.add(acc, alg.mul(a[i], b[k - i]))
+        acc = acc + a[i] * b[k - i]
     return acc
 
 
@@ -418,15 +388,15 @@ def _div_step(alg, a_k, b, q, k):
         )
     acc = a_k
     for j in range(1, k + 1):
-        acc = alg.sub(acc, alg.mul(b[j], q[k - j]))
-    return alg.div(acc, b[0])
+        acc = acc - b[j] * q[k - j]
+    return acc / b[0]
 
 
-def _weighted_sum(alg, a, f, k):
+def _weighted_sum(a, f, k):
     """sum_{j=1..k} j*a_j*f_{k-j}, shared by the exp, sin and cos recurrences."""
-    acc = alg.mul(a[1], f[k - 1])
+    acc = a[1] * f[k - 1]
     for j in range(2, k + 1):
-        acc = alg.add(acc, alg.scale(alg.mul(a[j], f[k - j]), float(j)))
+        acc = acc + (a[j] * f[k - j]) * float(j)
     return acc
 
 
@@ -434,17 +404,14 @@ def _exp_step(alg, a, out, k):
     """k*E_k = sum_{j=1..k} j*A_j*E_{k-j}, E_0 = exp(A_0)."""
     if k == 0:
         return alg.exp(a[0])
-    return alg.scale(_weighted_sum(alg, a, out, k), 1.0 / k)
+    return _weighted_sum(a, out, k) * (1.0 / k)
 
 
 def _sin_cos_step(alg, a, s, c, k):
     """(S_k, C_k) with k*S_k = sum j*A_j*C_{k-j} and k*C_k = -sum j*A_j*S_{k-j}."""
     if k == 0:
         return alg.sin_cos(a[0])
-    return (
-        alg.scale(_weighted_sum(alg, a, c, k), 1.0 / k),
-        alg.scale(_weighted_sum(alg, a, s, k), -1.0 / k),
-    )
+    return _weighted_sum(a, c, k) * (1.0 / k), _weighted_sum(a, s, k) * (-1.0 / k)
 
 
 def _log_step(alg, a, out, k):
@@ -453,10 +420,10 @@ def _log_step(alg, a, out, k):
         return alg.log(a[0])
     acc = None
     for j in range(1, k):
-        term = alg.scale(alg.mul(out[j], a[k - j]), float(j))
-        acc = term if acc is None else alg.add(acc, term)
-    num = a[k] if acc is None else alg.sub(a[k], alg.scale(acc, 1.0 / k))
-    return alg.div(num, a[0])
+        term = (out[j] * a[k - j]) * float(j)
+        acc = term if acc is None else acc + term
+    num = a[k] if acc is None else a[k] - acc * (1.0 / k)
+    return num / a[0]
 
 
 def _power_step(alg, a, out, k, e):
@@ -470,9 +437,9 @@ def _power_step(alg, a, out, k, e):
     acc = None
     for j in range(1, k + 1):
         w = (e + 1.0) * j - k
-        term = alg.scale(alg.mul(a[j], out[k - j]), w)
-        acc = term if acc is None else alg.add(acc, term)
-    return alg.div(alg.scale(acc, 1.0 / k), a[0])
+        term = (a[j] * out[k - j]) * w
+        acc = term if acc is None else acc + term
+    return (acc * (1.0 / k)) / a[0]
 
 
 # -- lazy series ---------------------------------------------------------------
@@ -565,12 +532,12 @@ class LazySeries:
         if s is not None:
             def shifted(alg, k):
                 a = self.coeff(k)
-                return alg.add(a, alg.from_real(s)) if k == 0 else a
+                return a + alg.from_real(s) if k == 0 else a
             return LazySeries(self.tape, shifted)
         b = self._operand(other)
         if b is None:
             return NotImplemented
-        return LazySeries(self.tape, lambda alg, k: alg.add(self.coeff(k), b.coeff(k)))
+        return LazySeries(self.tape, lambda alg, k: self.coeff(k) + b.coeff(k))
 
     __radd__ = __add__
 
@@ -579,12 +546,12 @@ class LazySeries:
         if s is not None:
             def shifted(alg, k):
                 a = self.coeff(k)
-                return alg.sub(a, alg.from_real(s)) if k == 0 else a
+                return a - alg.from_real(s) if k == 0 else a
             return LazySeries(self.tape, shifted)
         b = self._operand(other)
         if b is None:
             return NotImplemented
-        return LazySeries(self.tape, lambda alg, k: alg.sub(self.coeff(k), b.coeff(k)))
+        return LazySeries(self.tape, lambda alg, k: self.coeff(k) - b.coeff(k))
 
     def __rsub__(self, other):
         s = _as_scalar(other)
@@ -593,12 +560,12 @@ class LazySeries:
         return (-self) + s
 
     def __neg__(self):
-        return LazySeries(self.tape, lambda alg, k: alg.neg(self.coeff(k)))
+        return LazySeries(self.tape, lambda alg, k: self.coeff(k) * -1.0)
 
     def __mul__(self, other):
         s = _as_scalar(other)
         if s is not None:
-            return LazySeries(self.tape, lambda alg, k: alg.scale(self.coeff(k), s))
+            return LazySeries(self.tape, lambda alg, k: self.coeff(k) * s)
         b = self._operand(other)
         if b is None:
             return NotImplemented
@@ -607,7 +574,7 @@ class LazySeries:
         def product(alg, k):
             self.coeff(k)
             b.coeff(k)
-            return _mul_step(alg, ha, hb, k)
+            return _mul_step(ha, hb, k)
 
         return LazySeries(self.tape, product)
 

@@ -243,6 +243,27 @@ def test_non_finite_horizon_is_a_usage_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, offending",
+    [
+        (["bench", "--problem", "heat", "--param", "alpha=nan"],
+         "'alpha' of problem 'heat' must be finite, got nan"),
+        (["derive", "--problem", "burgers", "--param", "viscosity=inf"],
+         "'viscosity' of problem 'burgers' must be finite, got inf"),
+        (["derive", "--problem", "heat", "--param", "length=0"],
+         "'length' of problem 'heat' must be positive, got 0.0"),
+        (["derive", "--problem", "heat", "--param", "length=-1"],
+         "'length' of problem 'heat' must be positive, got -1.0"),
+        (["derive", "--problem", "allen_cahn", "--tau", "nan"],
+         "exclusion threshold must be >= 0, got nan"),
+    ],
+)
+def test_bad_parameter_or_threshold_is_a_usage_error(tmp_path, capsys, argv, offending):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert offending in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_argparse_level_errors_map_to_exit_codes(capsys):
     assert cli.main([]) == 2  # a subcommand is required
     assert cli.main(["derive", "--format", "xml"]) == 2
