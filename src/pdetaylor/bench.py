@@ -349,32 +349,67 @@ def reference_solve(
     n_steps = max(1, math.ceil(t1 / dt))
     dt = t1 / n_steps
 
-    def pad(s):
-        # two ghost cells at each end of every component: a periodic wrap, or
-        # an odd reflection through the zero-valued Dirichlet endpoints
-        if periodic:
-            return np.concatenate((s[:, -2:], s, s[:, :2]), axis=1)
-        return np.concatenate((-s[:, 2:0:-1], s, -s[:, -2:-4:-1]), axis=1)
+    # Every buffer is allocated once and updated in place, with the float
+    # operations of the plain expressions in the same order (``-a + 8*b`` is
+    # computed as ``8*b - a``, which is exact).  The state and the Runge-Kutta
+    # stage argument each live inside an array with two ghost cells per end.
+    padded = np.empty((state.shape[0], state.shape[1] + 4))
+    padded[:, 2:-2] = state
+    state = padded[:, 2:-2]
+    stage_padded = np.empty_like(padded)
+    stage = stage_padded[:, 2:-2]
+    stencil = tuple(np.empty_like(state) for _ in range(3))
+    k1, k2, k3, k4 = (np.empty_like(state) for _ in range(4))
 
-    def deriv(t, s):
-        ue = pad(s)
-        ux = (-ue[:, 4:] + 8 * ue[:, 3:-1] - 8 * ue[:, 1:-3] + ue[:, :-4]) / (12 * h)
-        uxx = (
-            -ue[:, 4:] + 16 * ue[:, 3:-1] - 30 * ue[:, 2:-2] + 16 * ue[:, 1:-3] - ue[:, :-4]
-        ) / (12 * h * h)
-        out = np.stack(problem.rhs_numpy(list(s), list(ux), list(uxx), t, grid))
+    def deriv(t, ue, out):
+        # ``ue`` holds the argument between its ghost cells; fill them with a
+        # periodic wrap, or an odd reflection through the zero-valued
+        # Dirichlet endpoints, then write the right-hand side into ``out``
+        ux, uxx, tmp = stencil
+        s = ue[:, 2:-2]
+        if periodic:
+            ue[:, :2] = s[:, -2:]
+            ue[:, -2:] = s[:, :2]
+        else:
+            np.negative(s[:, 2:0:-1], out=ue[:, :2])
+            np.negative(s[:, -2:-4:-1], out=ue[:, -2:])
+        np.multiply(ue[:, 3:-1], 8, out=ux)
+        ux -= ue[:, 4:]
+        ux -= np.multiply(ue[:, 1:-3], 8, out=tmp)
+        ux += ue[:, :-4]
+        ux /= 12 * h
+        np.multiply(ue[:, 3:-1], 16, out=uxx)
+        uxx -= ue[:, 4:]
+        uxx -= np.multiply(ue[:, 2:-2], 30, out=tmp)
+        uxx += np.multiply(ue[:, 1:-3], 16, out=tmp)
+        uxx -= ue[:, :-4]
+        uxx /= 12 * h * h
+        for c, row in enumerate(problem.rhs_numpy(list(s), list(ux), list(uxx), t, grid)):
+            out[c] = row
         if not periodic:
             out[:, 0] = 0.0
             out[:, -1] = 0.0
-        return out
 
     t = 0.0
     for step in range(n_steps):
-        k1 = deriv(t, state)
-        k2 = deriv(t + dt / 2, state + (dt / 2) * k1)
-        k3 = deriv(t + dt / 2, state + (dt / 2) * k2)
-        k4 = deriv(t + dt, state + dt * k3)
-        state = state + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        deriv(t, padded, k1)
+        np.multiply(k1, dt / 2, out=stage)
+        stage += state
+        deriv(t + dt / 2, stage_padded, k2)
+        np.multiply(k2, dt / 2, out=stage)
+        stage += state
+        deriv(t + dt / 2, stage_padded, k3)
+        np.multiply(k3, dt, out=stage)
+        stage += state
+        deriv(t + dt, stage_padded, k4)
+        # state + (dt/6) * (k1 + 2*k2 + 2*k3 + k4)
+        k2 *= 2
+        k2 += k1
+        k3 *= 2
+        k2 += k3
+        k2 += k4
+        k2 *= dt / 6
+        state += k2
         t += dt
         if step % 1000 == 999 and not np.isfinite(state).all():
             raise OracleFailure(f"reference solve went non-finite near t={t:.3e}")

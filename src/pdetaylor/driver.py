@@ -3,8 +3,8 @@
 The state of a problem ``U_t = F(U, U_x, U_xx, t, x)`` advanced by an
 infinitesimal step ``h`` is a truncated series ``U(h, X) = C_0 + C_1*h + ...
 + C_K*h**K`` whose coefficients are spatial jets at the batch points ``X``.
-The right-hand side is called once and the coefficients are then grown one
-order per iteration (Taylor-mode propagation):
+The right-hand side is called once per block of points and the coefficients
+are then grown one order per iteration (Taylor-mode propagation):
 
 1. seed ``C_0`` with the initial condition evaluated on a jet of ``x``;
 2. call ``F`` once on :class:`~pdetaylor.series.LazySeries` nodes for ``U``,
@@ -31,6 +31,14 @@ differentiated.  Coefficient values are exact to the end regardless, for the
 same triangularity reason.  Iteration ``i`` reads only ``C_{i-1}``, so the
 driver holds one jet per component, and of older orders only the values.
 
+A jet is one ``(P+1, N)`` array (:class:`~pdetaylor.jets.Jet`), and the
+points are expanded in blocks of ``_BLOCK``, each with its own ``rhs`` call
+and tape.  Every operation is elementwise across points, so the blocks give
+the coefficients of one pass bit for bit; a block's jets stay in cache, and
+only one block's histories are held at a time.  Value rows are copied out of
+the jets, and kept histories are narrowed into copies, because a view would
+keep its whole jet alive.
+
 The expansion stores the raw coefficients ``C_i``; multiplying by ``i!`` only
 when actual derivatives are requested keeps the factorial round-off out of
 the stored data.  ``K`` is capped where ``K!`` stops being exact in float64
@@ -44,11 +52,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import BatchAlgebra, JetAlgebra, derivative, seed_variable
+from .jets import BatchAlgebra, Jet, JetAlgebra, derivative, seed_variable
 from .problems import PdeProblem
 from .series import LazySeries, SeriesTape
 
 MAX_ORDER = 20
+# Points expanded together.  Every operation is elementwise across points, so
+# blocks give the coefficients of one pass bit for bit; at jet order 40 a
+# block's jet is about 0.7 MB, which stays in cache, and the histories the
+# tape keeps are those of one block.  Of 1024, 2048, 4096 and one pass,
+# 2048 expanded allen_cahn and schrodinger fastest at K=20, N=10**4 on a
+# two-core Xeon VM.
+_BLOCK = 2048
 
 
 class DivergenceError(ArithmeticError):
@@ -67,10 +82,10 @@ class TaylorExpansion:
     """Time-Taylor coefficients of a problem's solution at t = 0.
 
     ``coeffs[m][i]`` is the batch of values of ``C_i`` for component ``m``:
-    the i-th Taylor coefficient (not the derivative) at each point.  The
-    coefficients come from one call of the problem's ``rhs`` on lazy series,
-    followed by one new coefficient per node and order; the spatial jets
-    they were computed as are not kept.
+    the i-th Taylor coefficient (not the derivative) at each point, an array
+    of its own.  The coefficients come from one call of the problem's ``rhs``
+    on lazy series per block of points, followed by one new coefficient per
+    node and order; the spatial jets they were computed as are not kept.
     """
 
     problem: str
@@ -102,7 +117,10 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
     """Expand the problem's solution in time around t = 0 at the given points.
 
     ``points`` must lie strictly inside the problem domain; ``max_order`` is
-    the highest retained time order K, between 1 and 20.
+    the highest retained time order K, between 1 and 20.  The points are
+    expanded in blocks of ``_BLOCK``; a non-finite coefficient raises
+    :class:`DivergenceError` for the lowest order, and then component, at
+    which any point diverges.
     """
     x = np.asarray(points, dtype=np.float64).ravel()
     if x.size == 0:
@@ -114,6 +132,31 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
         raise ValueError(f"max_order must be an integer in 1..{MAX_ORDER}")
 
     m = problem.components
+    coeffs = tuple(tuple(np.empty(x.size) for _ in range(max_order + 1)) for _ in range(m))
+    failure = None
+    for start in range(0, x.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        rows = [[c[block] for c in comp] for comp in coeffs]
+        try:
+            _expand_block(problem, x[block], max_order, rows)
+        except DivergenceError as exc:
+            if failure is None or (exc.order, exc.component) < (failure.order, failure.component):
+                failure = exc
+    if failure is not None:
+        raise failure
+
+    return TaylorExpansion(
+        problem=problem.name,
+        points=x,
+        max_order=max_order,
+        components=m,
+        coeffs=coeffs,
+    )
+
+
+def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> None:
+    """Expand at one block of points, writing ``C_i`` of component ``c`` into ``rows[c][i]``."""
+    m = problem.components
     step = problem.spatial_order
     seed_order = step * max_order
     batch = BatchAlgebra(x.size)
@@ -123,10 +166,11 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
     if len(g) != m:
         raise ValueError(f"initial condition returned {len(g)} components, expected {m}")
 
-    # Per component: the newest coefficient jet, C_i stored at jet order W_i,
-    # and the value batches of C_0 ... C_i.
+    # Per component: the newest coefficient jet, C_i stored at jet order W_i.
+    # Only its value row is kept of older orders, copied out into ``rows``.
     newest = list(g)
-    values = [[jet.coeffs[0]] for jet in newest]
+    for c, jet in enumerate(newest):
+        rows[c][0][:] = jet.coeffs[0]
     tape = SeriesTape()
 
     def spatial(c, d):
@@ -157,20 +201,13 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
     for i in range(1, max_order + 1):
         work_order = seed_order - step * i
         alg = JetAlgebra(batch, work_order)
-        tape.advance(alg, lambda jet: jet.truncated(work_order))
+        # a copy of each kept jet: a view would keep its untruncated array alive
+        tape.advance(alg, lambda jet: Jet(batch, jet.coeffs[: work_order + 1].copy()))
         new_jets = []
         for c in range(m):
             new_jet = f[c].coeff(i - 1) * (1.0 / i)
             if not alg.finite(new_jet):
                 raise DivergenceError(order=i, component=c)
             new_jets.append(new_jet)
-            values[c].append(new_jet.coeffs[0])
+            rows[c][i][:] = new_jet.coeffs[0]
         newest[:] = new_jets
-
-    return TaylorExpansion(
-        problem=problem.name,
-        points=x,
-        max_order=max_order,
-        components=m,
-        coeffs=tuple(tuple(v) for v in values),
-    )

@@ -1,25 +1,33 @@
 """Spatial jets: truncated series in a space increment over batches of points.
 
-A jet at points ``X`` (a 1-D float64 array) truncated at order ``p`` stores
-the scaled derivatives ``f(X), f'(X), f''(X)/2!, ..., f^(p)(X)/p!`` of some
-function ``f``, one batch array per order.  Jets are ordinary
-:class:`~pdetaylor.series.TruncatedSeries` instances whose coefficients are
-NumPy arrays combined by NumPy's own operators, so all series arithmetic and
-analytic lifts apply unchanged; :class:`BatchAlgebra` adds only the batch
-size, the constants and the elementwise analytic primitives.  Storing
-``f^(k)/k!`` keeps the product rule a plain convolution with no factorial
-bookkeeping.
+A jet at points ``X`` (a 1-D float64 array of ``N`` points) truncated at
+order ``P`` stores the scaled derivatives ``f(X), f'(X), f''(X)/2!, ...,
+f^(P)(X)/P!`` of some function ``f``.  A :class:`Jet` holds them flat, as one
+C-contiguous ``(P+1, N)`` float64 array whose row ``k`` is the order-``k``
+coefficient at every point.  Storing ``f^(k)/k!`` keeps the product rule a
+plain convolution with no factorial bookkeeping, and the flat layout makes
+that convolution one slice-accumulate kernel: ``P+1`` array multiplies and
+adds over whole blocks of rows, instead of ``(P+1)(P+2)/2`` of each on single
+rows.  The kernel sums ``a_0 b_k + a_1 b_{k-1} + ...`` in the order of
+:class:`~pdetaylor.series.TruncatedSeries`, so a jet's coefficients are bit
+for bit those of a series over :class:`BatchAlgebra` on the same rows.
+
+A jet is a :class:`~pdetaylor.series.TruncatedSeries` over
+:class:`BatchAlgebra`, so the analytic lifts of :mod:`pdetaylor.series`
+apply unchanged: they, and the jet quotient, run the series recurrence steps
+over the rows.  :class:`BatchAlgebra` supplies only the batch size, the
+constants and the elementwise analytic primitives.
 
 :func:`seed_variable` builds the jet of the identity function, ``[X, 1, 0,
 ..., 0]``; evaluating an expression on the seed yields the jet of that
 expression.  :func:`derivative` extracts the jet of ``f^(m)``, which is ``m``
 orders shorter than its input.
 
-:class:`JetAlgebra` lets jets themselves serve as series coefficients, giving
-the nesting time-series -> space-jet -> point-batch used by the expansion
-driver.  Jets already add, subtract, multiply, divide and scale as series, so
-the algebra supplies only the jet order, the constant jets and the lifts
-that evaluate an analytic function on a jet.
+:class:`JetAlgebra` lets jets serve as series coefficients, giving the
+nesting time-series -> space-jet -> point-batch used by the expansion
+driver.  Jets already add, subtract, multiply, divide and scale, so the
+algebra supplies only the jet order, the constant jets and the lifts that
+evaluate an analytic function on a jet.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ from .series import (
     CoefficientAlgebra,
     LiftDomainError,
     TruncatedSeries,
+    _as_scalar,
+    _div_step,
     exp,
     log,
     power,
@@ -88,20 +98,109 @@ class BatchAlgebra(CoefficientAlgebra):
         return 1.0 / np.cosh(a)
 
 
-def seed_variable(points, order: int) -> TruncatedSeries:
+class Jet(TruncatedSeries):
+    """A jet stored flat: ``coeffs`` is one ``(P+1, N)`` float64 array.
+
+    ``coeffs[k]`` is the row of order ``k``.  Jets are immutable, so
+    :meth:`truncated` may return a view of the same array.  Operators take
+    jets of the same order over the same batch, or plain numbers.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, algebra: BatchAlgebra, coeffs):
+        coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
+        if coeffs.ndim != 2 or coeffs.shape[0] == 0 or coeffs.shape[1] != algebra.size:
+            raise ValueError(
+                f"a jet over {algebra.size} points needs a (P+1, {algebra.size}) array, "
+                f"got shape {coeffs.shape}"
+            )
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __repr__(self):
+        return f"Jet({self.algebra!r}, {self.coeffs!r})"
+
+    def _operand(self, other):
+        if not isinstance(other, Jet):
+            return None
+        self._check_compatible(other)
+        return other.coeffs
+
+    def __add__(self, other):
+        s = _as_scalar(other)
+        if s is not None:
+            c = self.coeffs.copy()
+            c[0] += s
+            return Jet(self.algebra, c)
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return Jet(self.algebra, self.coeffs + b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        s = _as_scalar(other)
+        if s is not None:
+            c = self.coeffs.copy()
+            c[0] -= s
+            return Jet(self.algebra, c)
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return Jet(self.algebra, self.coeffs - b)
+
+    def __neg__(self):
+        return Jet(self.algebra, self.coeffs * -1.0)
+
+    def __mul__(self, other):
+        s = _as_scalar(other)
+        if s is not None:
+            return Jet(self.algebra, self.coeffs * s)
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        a = self.coeffs
+        n = len(a)
+        # row k accumulates a_0 b_k + a_1 b_{k-1} + ... + a_k b_0 in that order
+        c = a[0] * b
+        for i in range(1, n):
+            c[i:] += a[i] * b[: n - i]
+        return Jet(self.algebra, c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        s = _as_scalar(other)
+        if s is not None:
+            return self * (1.0 / s)
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        a = self.coeffs
+        q = np.empty_like(a)
+        for k in range(len(a)):
+            q[k] = _div_step(self.algebra, a[k], b, q, k)
+        return Jet(self.algebra, q)
+
+
+def seed_variable(points, order: int) -> Jet:
     """Jet of the identity at the given points: ``[X, 1, 0, ..., 0]``."""
     x = np.asarray(points, dtype=np.float64).ravel()
     if x.size == 0:
         raise ValueError("need at least one point")
-    return TruncatedSeries.variable(BatchAlgebra(x.size), x, order)
+    return Jet.variable(BatchAlgebra(x.size), x, order)
 
 
-def derivative(jet: TruncatedSeries, m: int = 1) -> TruncatedSeries:
+def derivative(jet: Jet, m: int = 1) -> Jet:
     """Jet of the m-th spatial derivative, truncated ``m`` orders lower.
 
-    With coefficients storing ``f^(k)/k!``, one differentiation maps
-    coefficient ``k+1`` to ``(k+1) * a[k+1]`` at slot ``k``.
+    With coefficients storing ``f^(k)/k!``, one differentiation maps row
+    ``k+1`` to ``(k+1) * a[k+1]`` at row ``k``: one row-scaled multiply.
     """
+    if not isinstance(jet, Jet):
+        raise TypeError(f"derivative needs a Jet, got {type(jet).__name__}")
     if not isinstance(m, int) or m < 0:
         raise ValueError("derivative order must be a non-negative integer")
     if m > jet.order:
@@ -110,42 +209,46 @@ def derivative(jet: TruncatedSeries, m: int = 1) -> TruncatedSeries:
         )
     coeffs = jet.coeffs
     for _ in range(m):
-        coeffs = tuple(coeffs[k + 1] * float(k + 1) for k in range(len(coeffs) - 1))
-    return TruncatedSeries(jet.algebra, coeffs)
+        coeffs = coeffs[1:] * np.arange(1.0, len(coeffs))[:, None]
+    return Jet(jet.algebra, coeffs)
 
 
-def values(jet: TruncatedSeries) -> np.ndarray:
-    """The order-zero coefficient: plain function values at the batch points."""
-    return jet.coeffs[0]
+def values(jet: Jet) -> np.ndarray:
+    """The order-zero row, copied: plain function values at the batch points.
+
+    A copy, because a view of the row would keep the whole jet alive.
+    """
+    return jet.coeffs[0].copy()
 
 
 @dataclass(frozen=True)
 class JetAlgebra(CoefficientAlgebra):
-    """Jets of a fixed order as series coefficients.
+    """Flat jets of a fixed order over one batch of points as series coefficients.
 
-    Every element is a TruncatedSeries over ``inner`` with truncation order
-    ``order``; the series machinery applied to those elements recurses, so an
-    analytic lift of a series-of-jets evaluates its constant term by lifting
-    again inside the jet.
+    Every element is a :class:`Jet` over ``inner`` with truncation order
+    ``order``; an analytic lift of a series-of-jets evaluates its constant
+    term by lifting again inside the jet.
     """
 
-    inner: CoefficientAlgebra
+    inner: BatchAlgebra
     order: int
 
     def zero(self):
-        return TruncatedSeries.zeros(self.inner, self.order)
+        return Jet(self.inner, np.zeros((self.order + 1, self.inner.size)))
 
     def one(self):
-        return TruncatedSeries.constant(self.inner, self.inner.one(), self.order)
+        c = np.zeros((self.order + 1, self.inner.size))
+        c[0] = 1.0
+        return Jet(self.inner, c)
 
     def is_zero(self, a):
-        return all(self.inner.is_zero(c) for c in a.coeffs)
+        return bool(np.all(a.coeffs == 0.0))
 
     def is_invertible(self, a):
         return self.inner.is_invertible(a.coeffs[0])
 
     def finite(self, a):
-        return all(self.inner.finite(c) for c in a.coeffs)
+        return bool(np.isfinite(a.coeffs).all())
 
     def exp(self, a):
         return exp(a)

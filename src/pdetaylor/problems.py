@@ -9,9 +9,10 @@ harness need:
 * ``rhs_numpy``   the same right-hand side on plain arrays,
 * closed-form ``exact_solution`` / ``exact_time_derivative`` where one exists.
 
-``rhs`` is called once per expansion, with
+``rhs`` is called once per block of points of an expansion, with
 :class:`~pdetaylor.series.LazySeries` nodes in the time infinitesimal whose
-coefficients are spatial jets, and must return one node per component.  It
+coefficients are flat spatial jets over that block, and must return one node
+per component.  It
 builds the expression graph that the driver then evaluates one order at a
 time, so it may use only arithmetic operators (with other nodes or plain
 numbers) and the lifts from :mod:`pdetaylor.series`: nodes have no
@@ -107,6 +108,14 @@ def _merge_params(defaults: dict[str, float], overrides: dict[str, float] | None
     return params
 
 
+def _non_negative(params: dict[str, float], key: str, name: str) -> float:
+    """A diffusion coefficient; a negative one poses ill-posed backward diffusion."""
+    v = params[key]
+    if v < 0:
+        raise ValueError(f"parameter {key!r} of problem {name!r} must be non-negative, got {v}")
+    return v
+
+
 def _heat(overrides=None) -> PdeProblem:
     """U_t = alpha * U_xx on [0, length], U(0, x) = sin(mode*pi*x/length).
 
@@ -114,7 +123,7 @@ def _heat(overrides=None) -> PdeProblem:
     kappa = -alpha*c**2, so every time derivative is kappa**i times U.
     """
     params = _merge_params({"alpha": 0.4, "length": 1.0, "mode": 1.0}, overrides, "heat")
-    alpha, length, mode = params["alpha"], params["length"], params["mode"]
+    alpha, length, mode = _non_negative(params, "alpha", "heat"), params["length"], params["mode"]
     if length <= 0:
         raise ValueError(f"parameter 'length' of problem 'heat' must be positive, got {length}")
     c = mode * PI / length
@@ -257,7 +266,7 @@ def _wave(overrides=None) -> PdeProblem:
         ic_numpy=ic_numpy,
         rhs_numpy=rhs_numpy,
         boundary="dirichlet",
-        advection_speed=speed,
+        advection_speed=abs(speed),
         exact_solution=exact_solution,
         exact_time_derivative=exact_time_derivative,
     )
@@ -266,7 +275,7 @@ def _wave(overrides=None) -> PdeProblem:
 def _burgers(overrides=None) -> PdeProblem:
     """U_t = -U*U_x + viscosity*U_xx on [-1, 1], U(0, x) = -sin(pi x)."""
     params = _merge_params({"viscosity": 0.01 / PI}, overrides, "burgers")
-    nu = params["viscosity"]
+    nu = _non_negative(params, "viscosity", "burgers")
 
     def ic(seed):
         return [-sin(seed * PI)]
@@ -302,7 +311,7 @@ def _allen_cahn(overrides=None) -> PdeProblem:
     U(0, x) = x^2 * cos(pi x).
     """
     params = _merge_params({"diffusion": 1e-4, "reaction": 5.0}, overrides, "allen_cahn")
-    d, lam = params["diffusion"], params["reaction"]
+    d, lam = _non_negative(params, "diffusion", "allen_cahn"), params["reaction"]
 
     def ic(seed):
         return [seed * seed * cos(seed * PI)]

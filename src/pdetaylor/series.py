@@ -178,8 +178,9 @@ class TruncatedSeries:
     """Coefficients of a power series in one infinitesimal, truncated at a fixed order.
 
     ``coeffs`` is a tuple of ``order + 1`` algebra elements, constant term
-    first.  Instances are immutable; every operation returns a new series of
-    the same order over the same algebra.
+    first (:class:`~pdetaylor.jets.Jet` holds them as the rows of one array).
+    Instances are immutable; every operation returns a new series of the same
+    kind, order and algebra.
     """
 
     __slots__ = ("algebra", "coeffs")
@@ -233,6 +234,10 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({self.algebra!r}, {list(self.coeffs)!r})"
+
+    def _new(self, coeffs) -> "TruncatedSeries":
+        """A series of the same kind and algebra with the given coefficients."""
+        return type(self)(self.algebra, coeffs)
 
     def _check_compatible(self, other: "TruncatedSeries"):
         if self.algebra != other.algebra:
@@ -331,9 +336,9 @@ class TruncatedSeries:
                 TruncationWarning,
                 stacklevel=2,
             )
-            return TruncatedSeries.zeros(alg, n)
+            return type(self).zeros(alg, n)
         zeros = tuple(alg.zero() for _ in range(k))
-        return TruncatedSeries(alg, zeros + self.coeffs[: n + 1 - k])
+        return self._new(zeros + tuple(self.coeffs[: n + 1 - k]))
 
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Divide by ``eps**k``; the k lowest coefficients must be zero."""
@@ -349,16 +354,20 @@ class TruncatedSeries:
                     f"shift_down by {k} discards nonzero coefficient at order {j}"
                 )
         zeros = tuple(alg.zero() for _ in range(k))
-        return TruncatedSeries(alg, self.coeffs[k:] + zeros)
+        return self._new(tuple(self.coeffs[k:]) + zeros)
 
     def truncated(self, order: int) -> "TruncatedSeries":
-        """Copy with the given truncation order (dropping or zero-padding)."""
+        """The series at the given truncation order (dropping or zero-padding).
+
+        Dropping orders may share coefficients with ``self``; a jet returns a
+        view of its array.
+        """
         if order < 0:
             raise ValueError("order must be >= 0")
         if order <= self.order:
-            return TruncatedSeries(self.algebra, self.coeffs[: order + 1])
+            return self._new(self.coeffs[: order + 1])
         pad = tuple(self.algebra.zero() for _ in range(order - self.order))
-        return TruncatedSeries(self.algebra, self.coeffs + pad)
+        return self._new(tuple(self.coeffs) + pad)
 
 
 # -- recurrence steps -------------------------------------------------------
@@ -635,7 +644,7 @@ def _lift(series, step):
     out = []
     for k in range(len(a)):
         out.append(step(alg, a, out, k))
-    return TruncatedSeries(alg, out)
+    return series._new(out)
 
 
 def _one_like(series):
@@ -643,7 +652,7 @@ def _one_like(series):
     if isinstance(series, LazySeries):
         return LazySeries(series.tape, lambda alg, k: alg.one() if k == 0 else alg.zero())
     _require_series(series)
-    return TruncatedSeries.constant(series.algebra, series.algebra.one(), series.order)
+    return type(series).constant(series.algebra, series.algebra.one(), series.order)
 
 
 def exp(series):
@@ -677,7 +686,7 @@ def sin_cos(series):
         s_k, c_k = _sin_cos_step(alg, a, s, c, k)
         s.append(s_k)
         c.append(c_k)
-    return TruncatedSeries(alg, s), TruncatedSeries(alg, c)
+    return series._new(s), series._new(c)
 
 
 def sin(series):

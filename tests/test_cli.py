@@ -256,6 +256,12 @@ def test_non_finite_horizon_is_a_usage_error(tmp_path, capsys):
          "'length' of problem 'heat' must be positive, got -1.0"),
         (["derive", "--problem", "allen_cahn", "--tau", "nan"],
          "exclusion threshold must be >= 0, got nan"),
+        (["derive", "--problem", "heat", "--param", "alpha=-1"],
+         "'alpha' of problem 'heat' must be non-negative, got -1.0"),
+        (["taylor", "--problem", "burgers", "--param", "viscosity=-1"],
+         "'viscosity' of problem 'burgers' must be non-negative, got -1.0"),
+        (["derive", "--problem", "allen_cahn", "--param", "diffusion=-1"],
+         "'diffusion' of problem 'allen_cahn' must be non-negative, got -1.0"),
     ],
 )
 def test_bad_parameter_or_threshold_is_a_usage_error(tmp_path, capsys, argv, offending):

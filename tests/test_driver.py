@@ -1,5 +1,5 @@
 """Expansion driver: frozen coefficients, convergence behaviour, stability
-under order changes, divergence detection, and input validation."""
+under order changes, divergence detection, input validation and point blocks."""
 
 import dataclasses
 import math
@@ -12,8 +12,10 @@ from pdetaylor import (
     PdeProblem,
     TaylorExpansion,
     compute_expansion,
+    driver,
     get_problem,
 )
+from pdetaylor.jets import Jet
 
 PI = math.pi
 KAPPA = -0.4 * PI**2  # heat decay rate for the default parameters
@@ -210,3 +212,58 @@ def test_expansion_metadata():
     assert exp.components == 1
     np.testing.assert_array_equal(exp.points, x)
     assert len(exp.coeffs[0]) == 4
+
+
+# -- point blocks -------------------------------------------------------------
+
+BLOCK = driver._BLOCK
+
+
+@pytest.mark.parametrize("name", ["burgers", "schrodinger"])
+def test_blocks_equal_per_block_and_one_pass_expansions(name, monkeypatch):
+    prob = get_problem(name)
+    lo, hi = prob.domain
+    x = np.random.default_rng(41).uniform(lo + 0.01, hi - 0.01, 2 * BLOCK + 37)
+    blocked = compute_expansion(prob, x, 8)
+    parts = [compute_expansion(prob, x[i : i + BLOCK], 8) for i in range(0, x.size, BLOCK)]
+    monkeypatch.setattr(driver, "_BLOCK", x.size)
+    one_pass = compute_expansion(prob, x, 8)
+    for m in range(prob.components):
+        for i in range(9):
+            got = blocked.coeffs[m][i].view(np.uint64)
+            concatenated = np.concatenate([p.coeffs[m][i] for p in parts])
+            np.testing.assert_array_equal(got, concatenated.view(np.uint64))
+            np.testing.assert_array_equal(got, one_pass.coeffs[m][i].view(np.uint64))
+
+
+def test_divergence_names_the_lowest_order_over_all_blocks():
+    # u^3 overflows at order 1 from 1e120 (last block only), and at order 2
+    # from 1e70 (every other block, which runs first)
+    x = np.linspace(-0.99, 0.99, 2 * BLOCK + 37)
+    cut = x[2 * BLOCK]
+
+    def ic(seed):
+        rows = np.zeros_like(seed.coeffs)
+        rows[0] = np.where(seed.coeffs[0] >= cut, 1e120, 1e70)
+        return [Jet(seed.algebra, rows)]
+
+    prob = dataclasses.replace(
+        _toy_problem(1.0, lambda u, u_x, u_xx, t, x: [u[0] * u[0] * u[0]]), ic=ic
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            compute_expansion(prob, x[:BLOCK], 3)
+        assert err.value.order == 2
+        with pytest.raises(DivergenceError) as err:
+            compute_expansion(prob, x, 3)
+    assert (err.value.order, err.value.component) == (1, 0)
+
+
+def test_coefficients_own_their_memory():
+    # a view of a value row would keep the whole jet it was computed in alive
+    x = np.linspace(-0.9, 0.9, BLOCK + 5)
+    for n in (3, x.size):
+        exp = compute_expansion(get_problem("schrodinger"), x[:n], 4)
+        for comp in exp.coeffs:
+            for c in comp:
+                assert c.flags.owndata and c.shape == (n,)

@@ -96,6 +96,13 @@ def test_unknown_param_rejected():
         get_problem("diffusion", {"alpha": 1.0})
 
 
+@pytest.mark.parametrize("speed", [1.5, -1.5])
+def test_wave_advection_speed_is_never_negative(speed):
+    # a negative speed poses the same equation; the reference solver's CFL
+    # bound applies only to a positive advection speed
+    assert get_problem("wave", {"speed": speed}).advection_speed == 1.5
+
+
 # -- frozen closed-form derivative values -----------------------------------
 
 
