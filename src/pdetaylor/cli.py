@@ -14,7 +14,8 @@ Every run is deterministic given its options: identical invocations write
 byte-identical files.
 
 Exit codes: 0 success, 1 numerical failure (bound exceeded, divergence,
-sampling exhaustion), 2 usage error.
+sampling exhaustion, a lift outside its domain, too few jet orders), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from .bench import (
     write_report_csv,
 )
 from .driver import MAX_ORDER, DivergenceError, compute_expansion
+from .jets import InsufficientJetOrderError
 from .problems import NoExactOracleError, UnknownProblemError, available_problems, get_problem
+from .series import LiftDomainError
 
 
 class _UsageError(Exception):
@@ -337,6 +340,10 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         print(f"problems: {', '.join(available_problems())}", file=sys.stderr)
         return 2
+    except (LiftDomainError, InsufficientJetOrderError) as e:
+        # numerical failures, though they subclass ValueError for the library
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -9,10 +9,14 @@ are then grown one order per iteration (Taylor-mode propagation):
 1. seed ``C_0`` with the initial condition evaluated on a jet of ``x``;
 2. call ``F`` once on :class:`~pdetaylor.series.LazySeries` nodes for ``U``,
    ``U_x``, ``U_xx``, ``t`` and ``x``; the ``U`` nodes read the coefficients
-   stored so far, differentiating each in space only when it is first read;
+   stored so far, differentiating each in space only when it is first read.
+   ``x`` is the seed jet at order 0 and :data:`~pdetaylor.series.ZERO` (a
+   structural zero) above it, ``t`` is one at order 1 and ``ZERO`` elsewhere,
+   so an explicit ``x`` or ``t`` in ``F`` convolves no zeros;
 3. at iteration ``i``, ask each output node of ``F`` for its coefficient
    ``F_{i-1}``; each node in the graph computes exactly one new coefficient
-   from the ones it has memoised, and ``C_i = F_{i-1} / i``.
+   from the ones it has memoised, and ``C_i = F_{i-1} / i`` (a ``ZERO``
+   output becomes a zero jet, so no caller ever sees the sentinel).
 
 That costs ``O(K**2)`` jet products per product in ``F`` instead of the
 ``O(K**3)`` of re-evaluating ``F`` at every order.  Every recurrence step is
@@ -54,7 +58,7 @@ import numpy as np
 
 from .jets import BatchAlgebra, Jet, JetAlgebra, derivative, seed_variable
 from .problems import PdeProblem
-from .series import LazySeries, SeriesTape
+from .series import ZERO, LazySeries, SeriesTape, _real
 
 MAX_ORDER = 20
 # Points expanded together.  Every operation is elementwise across points, so
@@ -184,10 +188,8 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
     u = [spatial(c, 0) for c in range(m)]
     u_x = [spatial(c, 1) for c in range(m)]
     u_xx = [spatial(c, 2) for c in range(m)]
-    t_node = LazySeries(tape, lambda alg, k: alg.one() if k == 1 else alg.zero())
-    x_node = LazySeries(
-        tape, lambda alg, k: seed.truncated(alg.order) if k == 0 else alg.zero()
-    )
+    t_node = LazySeries(tape, lambda alg, k: alg.one() if k == 1 else ZERO)
+    x_node = LazySeries(tape, lambda alg, k: seed.truncated(alg.order) if k == 0 else ZERO)
 
     f = problem.rhs(u, u_x, u_xx, t_node, x_node)
     if len(f) != m:
@@ -205,7 +207,7 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
         tape.advance(alg, lambda jet: Jet(batch, jet.coeffs[: work_order + 1].copy()))
         new_jets = []
         for c in range(m):
-            new_jet = f[c].coeff(i - 1) * (1.0 / i)
+            new_jet = _real(alg, f[c].coeff(i - 1) * (1.0 / i))
             if not alg.finite(new_jet):
                 raise DivergenceError(order=i, component=c)
             new_jets.append(new_jet)

@@ -121,6 +121,9 @@ class Jet(TruncatedSeries):
     def __repr__(self):
         return f"Jet({self.algebra!r}, {self.coeffs!r})"
 
+    def _buffer(self):
+        return np.empty_like(self.coeffs)
+
     def _operand(self, other):
         if not isinstance(other, Jet):
             return None

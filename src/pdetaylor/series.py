@@ -33,7 +33,10 @@ an expression over lazy nodes is built once, and each node then computes
 and memoises one new coefficient per request (McIlroy, "Power series, power
 serious", 1999; Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Both
 kinds run each recurrence through one per-coefficient step function, so they
-produce bit-identical coefficients.
+produce bit-identical coefficients.  A lazy coefficient that is zero whatever
+the data is the structural zero :data:`ZERO`, which sums drop and products pass
+on, so the shared steps skip its terms (activity analysis; Hascoet & Pascual,
+ACM TOMS 39(3), 2013).  Algebra methods and :class:`TruncatedSeries` never see it.
 """
 
 from __future__ import annotations
@@ -165,6 +168,38 @@ class RealAlgebra(CoefficientAlgebra):
         return "RealAlgebra()"
 
 
+class _StructuralZero:
+    """The type of :data:`ZERO`: ``ZERO + a`` is ``a``, ``ZERO - a`` is ``a * -1.0``,
+    and its products, quotients and negation are ``ZERO``."""
+
+    __slots__ = ()
+    __array_ufunc__ = None  # ndarray operators return NotImplemented and defer here
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __rsub__ = __add__
+
+    def __sub__(self, other):
+        return other * -1.0
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __truediv__ = __mul__
+
+    def __neg__(self):
+        return self
+
+
+ZERO = _StructuralZero()
+
+
+def _real(alg, c):
+    """``c`` as an element of ``alg``: the structural zero becomes ``alg.zero()``."""
+    return alg.zero() if c is ZERO else c
+
+
 def _as_scalar(x):
     """Return x as a float when it is an ordinary number, else None."""
     if isinstance(x, bool):
@@ -238,6 +273,10 @@ class TruncatedSeries:
     def _new(self, coeffs) -> "TruncatedSeries":
         """A series of the same kind and algebra with the given coefficients."""
         return type(self)(self.algebra, coeffs)
+
+    def _buffer(self):
+        """A writable sequence of ``order + 1`` coefficient slots for :meth:`_new`."""
+        return [None] * len(self.coeffs)
 
     def _check_compatible(self, other: "TruncatedSeries"):
         if self.algebra != other.algebra:
@@ -391,7 +430,7 @@ def _mul_step(a, b, k):
 
 def _div_step(alg, a_k, b, q, k):
     """Coefficient k of a quotient q = a / b: (a_k - sum_{j=1..k} b_j*q_{k-j}) / b_0."""
-    if k == 0 and not alg.is_invertible(b[0]):
+    if k == 0 and not alg.is_invertible(_real(alg, b[0])):
         raise InfinitesimalDivisorError(
             "division by a series with non-invertible leading coefficient"
         )
@@ -412,21 +451,22 @@ def _weighted_sum(a, f, k):
 def _exp_step(alg, a, out, k):
     """k*E_k = sum_{j=1..k} j*A_j*E_{k-j}, E_0 = exp(A_0)."""
     if k == 0:
-        return alg.exp(a[0])
+        # exp of a zero element is exactly one() in every algebra
+        return alg.one() if a[0] is ZERO else alg.exp(a[0])
     return _weighted_sum(a, out, k) * (1.0 / k)
 
 
 def _sin_cos_step(alg, a, s, c, k):
     """(S_k, C_k) with k*S_k = sum j*A_j*C_{k-j} and k*C_k = -sum j*A_j*S_{k-j}."""
     if k == 0:
-        return alg.sin_cos(a[0])
+        return alg.sin_cos(_real(alg, a[0]))
     return _weighted_sum(a, c, k) * (1.0 / k), _weighted_sum(a, s, k) * (-1.0 / k)
 
 
 def _log_step(alg, a, out, k):
     """L_k = (A_k - (1/k) sum_{j<k} j*L_j*A_{k-j}) / A_0."""
     if k == 0:
-        return alg.log(a[0])
+        return alg.log(_real(alg, a[0]))
     acc = None
     for j in range(1, k):
         term = (out[j] * a[k - j]) * float(j)
@@ -438,7 +478,7 @@ def _log_step(alg, a, out, k):
 def _power_step(alg, a, out, k, e):
     """k*A_0*P_k = sum_{j=1..k} ((e+1)*j - k) * A_j * P_{k-j}, P_0 = A_0**e."""
     if k == 0:
-        if not alg.is_invertible(a[0]):
+        if not alg.is_invertible(_real(alg, a[0])):
             raise LiftDomainError(
                 "power with non-integer or negative exponent needs an invertible constant term"
             )
@@ -462,6 +502,7 @@ class SeriesTape:
     :meth:`advance` re-expresses every stored coefficient in the next algebra
     with ``narrow``, so a step only ever combines elements of one algebra.
     The expansion driver narrows jets to its shrinking working order this way.
+    :data:`ZERO` belongs to every algebra and is kept as it is.
     """
 
     def __init__(self):
@@ -472,7 +513,7 @@ class SeriesTape:
         """Move to ``algebra``, mapping every kept coefficient through ``narrow``."""
         self.algebra = algebra
         for history in self._histories:
-            history[:] = [narrow(c) for c in history]
+            history[:] = [c if c is ZERO else narrow(c) for c in history]
 
     def history(self) -> list:
         """A new coefficient list that :meth:`advance` keeps narrowed."""
@@ -497,6 +538,10 @@ class LazySeries:
     older ones: operands of series products and quotients and the inputs and
     outputs of lifts keep their whole history on the tape.  A node has no
     order, coefficient tuple or shifts; only operators and lifts apply.
+
+    A rule may return :data:`ZERO` for a coefficient that is zero whatever the
+    data; a node is then ``ZERO`` where its inputs force it, at no product
+    cost.  Unlike a zero element, ``ZERO * inf`` is ``ZERO``, not NaN.
     """
 
     __slots__ = ("tape", "_rule", "_history", "_newest", "_count")
@@ -640,10 +685,10 @@ def _lift(series, step):
         return node
     _require_series(series)
     alg = series.algebra
-    a = series.coeffs
-    out = []
+    a = list(series.coeffs)  # a jet's row views made once, not at every read
+    out = series._buffer()
     for k in range(len(a)):
-        out.append(step(alg, a, out, k))
+        out[k] = step(alg, a, out, k)
     return series._new(out)
 
 
@@ -680,12 +725,10 @@ def sin_cos(series):
         )
     _require_series(series)
     alg = series.algebra
-    a = series.coeffs
-    s, c = [], []
+    a = list(series.coeffs)
+    s, c = series._buffer(), series._buffer()
     for k in range(len(a)):
-        s_k, c_k = _sin_cos_step(alg, a, s, c, k)
-        s.append(s_k)
-        c.append(c_k)
+        s[k], c[k] = _sin_cos_step(alg, a, s, c, k)
     return series._new(s), series._new(c)
 
 

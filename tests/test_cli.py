@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from pdetaylor import cli, get_problem, sample_points
+from pdetaylor import PdeProblem, cli, derivative, get_problem, sample_points
 from pdetaylor.bench import default_exclusion
+from pdetaylor.series import log
 
 PI = math.pi
 
@@ -267,6 +268,29 @@ def test_non_finite_horizon_is_a_usage_error(tmp_path, capsys):
 def test_bad_parameter_or_threshold_is_a_usage_error(tmp_path, capsys, argv, offending):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
     assert offending in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "ic, rhs, message",
+    [
+        (lambda seed: [seed * 0.0 + 1.0], lambda u, u_x, u_xx, t, x: [log(u[0] * 0.0 - 1.0)],
+         "log requires every constant-term entry positive"),
+        (lambda seed: [derivative(seed, seed.order + 1)], lambda u, u_x, u_xx, t, x: [u[0]],
+         "cannot produce derivative order"),
+    ],
+    ids=["lift-domain", "jet-order"],
+)
+def test_numerical_failure_exits_1_although_it_is_a_value_error(
+    tmp_path, capsys, monkeypatch, ic, rhs, message
+):
+    toy = PdeProblem(
+        name="toy", components=1, domain=(-1.0, 1.0), t_end=1.0, params={}, ic=ic, rhs=rhs,
+        ic_numpy=lambda x: [np.ones_like(x)], rhs_numpy=lambda u, u_x, u_xx, t, x: [u[0]],
+    )
+    monkeypatch.setattr(cli, "get_problem", lambda name, params=None: toy)
+    assert cli.main(["taylor", "--problem", "heat", "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -267,3 +267,62 @@ def test_coefficients_own_their_memory():
         for comp in exp.coeffs:
             for c in comp:
                 assert c.flags.owndata and c.shape == (n,)
+
+
+# -- structural zeros ---------------------------------------------------------
+
+
+def test_zero_coefficients_of_x_and_t_cost_no_jet_products(monkeypatch):
+    # x is zero past C_0 and t is zero except C_1 = 1; convolving those zeros
+    # made diffusion's forcing cost O(K**2) jet products
+    products = 0
+    mul = Jet.__mul__
+
+    def counting(self, other):
+        nonlocal products
+        products += isinstance(other, Jet)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    order = 20
+    for name, most in (("heat", 0), ("diffusion", 2 * order)):
+        prob = get_problem(name)
+        products = 0
+        compute_expansion(prob, np.linspace(*prob.domain, 9)[1:-1], order)
+        assert products <= most, name
+
+
+@pytest.mark.parametrize(
+    "rhs, expected",
+    [
+        (lambda u, u_x, u_xx, t, x: [x * 2.0], lambda x: {1: 2.0 * x}),
+        (lambda u, u_x, u_xx, t, x: [t], lambda x: {2: np.full_like(x, 0.5)}),
+    ],
+    ids=["x", "t"],
+)
+def test_rhs_of_x_or_t_alone_gives_exact_coefficients(rhs, expected):
+    x = np.array([-0.5, 0.0, 0.25])
+    exp = compute_expansion(_toy_problem(3.0, rhs), x, 6)
+    want = {0: np.full_like(x, 3.0), **expected(x)}
+    for i, c in enumerate(exp.coeffs[0]):
+        assert c.flags.owndata
+        np.testing.assert_array_equal(c.view(np.uint64), want.get(i, np.zeros_like(x)).view(np.uint64))
+
+
+def test_divergence_through_x_and_t_is_reported_where_it_enters():
+    # node = u^3 from 1e100 is 1e300 at order 0 and overflows at the first
+    # order that sees a nonzero higher coefficient of u
+    def toy(rhs):
+        return _toy_problem(1e100, lambda u, u_x, u_xx, t, x: [rhs(u[0] * u[0] * u[0], t, x)])
+
+    x = np.array([-0.5, 0.3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            compute_expansion(toy(lambda node, t, x: node * t + node * x), x, 5)
+        assert (err.value.order, err.value.component) == (2, 0)
+        # Through t alone, C_3 is node_1 / 3 = 0 exactly (t's C_0 is a
+        # structural zero, not 0 * inf = nan), and the overflowed node_2
+        # enters at C_4.
+        with pytest.raises(DivergenceError) as err:
+            compute_expansion(toy(lambda node, t, x: node * t), x, 5)
+        assert (err.value.order, err.value.component) == (4, 0)

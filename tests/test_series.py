@@ -17,8 +17,11 @@ from pdetaylor import (
     TruncationWarning,
     analytic_lift,
 )
+from pdetaylor.jets import Jet
 from pdetaylor.series import (
+    ZERO,
     LiftDomainError,
+    _real,
     cos,
     exp,
     log,
@@ -386,3 +389,18 @@ def test_nested_constant_term_is_inner_series():
     assert isinstance(series.constant_term, TruncatedSeries)
     assert series.constant_term.order == 3
     assert flatten(series).shape == (5 * 4 * 2,)
+
+
+def test_structural_zero_drops_out_of_every_operation():
+    row = np.array([1.0, -0.0, 3.0])
+    jet = Jet(BatchAlgebra(3), np.stack([row, row * 2.0]))
+    for a in (2.5, row, jet):
+        assert ZERO + a is a and a + ZERO is a and a - ZERO is a
+        assert ZERO * a is ZERO and a * ZERO is ZERO and ZERO / a is ZERO
+    assert ZERO - 2.5 == -2.5
+    np.testing.assert_array_equal((ZERO - row).view(np.uint64), (row * -1.0).view(np.uint64))
+    np.testing.assert_array_equal((ZERO - jet).coeffs.view(np.uint64), (jet.coeffs * -1.0).view(np.uint64))
+    assert -ZERO is ZERO and ZERO * 2.0 is ZERO and ZERO - ZERO is ZERO
+    assert _real(RealAlgebra(), ZERO) == 0.0 and _real(RealAlgebra(), 1.5) == 1.5
+    with pytest.raises(TypeError):
+        jet / ZERO
