@@ -65,22 +65,15 @@ def nrmse(y_true, y_approx) -> float:
     return float(np.linalg.norm(yt - ya)) / spread / yt.size
 
 
-def _probe_grid(problem: PdeProblem, n: int = 4097) -> np.ndarray:
+def _ic_peaks(problem: PdeProblem) -> list[float]:
+    """Largest magnitude of each initial-condition component on a 4097-point grid."""
     lo, hi = problem.domain
-    return np.linspace(lo, hi, n)
-
-
-def _active_components(problem: PdeProblem) -> list[int]:
-    """Components whose initial condition is not identically zero."""
-    g = problem.ic_numpy(_probe_grid(problem))
-    return [m for m, gm in enumerate(g) if float(np.abs(gm).max()) > 1e-12]
+    return [float(np.abs(gm).max()) for gm in problem.ic_numpy(np.linspace(lo, hi, 4097))]
 
 
 def default_exclusion(problem: PdeProblem, fraction: float = 0.1) -> float:
     """Default sampling threshold: a fraction of the largest initial amplitude."""
-    g = problem.ic_numpy(_probe_grid(problem))
-    gmax = max(float(np.abs(gm).max()) for gm in g)
-    return fraction * gmax
+    return fraction * max(_ic_peaks(problem))
 
 
 def sample_points(problem: PdeProblem, count: int, tau: float, seed: int) -> np.ndarray:
@@ -95,10 +88,8 @@ def sample_points(problem: PdeProblem, count: int, tau: float, seed: int) -> np.
         raise ValueError("count must be >= 1")
     if not tau >= 0:  # also rejects NaN
         raise ValueError(f"exclusion threshold must be >= 0, got {tau}")
-    gmax = max(
-        float(np.abs(problem.ic_numpy(_probe_grid(problem))[m]).max())
-        for m in range(problem.components)
-    )
+    peaks = _ic_peaks(problem)
+    gmax = max(peaks)
     if tau >= gmax:
         raise ValueError(
             f"exclusion threshold {tau} is not below the largest initial amplitude {gmax}"
@@ -107,7 +98,7 @@ def sample_points(problem: PdeProblem, count: int, tau: float, seed: int) -> np.
     rng = np.random.default_rng(seed)
     if tau == 0.0:
         return rng.uniform(lo, hi, size=count)
-    active = _active_components(problem)
+    active = [m for m, peak in enumerate(peaks) if peak > 1e-12]  # not identically zero
     kept: list[np.ndarray] = []
     total = 0
     n_kept = 0

@@ -26,9 +26,9 @@ only on input coefficients of order ``<= k``; so the computed ``C_0 ... C_K``
 are those of re-evaluating ``F`` at every order, and they do not change if
 the expansion is re-run with a larger ``K``.
 
-Each spatial differentiation consumes jet orders.  With ``s`` the problem's
-spatial order (two for ``U_xx``), ``C_0`` is seeded with ``s*K`` jet orders
-and iteration ``i`` works at jet order ``W_i = s*(K - i)``: every operand,
+Each spatial differentiation consumes jet orders.  ``F`` reads at most
+``U_xx``, so ``C_0`` is seeded with ``2*K`` jet orders and iteration ``i``
+works at jet order ``W_i = 2*(K - i)``: every operand,
 including the stored history of every node, is truncated to ``W_i`` before
 the step, and ``C_i`` is computed at ``W_i``.  ``C_K`` is never
 differentiated.  Coefficient values are exact to the end regardless, for the
@@ -68,6 +68,8 @@ MAX_ORDER = 20
 # 2048 expanded allen_cahn and schrodinger fastest at K=20, N=10**4 on a
 # two-core Xeon VM.
 _BLOCK = 2048
+# Jet orders one time order consumes: ``rhs`` reads at most ``U_xx``.
+_SPATIAL_ORDER = 2
 
 
 class DivergenceError(ArithmeticError):
@@ -161,8 +163,7 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
 def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> None:
     """Expand at one block of points, writing ``C_i`` of component ``c`` into ``rows[c][i]``."""
     m = problem.components
-    step = problem.spatial_order
-    seed_order = step * max_order
+    seed_order = _SPATIAL_ORDER * max_order
     batch = BatchAlgebra(x.size)
     seed = seed_variable(x, seed_order)
 
@@ -180,7 +181,7 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
     def spatial(c, d):
         # d-th x-derivative of component c.  Every node is asked for coefficient
         # k = i - 1 at iteration i, while ``newest`` still holds C_k; it is read
-        # at W_{k+1}, from C_k stored at W_k = W_{k+1} + step jet orders.
+        # at W_{k+1}, from C_k stored at W_k = W_{k+1} + 2 jet orders.
         return LazySeries(
             tape, lambda alg, k: derivative(newest[c].truncated(alg.order + d), d)
         )
@@ -201,7 +202,7 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
         )
 
     for i in range(1, max_order + 1):
-        work_order = seed_order - step * i
+        work_order = seed_order - _SPATIAL_ORDER * i
         alg = JetAlgebra(batch, work_order)
         # a copy of each kept jet: a view would keep its untruncated array alive
         tape.advance(alg, lambda jet: Jet(batch, jet.coeffs[: work_order + 1].copy()))

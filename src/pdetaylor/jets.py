@@ -13,10 +13,11 @@ rows.  The kernel sums ``a_0 b_k + a_1 b_{k-1} + ...`` in the order of
 for bit those of a series over :class:`BatchAlgebra` on the same rows.
 
 A jet is a :class:`~pdetaylor.series.TruncatedSeries` over
-:class:`BatchAlgebra`, so the analytic lifts of :mod:`pdetaylor.series`
-apply unchanged: they, and the jet quotient, run the series recurrence steps
-over the rows.  :class:`BatchAlgebra` supplies only the batch size, the
-constants and the elementwise analytic primitives.
+:class:`BatchAlgebra`, so the quotient and the analytic lifts of
+:mod:`pdetaylor.series` apply unchanged: they run the series recurrence steps
+over the rows of a preallocated array.  :class:`BatchAlgebra` supplies only
+the batch size, the constants and the elementwise primitives exp, sin_cos,
+log and pow.
 
 :func:`seed_variable` builds the jet of the identity function, ``[X, 1, 0,
 ..., 0]``; evaluating an expression on the seed yields the jet of that
@@ -41,11 +42,9 @@ from .series import (
     LiftDomainError,
     TruncatedSeries,
     _as_scalar,
-    _div_step,
     exp,
     log,
     power,
-    sech,
     sin_cos,
 )
 
@@ -93,9 +92,6 @@ class BatchAlgebra(CoefficientAlgebra):
         elif exponent < 0 and np.any(a == 0.0):
             raise LiftDomainError("negative power of a zero entry")
         return np.power(a, exponent)
-
-    def sech(self, a):
-        return 1.0 / np.cosh(a)
 
 
 class Jet(TruncatedSeries):
@@ -174,19 +170,6 @@ class Jet(TruncatedSeries):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        s = _as_scalar(other)
-        if s is not None:
-            return self * (1.0 / s)
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        a = self.coeffs
-        q = np.empty_like(a)
-        for k in range(len(a)):
-            q[k] = _div_step(self.algebra, a[k], b, q, k)
-        return Jet(self.algebra, q)
-
 
 def seed_variable(points, order: int) -> Jet:
     """Jet of the identity at the given points: ``[X, 1, 0, ..., 0]``."""
@@ -264,6 +247,3 @@ class JetAlgebra(CoefficientAlgebra):
 
     def pow(self, a, exponent):
         return power(a, exponent)
-
-    def sech(self, a):
-        return sech(a)

@@ -7,7 +7,8 @@ harness need:
 * ``rhs``         right-hand side evaluated on lazy series-of-jets arguments,
 * ``ic_numpy``    the same initial condition on plain arrays,
 * ``rhs_numpy``   the same right-hand side on plain arrays,
-* closed-form ``exact_solution`` / ``exact_time_derivative`` where one exists.
+* closed-form ``exact_time_derivative`` where one exists; its order 0 is the
+  solution itself.
 
 ``rhs`` is called once per block of points of an expansion, with
 :class:`~pdetaylor.series.LazySeries` nodes in the time infinitesimal whose
@@ -54,7 +55,10 @@ class PdeProblem:
     oddly extendable) or ``"periodic"``; the reference solver uses it to close
     its finite-difference stencils.  ``diffusivity`` and ``advection_speed``
     bound the stiffest second- and first-order terms for time-step selection;
-    they play no role in the series path.
+    they play no role in the series path.  ``rhs`` receives ``U``, ``U_x`` and
+    ``U_xx`` and no higher spatial derivative.  ``exact_time_derivative(i, t,
+    x)``, where given, is the closed-form ``d^i U / dt^i``; :meth:`exact` is its
+    order 0.
     """
 
     name: str
@@ -67,20 +71,18 @@ class PdeProblem:
     ic_numpy: Callable[[np.ndarray], list[np.ndarray]]
     rhs_numpy: Callable[..., list[np.ndarray]]
     boundary: str = "dirichlet"
-    spatial_order: int = 2
     diffusivity: float = 0.0
     advection_speed: float = 0.0
-    exact_solution: Callable[[float, np.ndarray], list[np.ndarray]] | None = None
     exact_time_derivative: Callable[[int, float, np.ndarray], list[np.ndarray]] | None = None
 
     @property
     def has_exact_oracle(self) -> bool:
-        return self.exact_solution is not None
+        return self.exact_time_derivative is not None
 
     def exact(self, t: float, x) -> list[np.ndarray]:
-        if self.exact_solution is None:
+        if self.exact_time_derivative is None:
             raise NoExactOracleError(f"problem {self.name!r} has no closed-form solution")
-        return self.exact_solution(t, np.asarray(x, dtype=np.float64))
+        return self.exact_time_derivative(0, t, np.asarray(x, dtype=np.float64))
 
     def exact_derivative(self, order: int, t: float, x) -> list[np.ndarray]:
         """Closed-form ``d^order U / dt^order`` at time ``t``, per component."""
@@ -141,9 +143,6 @@ def _heat(overrides=None) -> PdeProblem:
     def rhs_numpy(u, u_x, u_xx, t, x):
         return [alpha * u_xx[0]]
 
-    def exact_solution(t, x):
-        return [math.exp(kappa * t) * np.sin(c * x)]
-
     def exact_time_derivative(i, t, x):
         return [kappa**i * math.exp(kappa * t) * np.sin(c * x)]
 
@@ -159,7 +158,6 @@ def _heat(overrides=None) -> PdeProblem:
         rhs_numpy=rhs_numpy,
         boundary="dirichlet",
         diffusivity=alpha,
-        exact_solution=exact_solution,
         exact_time_derivative=exact_time_derivative,
     )
 
@@ -187,9 +185,6 @@ def _diffusion(overrides=None) -> PdeProblem:
         s = np.sin(PI * x)
         return [u_xx[0] - math.exp(-t) * (s - PI * PI * s)]
 
-    def exact_solution(t, x):
-        return [math.exp(-t) * np.sin(PI * x)]
-
     def exact_time_derivative(i, t, x):
         return [(-1.0) ** i * math.exp(-t) * np.sin(PI * x)]
 
@@ -205,7 +200,6 @@ def _diffusion(overrides=None) -> PdeProblem:
         rhs_numpy=rhs_numpy,
         boundary="dirichlet",
         diffusivity=1.0,
-        exact_solution=exact_solution,
         exact_time_derivative=exact_time_derivative,
     )
 
@@ -249,9 +243,6 @@ def _wave(overrides=None) -> PdeProblem:
             f1, f2 = math.sin(w1 * t), math.sin(w2 * t)
         return (w1**i * f1) * np.sin(PI * x) + (w2**i * f2) * np.sin(second_mode * PI * x)
 
-    def exact_solution(t, x):
-        return [_standing(0, t, x), _standing(1, t, x)]
-
     def exact_time_derivative(i, t, x):
         return [_standing(i, t, x), _standing(i + 1, t, x)]
 
@@ -267,7 +258,6 @@ def _wave(overrides=None) -> PdeProblem:
         rhs_numpy=rhs_numpy,
         boundary="dirichlet",
         advection_speed=abs(speed),
-        exact_solution=exact_solution,
         exact_time_derivative=exact_time_derivative,
     )
 

@@ -21,10 +21,10 @@ algebras live in :mod:`pdetaylor.jets`.  Because a jet is itself a truncated
 series, series can nest: a series in the time infinitesimal whose coefficients
 are jets in a space increment, whose coefficients are batches of reals.
 
-Analytic functions (exp, sin, cos, ln, constant powers, reciprocal, sech)
-extend to series through the usual Taylor-composition recurrences; the
-constant term is evaluated in the coefficient algebra, which recurses through
-nested series automatically.
+Analytic functions (exp, sin, cos, ln, constant powers) extend to series
+through the usual Taylor-composition recurrences, and reciprocal and sech are
+composed from them; the constant term is evaluated in the coefficient
+algebra, which recurses through nested series automatically.
 
 Series are immutable once constructed; share them freely.
 
@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 
 
 class OrderMismatchError(ValueError):
@@ -110,13 +111,11 @@ class CoefficientAlgebra(ABC):
     @abstractmethod
     def pow(self, a, exponent: float): ...
 
-    @abstractmethod
-    def sech(self, a): ...
-
     def from_real(self, s: float):
         return self.one() * float(s)
 
 
+@dataclass(frozen=True)
 class RealAlgebra(CoefficientAlgebra):
     """Plain float coefficients; the reference algebra implementation."""
 
@@ -154,18 +153,6 @@ class RealAlgebra(CoefficientAlgebra):
         if a == 0.0 and exponent < 0:
             raise LiftDomainError("negative power of a zero constant term")
         return a ** exponent
-
-    def sech(self, a):
-        return 1.0 / math.cosh(a)
-
-    def __eq__(self, other):
-        return type(other) is RealAlgebra
-
-    def __hash__(self):
-        return hash(RealAlgebra)
-
-    def __repr__(self):
-        return "RealAlgebra()"
 
 
 class _StructuralZero:
@@ -344,10 +331,10 @@ class TruncatedSeries:
             return NotImplemented
         self._check_compatible(other)
         a, b = self.coeffs, other.coeffs
-        q = []
+        q = self._buffer()
         for k in range(len(a)):
-            q.append(_div_step(alg, a[k], b, q, k))
-        return TruncatedSeries(alg, q)
+            q[k] = _div_step(alg, a[k], b, q, k)
+        return self._new(q)
 
     def __rtruediv__(self, other):
         s = _as_scalar(other)
@@ -607,12 +594,6 @@ class LazySeries:
             return NotImplemented
         return LazySeries(self.tape, lambda alg, k: self.coeff(k) - b.coeff(k))
 
-    def __rsub__(self, other):
-        s = _as_scalar(other)
-        if s is None:
-            return NotImplemented
-        return (-self) + s
-
     def __neg__(self):
         return LazySeries(self.tape, lambda alg, k: self.coeff(k) * -1.0)
 
@@ -652,17 +633,9 @@ class LazySeries:
         hq = q._kept()
         return q
 
-    def __rtruediv__(self, other):
-        s = _as_scalar(other)
-        if s is None:
-            return NotImplemented
-        return reciprocal(self) * s
-
-    def __pow__(self, exponent):
-        s = _as_scalar(exponent)
-        if s is None:
-            return NotImplemented
-        return power(self, s)
+    __rsub__ = TruncatedSeries.__rsub__
+    __rtruediv__ = TruncatedSeries.__rtruediv__
+    __pow__ = TruncatedSeries.__pow__
 
 
 # -- analytic lifts -----------------------------------------------------
@@ -748,22 +721,25 @@ def log(series):
 def power(series, exponent: float):
     """Raise a series to a constant real power.
 
-    Non-negative integer exponents use plain repeated multiplication, which
-    needs no invertible constant term; anything else uses the recurrence
+    Non-negative integer exponents use square-and-multiply starting from the
+    series itself, which needs no invertible constant term and multiplies by
+    no constant one; anything else uses the recurrence
     k*A_0*P_k = sum_{j=1..k} ((e+1)*j - k) * A_j * P_{k-j}.
     """
     e = float(exponent)
     if e.is_integer() and e >= 0:
-        result = _one_like(series)
-        base = series
-        n = int(e)
-        while n:
+        if e == 0:
+            return _one_like(series)
+        if not isinstance(series, LazySeries):
+            _require_series(series)
+        result, base, n = None, series, int(e)
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
     return _lift(series, lambda alg, a, out, k: _power_step(alg, a, out, k, e))
 
 

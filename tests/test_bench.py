@@ -114,6 +114,19 @@ def test_sampling_error_when_threshold_leaves_no_room():
         sample_points(get_problem("heat"), 5, tau=1.0 - 1e-9, seed=0)
 
 
+def test_sampling_evaluates_the_probe_grid_once():
+    # the peak amplitude and the active components come from one evaluation
+    prob = get_problem("heat")
+    sizes = []
+
+    def counting(x):
+        sizes.append(np.size(x))
+        return prob.ic_numpy(x)
+
+    sample_points(dataclasses.replace(prob, ic_numpy=counting), 50, tau=0.1, seed=7)
+    assert sizes.count(4097) == 1
+
+
 def test_single_point_sampling():
     prob = get_problem("heat")
     a = sample_points(prob, 1, tau=0.1, seed=4)

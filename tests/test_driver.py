@@ -292,6 +292,31 @@ def test_zero_coefficients_of_x_and_t_cost_no_jet_products(monkeypatch):
         assert products <= most, name
 
 
+def test_integer_power_costs_the_jet_products_of_repeated_products(monkeypatch):
+    # square-and-multiply must start from the base: starting from a constant
+    # one convolves that one's zero jets (632 jet products here, not 422)
+    products = 0
+    mul = Jet.__mul__
+
+    def counting(self, other):
+        nonlocal products
+        products += isinstance(other, Jet)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    base = get_problem("allen_cahn")
+    d, lam = base.params["diffusion"], base.params["reaction"]
+    counts = {}
+    for spelling, cube in (("power", lambda v: v ** 3), ("products", lambda v: v * v * v)):
+        def rhs(u, u_x, u_xx, t, x, cube=cube):
+            return [u_xx[0] * d + (u[0] - cube(u[0])) * lam]
+
+        products = 0
+        compute_expansion(dataclasses.replace(base, rhs=rhs), np.linspace(-0.9, 0.9, 50), 20)
+        counts[spelling] = products
+    assert counts["power"] == counts["products"]
+
+
 @pytest.mark.parametrize(
     "rhs, expected",
     [

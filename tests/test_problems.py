@@ -1,6 +1,7 @@
 """Problem registry: metadata, closed-form oracles, and the twin right-hand
 sides (series route vs plain-array route) staying consistent."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -66,6 +67,13 @@ def test_problem_metadata():
     assert schrodinger.domain == (-5.0, 5.0)
     assert schrodinger.boundary == "periodic"
     assert schrodinger.t_end == pytest.approx(PI / 2)
+
+
+def test_spatial_order_is_not_a_problem_setting():
+    # the driver budgets jet orders for U_xx, which rhs may read; a lower
+    # budget would return zero coefficients without an error
+    with pytest.raises(TypeError):
+        dataclasses.replace(get_problem("heat"), spatial_order=1)
 
 
 def test_oracle_availability_split():

@@ -36,7 +36,7 @@ PI = math.pi
 def eager_coefficients(problem, x, max_order):
     """Reference: re-evaluate rhs on TruncatedSeries over JetAlgebra at every order i,
     with every operand truncated to the working jet order W_i, and keep the top term."""
-    step = problem.spatial_order
+    step = 2
     seed = seed_variable(x, step * max_order)
     jets = [[g] for g in problem.ic(seed)]
     for i in range(1, max_order + 1):
