@@ -8,10 +8,14 @@ Four subcommands share one option set:
 * ``taylor``    export series evaluations at finite horizons,
 * ``plotdata``  export (x, exact, taylor) profiles on a uniform grid.
 
-Options may also come from a flat ``key = value`` config file (``--config``);
-explicit command-line flags win over the file, the file wins over defaults.
-Every run is deterministic given its options: identical invocations write
-byte-identical files.
+Each option is stated once, in ``_OPTIONS``: its argparse settings build the
+flag of every subcommand, and its name is a key of the flat ``key = value``
+config file (``--config``).  File values go through the flag's ``type`` and
+``choices``; a repeatable option (``t1``, ``param``) takes a comma- or
+space-separated list there.  A flag wins over the file and the file over the
+defaults, except that the file's ``param`` items merge with the ``--param``
+flags, a flag winning per key.  Every run is deterministic given its
+options: identical invocations write byte-identical files.
 
 Exit codes: 0 success, 1 numerical failure (bound exceeded, divergence,
 sampling exhaustion, a lift outside its domain, too few jet orders), 2 usage
@@ -23,7 +27,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,28 +50,28 @@ class _UsageError(Exception):
     pass
 
 
+# The argparse settings of each flag; the names are also the config-file keys.
+_OPTIONS = {
+    "problem": dict(help="problem name (see --help epilog)"),
+    "order": dict(type=int, help="highest retained time order K"),
+    "points": dict(type=int, help="number of sample points"),
+    "seed": dict(type=int, help="sampling seed (default 0)"),
+    "t1": dict(action="append", type=float, help="evaluation horizon; repeat the flag for several"),
+    "tau": dict(type=float, help="sampling exclusion threshold"),
+    "out": dict(help="output directory (default .)"),
+    "format": dict(choices=["csv", "json"], help="output format for taylor"),
+    "param": dict(
+        action="append", metavar="KEY=VALUE", help="override a problem parameter; repeatable"
+    ),
+}
+
 _DEFAULTS = {
     "bench": {"order": 10, "points": 50, "t1": (0.01, 0.05, 0.1)},
     "derive": {"order": 7, "points": 100, "t1": ()},
     "taylor": {"order": 7, "points": 100, "t1": (0.01, 0.02, 0.03, 0.04, 0.05)},
     "plotdata": {"order": 10, "points": 500, "t1": (0.1,)},
 }
-
-_CONFIG_KEYS = {"problem", "order", "points", "seed", "t1", "tau", "out", "format", "param"}
-
-
-@dataclass
-class RunConfig:
-    command: str
-    problem: str
-    order: int
-    points: int
-    seed: int
-    t1_values: tuple[float, ...]
-    tau: float | None
-    out_dir: str
-    fmt: str
-    params: dict[str, float]
+_SHARED_DEFAULTS = {"seed": 0, "out": ".", "format": "csv"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,25 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("plotdata", "export exact-vs-series profiles on a uniform grid"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--problem", help="problem name (see --help epilog)")
-        p.add_argument("--order", type=int, help="highest retained time order K")
-        p.add_argument("--points", type=int, help="number of sample points")
-        p.add_argument("--seed", type=int, help="sampling seed (default 0)")
-        p.add_argument(
-            "--t1",
-            action="append",
-            type=float,
-            help="evaluation horizon; repeat the flag for several",
-        )
-        p.add_argument("--tau", type=float, help="sampling exclusion threshold")
-        p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--format", choices=["csv", "json"], help="output format for taylor")
-        p.add_argument(
-            "--param",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override a problem parameter; repeatable",
-        )
+        for key, settings in _OPTIONS.items():
+            p.add_argument(f"--{key}", **settings)
         p.add_argument("--config", help="flat key=value config file")
     return parser
 
@@ -122,9 +108,9 @@ def _load_config_file(path: str) -> dict[str, str]:
             raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise _UsageError(
-                f"{path}:{lineno}: unknown key {key!r}; valid: {', '.join(sorted(_CONFIG_KEYS))}"
+                f"{path}:{lineno}: unknown key {key!r}; valid: {', '.join(sorted(_OPTIONS))}"
             )
         values[key] = value.strip()
     return values
@@ -143,62 +129,38 @@ def _parse_param_items(items) -> dict[str, float]:
     return params
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> None:
+    """Fill each option that no flag set from the config file, else from the defaults.
+
+    A file's ``param`` items are kept under the flags' items, so a flag wins
+    per key; any other flag, ``--t1`` included, replaces the file's value.
+    """
     file_cfg = _load_config_file(args.config) if args.config else {}
-    defaults = _DEFAULTS[args.command]
-
-    def pick(flag_value, key, convert, fallback):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            try:
-                return convert(file_cfg[key])
-            except ValueError:
-                raise _UsageError(f"config key {key!r}: cannot parse {file_cfg[key]!r}") from None
-        return fallback
-
-    problem = pick(args.problem, "problem", str, None)
-    if not problem:
-        raise _UsageError("no problem selected; pass --problem or set it in the config file")
-
-    t1 = args.t1
-    if t1 is None and "t1" in file_cfg:
+    for key, text in file_cfg.items():
+        flag = getattr(args, key)
+        if flag is not None and key != "param":
+            continue
+        settings = _OPTIONS[key]
+        listed = settings.get("action") == "append"
+        convert = settings.get("type", str)
         try:
-            t1 = [float(tok) for tok in file_cfg["t1"].replace(",", " ").split()]
+            values = [convert(t) for t in (text.replace(",", " ").split() if listed else [text])]
         except ValueError:
-            raise _UsageError(f"config key 't1': cannot parse {file_cfg['t1']!r}") from None
-    if t1 is None:
-        t1 = defaults["t1"]
-
-    param_items = list(args.param or [])
-    if "param" in file_cfg:
-        file_items = file_cfg["param"].replace(",", " ").split()
-        cli_params = _parse_param_items(param_items)
-        merged = _parse_param_items(file_items)
-        merged.update(cli_params)
-        params = merged
-    else:
-        params = _parse_param_items(param_items)
-
-    cfg = RunConfig(
-        command=args.command,
-        problem=problem,
-        order=pick(args.order, "order", int, defaults["order"]),
-        points=pick(args.points, "points", int, defaults["points"]),
-        seed=pick(args.seed, "seed", int, 0),
-        t1_values=tuple(float(t) for t in t1),
-        tau=pick(args.tau, "tau", float, None),
-        out_dir=pick(args.out, "out", str, "."),
-        fmt=pick(args.format, "format", str, "csv"),
-        params=params,
-    )
-    if not 1 <= cfg.order <= MAX_ORDER:
-        raise _UsageError(f"--order must be in 1..{MAX_ORDER}, got {cfg.order}")
-    if cfg.points < 1:
-        raise _UsageError(f"--points must be >= 1, got {cfg.points}")
-    if cfg.fmt not in ("csv", "json"):
-        raise _UsageError(f"--format must be csv or json, got {cfg.fmt!r}")
-    return cfg
+            raise _UsageError(f"config key {key!r}: cannot parse {text!r}") from None
+        choices = settings.get("choices")
+        for v in values:
+            if choices and v not in choices:
+                raise _UsageError(f"--{key} must be {' or '.join(choices)}, got {v!r}")
+        setattr(args, key, values + (flag or []) if listed else values[0])
+    for key, value in {**_SHARED_DEFAULTS, **_DEFAULTS[args.command]}.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    if not args.problem:
+        raise _UsageError("no problem selected; pass --problem or set it in the config file")
+    if not 1 <= args.order <= MAX_ORDER:
+        raise _UsageError(f"--order must be in 1..{MAX_ORDER}, got {args.order}")
+    if args.points < 1:
+        raise _UsageError(f"--points must be >= 1, got {args.points}")
 
 
 def _fmt(v: float) -> str:
@@ -210,31 +172,31 @@ def _write_text(path: str, lines: list[str]) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _check_horizons(cfg: RunConfig, problem) -> None:
-    for t1 in cfg.t1_values:
+def _check_horizons(args: argparse.Namespace, problem) -> None:
+    for t1 in args.t1:
         if not (0.0 <= t1 <= problem.t_end):  # also rejects NaN and inf
             raise _UsageError(
                 f"t1={t1:g} outside [0, {problem.t_end:g}] for problem {problem.name}"
             )
 
 
-def _cmd_bench(cfg: RunConfig, problem) -> int:
+def _cmd_bench(args: argparse.Namespace, problem) -> int:
     if not problem.has_exact_oracle:
         raise _UsageError(
             f"problem {problem.name!r} has no exact solution to benchmark against; "
             "use derive or taylor instead"
         )
-    _check_horizons(cfg, problem)
+    _check_horizons(args, problem)
     report = run_benchmark(
         problem,
-        max_order=cfg.order,
-        num_points=cfg.points,
-        t1_values=cfg.t1_values,
-        seed=cfg.seed,
-        tau=cfg.tau,
+        max_order=args.order,
+        num_points=args.points,
+        t1_values=args.t1,
+        seed=args.seed,
+        tau=args.tau,
     )
     print(format_report_table(report))
-    out_path = os.path.join(cfg.out_dir, f"bench_{problem.name}.csv")
+    out_path = os.path.join(args.out, f"bench_{problem.name}.csv")
     write_report_csv(report, out_path)
     print(f"\nwrote {out_path}")
     failures = check_thresholds(report)
@@ -247,36 +209,36 @@ def _cmd_bench(cfg: RunConfig, problem) -> int:
     return 0
 
 
-def _cmd_derive(cfg: RunConfig, problem) -> int:
-    tau = cfg.tau if cfg.tau is not None else default_exclusion(problem)
-    x = sample_points(problem, cfg.points, tau, cfg.seed)
-    expansion = compute_expansion(problem, x, cfg.order)
+def _cmd_derive(args: argparse.Namespace, problem) -> int:
+    tau = args.tau if args.tau is not None else default_exclusion(problem)
+    x = sample_points(problem, args.points, tau, args.seed)
+    expansion = compute_expansion(problem, x, args.order)
     derivs = expansion.derivatives()
     lines = ["component,order,x,value"]
     for m in range(problem.components):
-        for i in range(cfg.order + 1):
+        for i in range(args.order + 1):
             for xp, v in zip(x, derivs[m][i]):
                 lines.append(f"{m},{i},{_fmt(xp)},{_fmt(v)}")
-    out_path = os.path.join(cfg.out_dir, f"derivatives_{problem.name}.csv")
+    out_path = os.path.join(args.out, f"derivatives_{problem.name}.csv")
     _write_text(out_path, lines)
     print(f"wrote {out_path} ({len(lines) - 1} rows)")
     return 0
 
 
-def _cmd_taylor(cfg: RunConfig, problem) -> int:
-    _check_horizons(cfg, problem)
-    if not cfg.t1_values:
+def _cmd_taylor(args: argparse.Namespace, problem) -> int:
+    _check_horizons(args, problem)
+    if not args.t1:
         raise _UsageError("taylor needs at least one --t1 horizon")
-    tau = cfg.tau if cfg.tau is not None else default_exclusion(problem)
-    x = sample_points(problem, cfg.points, tau, cfg.seed)
-    expansion = compute_expansion(problem, x, cfg.order)
+    tau = args.tau if args.tau is not None else default_exclusion(problem)
+    x = sample_points(problem, args.points, tau, args.seed)
+    expansion = compute_expansion(problem, x, args.order)
     rows = []
     for m in range(problem.components):
-        for t1 in cfg.t1_values:
+        for t1 in args.t1:
             values = expansion.evaluate(t1)[m]
             for xp, v in zip(x, values):
                 rows.append((m, t1, xp, v))
-    if cfg.fmt == "json":
+    if args.format == "json":
         lines = ["["]
         for idx, (m, t1, xp, v) in enumerate(rows):
             comma = "," if idx + 1 < len(rows) else ""
@@ -284,34 +246,34 @@ def _cmd_taylor(cfg: RunConfig, problem) -> int:
                 f'  {{"component": {m}, "t": {_fmt(t1)}, "x": {_fmt(xp)}, "value": {_fmt(v)}}}{comma}'
             )
         lines.append("]")
-        out_path = os.path.join(cfg.out_dir, f"taylor_points_{problem.name}.json")
+        out_path = os.path.join(args.out, f"taylor_points_{problem.name}.json")
         _write_text(out_path, lines)
     else:
         lines = ["component,t,x,value"]
         lines += [f"{m},{_fmt(t1)},{_fmt(xp)},{_fmt(v)}" for m, t1, xp, v in rows]
-        out_path = os.path.join(cfg.out_dir, f"taylor_points_{problem.name}.csv")
+        out_path = os.path.join(args.out, f"taylor_points_{problem.name}.csv")
         _write_text(out_path, lines)
     print(f"wrote {out_path} ({len(rows)} rows)")
     return 0
 
 
-def _cmd_plotdata(cfg: RunConfig, problem) -> int:
+def _cmd_plotdata(args: argparse.Namespace, problem) -> int:
     if not problem.has_exact_oracle:
         raise _UsageError(
             f"problem {problem.name!r} has no exact solution to plot against"
         )
-    _check_horizons(cfg, problem)
+    _check_horizons(args, problem)
     lo, hi = problem.domain
-    x = np.linspace(lo, hi, cfg.points + 2)[1:-1]
-    expansion = compute_expansion(problem, x, cfg.order)
-    for t1 in cfg.t1_values:
+    x = np.linspace(lo, hi, args.points + 2)[1:-1]
+    expansion = compute_expansion(problem, x, args.order)
+    for t1 in args.t1:
         exact = problem.exact(t1, x)[0]
         approx = expansion.evaluate(t1)[0]
         lines = ["x,exact,taylor"]
         lines += [
             f"{_fmt(xp)},{_fmt(e)},{_fmt(a)}" for xp, e, a in zip(x, exact, approx)
         ]
-        out_path = os.path.join(cfg.out_dir, f"plot_{problem.name}_t{t1:g}.csv")
+        out_path = os.path.join(args.out, f"plot_{problem.name}_t{t1:g}.csv")
         _write_text(out_path, lines)
         print(f"wrote {out_path} ({len(x)} rows)")
     return 0
@@ -332,10 +294,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        cfg = _build_config(args)
-        problem = get_problem(cfg.problem, cfg.params or None)
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        return _COMMANDS[cfg.command](cfg, problem)
+        _resolve(args)
+        problem = get_problem(args.problem, _parse_param_items(args.param or ()) or None)
+        os.makedirs(args.out, exist_ok=True)
+        return _COMMANDS[args.command](args, problem)
     except (_UsageError, UnknownProblemError, NoExactOracleError) as e:
         print(f"error: {e}", file=sys.stderr)
         print(f"problems: {', '.join(available_problems())}", file=sys.stderr)

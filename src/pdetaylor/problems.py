@@ -118,6 +118,14 @@ def _non_negative(params: dict[str, float], key: str, name: str) -> float:
     return v
 
 
+def _integer(params: dict[str, float], key: str, name: str) -> float:
+    """A Dirichlet mode number; any other gives a profile that does not vanish at x = L."""
+    v = params[key]
+    if not v.is_integer():
+        raise ValueError(f"parameter {key!r} of problem {name!r} must be an integer, got {v}")
+    return v
+
+
 def _heat(overrides=None) -> PdeProblem:
     """U_t = alpha * U_xx on [0, length], U(0, x) = sin(mode*pi*x/length).
 
@@ -125,7 +133,8 @@ def _heat(overrides=None) -> PdeProblem:
     kappa = -alpha*c**2, so every time derivative is kappa**i times U.
     """
     params = _merge_params({"alpha": 0.4, "length": 1.0, "mode": 1.0}, overrides, "heat")
-    alpha, length, mode = _non_negative(params, "alpha", "heat"), params["length"], params["mode"]
+    alpha, length = _non_negative(params, "alpha", "heat"), params["length"]
+    mode = _integer(params, "mode", "heat")
     if length <= 0:
         raise ValueError(f"parameter 'length' of problem 'heat' must be positive, got {length}")
     c = mode * PI / length
@@ -213,7 +222,7 @@ def _wave(overrides=None) -> PdeProblem:
     i-th time derivative cycles through cos/-sin/-cos/sin prefactors.
     """
     params = _merge_params({"speed": 1.0, "second_mode": 1.0}, overrides, "wave")
-    speed, second_mode = params["speed"], params["second_mode"]
+    speed, second_mode = params["speed"], _integer(params, "second_mode", "wave")
     c2 = speed * speed
     w1 = speed * PI
     w2 = second_mode * speed * PI

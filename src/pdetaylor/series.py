@@ -70,9 +70,9 @@ class TruncationWarning(RuntimeWarning):
 class CoefficientAlgebra(ABC):
     """What differs between the coefficient spaces a series can sit over.
 
-    Ring arithmetic is not part of it: coefficients combine through their own
-    ``+``, ``-``, ``*`` and ``/`` operators and their ``* float`` scaling.  An
-    algebra supplies the constants ``zero``, ``one`` and ``from_real``, the
+    Ring arithmetic is not part of it: coefficients combine with each other
+    and with a float through their own ``+``, ``-``, ``*`` and ``/``
+    operators.  An algebra supplies the constants ``zero`` and ``one``, the
     predicates ``is_zero``, ``is_invertible`` and ``finite``, and the analytic
     primitives evaluated on the constant term of a lift.  Implementations are
     small stateless (or shape-carrying) objects; two algebra instances compare
@@ -110,9 +110,6 @@ class CoefficientAlgebra(ABC):
 
     @abstractmethod
     def pow(self, a, exponent: float): ...
-
-    def from_real(self, s: float):
-        return self.one() * float(s)
 
 
 @dataclass(frozen=True)
@@ -281,7 +278,7 @@ class TruncatedSeries:
         s = _as_scalar(other)
         alg = self.algebra
         if s is not None:
-            head = self.coeffs[0] + alg.from_real(s)
+            head = self.coeffs[0] + s
             return TruncatedSeries(alg, (head,) + self.coeffs[1:])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -294,7 +291,7 @@ class TruncatedSeries:
         s = _as_scalar(other)
         alg = self.algebra
         if s is not None:
-            head = self.coeffs[0] - alg.from_real(s)
+            head = self.coeffs[0] - s
             return TruncatedSeries(alg, (head,) + self.coeffs[1:])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -573,7 +570,7 @@ class LazySeries:
         if s is not None:
             def shifted(alg, k):
                 a = self.coeff(k)
-                return a + alg.from_real(s) if k == 0 else a
+                return _real(alg, a) + s if k == 0 else a
             return LazySeries(self.tape, shifted)
         b = self._operand(other)
         if b is None:
@@ -587,7 +584,7 @@ class LazySeries:
         if s is not None:
             def shifted(alg, k):
                 a = self.coeff(k)
-                return a - alg.from_real(s) if k == 0 else a
+                return _real(alg, a) - s if k == 0 else a
             return LazySeries(self.tape, shifted)
         b = self._operand(other)
         if b is None:

@@ -193,11 +193,108 @@ def test_config_file_t1_list(tmp_path):
     assert len(rows) == 15
 
 
+HEAT = get_problem("heat")
+
+
+def outputs(root):
+    files = (p for p in root.rglob("*") if p.suffix in (".csv", ".json"))
+    return sorted(p.relative_to(root).as_posix() for p in files)
+
+
+def only_rows(root):
+    (name,) = outputs(root)
+    return read_rows(root / name)[1]
+
+
+def sampled_x(root):
+    return sorted({float(r[2]) for r in only_rows(root)})
+
+
+def fitted_alpha(root):
+    first = [(float(r[2]), float(r[3])) for r in only_rows(root) if r[1] == "1"]
+    return {round(-v / (PI**2 * math.sin(PI * x)), 12) for x, v in first}
+
+
+# key: command, config line, flag argv, observation of the output, and the
+# expected observation when the value comes from the file, a flag or nowhere.
+PRECEDENCE = {
+    "problem": ("derive", "problem = heat", ["--problem", "wave"], outputs,
+                (["derivatives_heat.csv"], ["derivatives_wave.csv"], "exit 2")),
+    "order": ("derive", "order = 2", ["--order", "3"], lambda root: len(only_rows(root)) // 4 - 1,
+              (2, 3, 7)),
+    "points": ("derive", "points = 3", ["--points", "5"], lambda root: len(only_rows(root)) // 2,
+               (3, 5, 100)),
+    "seed": ("derive", "seed = 5", ["--seed", "6"], sampled_x,
+             tuple(sorted(sample_points(HEAT, 4, default_exclusion(HEAT), s)) for s in (5, 6, 0))),
+    "t1": ("taylor", "t1 = 0.01, 0.02", ["--t1", "0.03", "--t1", "0.04"],
+           lambda root: sorted({float(r[1]) for r in only_rows(root)}),
+           ([0.01, 0.02], [0.03, 0.04], [0.01, 0.02, 0.03, 0.04, 0.05])),
+    "tau": ("derive", "tau = 0.5", ["--tau", "0.9"], sampled_x,
+            tuple(sorted(sample_points(HEAT, 4, t, 0)) for t in (0.5, 0.9, default_exclusion(HEAT)))),
+    "out": ("derive", "out = from_file", ["--out", "from_flag"], outputs,
+            (["from_file/derivatives_heat.csv"], ["from_flag/derivatives_heat.csv"],
+             ["derivatives_heat.csv"])),
+    "format": ("taylor", "format = json", ["--format", "csv"], outputs,
+               (["taylor_points_heat.json"], ["taylor_points_heat.csv"], ["taylor_points_heat.csv"])),
+    "param": ("derive", "param = alpha=0.2", ["--param", "alpha=0.3"], fitted_alpha,
+              ({0.2}, {0.3}, {0.4})),
+}
+BASE_CONFIG = {"problem": "problem = heat", "order": "order = 1", "points": "points = 4"}
+
+
+@pytest.mark.parametrize("source", ["file", "flag", "default"])
+@pytest.mark.parametrize("key", list(PRECEDENCE))
+def test_each_option_comes_from_a_flag_then_the_file_then_the_default(
+    tmp_path, monkeypatch, capsys, key, source
+):
+    command, line, flag, observe, expected = PRECEDENCE[key]
+    lines = [v for k, v in BASE_CONFIG.items() if k != key]
+    if source != "default":
+        lines.append(line)
+    (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", "run.cfg"] + (flag if source == "flag" else [])
+    code = cli.main(argv)
+    capsys.readouterr()
+    got = observe(tmp_path) if code == 0 else f"exit {code}"
+    assert got == expected[("file", "flag", "default").index(source)]
+
+
+def test_config_file_param_list_merges_with_flags_and_t1_flags_replace_it(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(
+        "problem = heat\norder = 1\npoints = 4\nparam = alpha=0.2, mode=2\nt1 = 0.01, 0.02\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["derive", "--config", "run.cfg", "--param", "alpha=0.3"]) == 0
+    rows = only_rows(tmp_path)
+    for i, x, v in ((int(r[1]), float(r[2]), float(r[3])) for r in rows):
+        assert v == pytest.approx((-0.3 * (2 * PI) ** 2) ** i * math.sin(2 * PI * x), rel=1e-12)
+    (tmp_path / "derivatives_heat.csv").unlink()
+    assert cli.main(["taylor", "--config", "run.cfg", "--t1", "0.03"]) == 0
+    assert sorted({float(r[1]) for r in only_rows(tmp_path)}) == [0.03]
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = heat\ngrid = 5\n", encoding="utf-8")
     assert cli.main(["derive", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("format = xml", "--format must be csv or json, got 'xml'"),
+        ("order = two", "config key 'order': cannot parse 'two'"),
+        ("t1 = 0.01, soon", "config key 't1': cannot parse '0.01, soon'"),
+    ],
+)
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = heat\n{line}\n", encoding="utf-8")
+    assert cli.main(["taylor", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):
@@ -263,6 +360,10 @@ def test_non_finite_horizon_is_a_usage_error(tmp_path, capsys):
          "'viscosity' of problem 'burgers' must be non-negative, got -1.0"),
         (["derive", "--problem", "allen_cahn", "--param", "diffusion=-1"],
          "'diffusion' of problem 'allen_cahn' must be non-negative, got -1.0"),
+        (["derive", "--problem", "heat", "--param", "mode=1.5"],
+         "'mode' of problem 'heat' must be an integer, got 1.5"),
+        (["taylor", "--problem", "wave", "--param", "second_mode=2.5"],
+         "'second_mode' of problem 'wave' must be an integer, got 2.5"),
     ],
 )
 def test_bad_parameter_or_threshold_is_a_usage_error(tmp_path, capsys, argv, offending):
