@@ -71,9 +71,9 @@ def _ic_peaks(problem: PdeProblem) -> list[float]:
     return [float(np.abs(gm).max()) for gm in problem.ic_numpy(np.linspace(lo, hi, 4097))]
 
 
-def default_exclusion(problem: PdeProblem, fraction: float = 0.1) -> float:
-    """Default sampling threshold: a fraction of the largest initial amplitude."""
-    return fraction * max(_ic_peaks(problem))
+def default_exclusion(problem: PdeProblem) -> float:
+    """Default sampling threshold: a tenth of the largest initial amplitude."""
+    return 0.1 * max(_ic_peaks(problem))
 
 
 def sample_points(problem: PdeProblem, count: int, tau: float, seed: int) -> np.ndarray:

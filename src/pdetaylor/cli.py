@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Four subcommands share one option set:
+Four subcommands:
 
 * ``bench``     score the expansion against a closed-form solution and check
                 the published accuracy bounds (exit 1 when any bound fails),
@@ -8,14 +8,17 @@ Four subcommands share one option set:
 * ``taylor``    export series evaluations at finite horizons,
 * ``plotdata``  export (x, exact, taylor) profiles on a uniform grid.
 
-Each option is stated once, in ``_OPTIONS``: its argparse settings build the
-flag of every subcommand, and its name is a key of the flat ``key = value``
-config file (``--config``).  File values go through the flag's ``type`` and
-``choices``; a repeatable option (``t1``, ``param``) takes a comma- or
-space-separated list there.  A flag wins over the file and the file over the
-defaults, except that the file's ``param`` items merge with the ``--param``
-flags, a flag winning per key.  Every run is deterministic given its
-options: identical invocations write byte-identical files.
+Each option is stated once, in ``_OPTIONS``, and each subcommand once, in
+``_COMMANDS``, with the options it reads and their defaults.  A subcommand
+has a flag for each of its options and its flat ``key = value`` config file
+(``--config``) may hold only those keys.  File values go through the flag's
+``type`` and ``choices``; a repeatable option (``t1``, ``param``) takes a
+comma- or space-separated list there.  A flag wins over the file and the
+file over the defaults, except that the file's ``param`` items merge with
+the ``--param`` flags, a flag winning per key.  A subcommand that reads
+``t1`` needs at least one horizon, each inside the problem's time range.
+Every run is deterministic given its options: identical invocations write
+byte-identical files.
 
 Exit codes: 0 success, 1 numerical failure (bound exceeded, divergence,
 sampling exhaustion, a lift outside its domain, too few jet orders), 2 usage
@@ -52,26 +55,18 @@ class _UsageError(Exception):
 
 # The argparse settings of each flag; the names are also the config-file keys.
 _OPTIONS = {
-    "problem": dict(help="problem name (see --help epilog)"),
+    "problem": dict(help=f"problem name: {', '.join(available_problems())}"),
     "order": dict(type=int, help="highest retained time order K"),
     "points": dict(type=int, help="number of sample points"),
     "seed": dict(type=int, help="sampling seed (default 0)"),
     "t1": dict(action="append", type=float, help="evaluation horizon; repeat the flag for several"),
     "tau": dict(type=float, help="sampling exclusion threshold"),
     "out": dict(help="output directory (default .)"),
-    "format": dict(choices=["csv", "json"], help="output format for taylor"),
+    "format": dict(choices=["csv", "json"], help="output format"),
     "param": dict(
         action="append", metavar="KEY=VALUE", help="override a problem parameter; repeatable"
     ),
 }
-
-_DEFAULTS = {
-    "bench": {"order": 10, "points": 50, "t1": (0.01, 0.05, 0.1)},
-    "derive": {"order": 7, "points": 100, "t1": ()},
-    "taylor": {"order": 7, "points": 100, "t1": (0.01, 0.02, 0.03, 0.04, 0.05)},
-    "plotdata": {"order": 10, "points": 500, "t1": (0.1,)},
-}
-_SHARED_DEFAULTS = {"seed": 0, "out": ".", "format": "csv"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,20 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Taylor-expand PDE solutions in time and export or score the results.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("bench", "score against the closed-form solution and check accuracy bounds"),
-        ("derive", "export time derivatives at t=0 at sampled points"),
-        ("taylor", "export series evaluations at finite horizons"),
-        ("plotdata", "export exact-vs-series profiles on a uniform grid"),
-    ]:
+    for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for key, settings in _OPTIONS.items():
-            p.add_argument(f"--{key}", **settings)
+            if key in options:
+                p.add_argument(f"--{key}", **settings)
         p.add_argument("--config", help="flat key=value config file")
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str, command: str, keys) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -108,9 +99,9 @@ def _load_config_file(path: str) -> dict[str, str]:
             raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _OPTIONS:
+        if key not in keys:
             raise _UsageError(
-                f"{path}:{lineno}: unknown key {key!r}; valid: {', '.join(sorted(_OPTIONS))}"
+                f"{path}:{lineno}: unknown key {key!r} for {command}; valid: {', '.join(keys)}"
             )
         values[key] = value.strip()
     return values
@@ -129,13 +120,13 @@ def _parse_param_items(items) -> dict[str, float]:
     return params
 
 
-def _resolve(args: argparse.Namespace) -> None:
-    """Fill each option that no flag set from the config file, else from the defaults.
+def _resolve(args: argparse.Namespace, defaults: dict) -> None:
+    """Fill each option that no flag set from the config file, else from ``defaults``.
 
     A file's ``param`` items are kept under the flags' items, so a flag wins
     per key; any other flag, ``--t1`` included, replaces the file's value.
     """
-    file_cfg = _load_config_file(args.config) if args.config else {}
+    file_cfg = _load_config_file(args.config, args.command, defaults) if args.config else {}
     for key, text in file_cfg.items():
         flag = getattr(args, key)
         if flag is not None and key != "param":
@@ -152,7 +143,7 @@ def _resolve(args: argparse.Namespace) -> None:
             if choices and v not in choices:
                 raise _UsageError(f"--{key} must be {' or '.join(choices)}, got {v!r}")
         setattr(args, key, values + (flag or []) if listed else values[0])
-    for key, value in {**_SHARED_DEFAULTS, **_DEFAULTS[args.command]}.items():
+    for key, value in defaults.items():
         if getattr(args, key) is None:
             setattr(args, key, value)
     if not args.problem:
@@ -161,6 +152,8 @@ def _resolve(args: argparse.Namespace) -> None:
         raise _UsageError(f"--order must be in 1..{MAX_ORDER}, got {args.order}")
     if args.points < 1:
         raise _UsageError(f"--points must be >= 1, got {args.points}")
+    if "t1" in defaults and not args.t1:
+        raise _UsageError(f"{args.command} needs at least one --t1 horizon")
 
 
 def _fmt(v: float) -> str:
@@ -186,7 +179,6 @@ def _cmd_bench(args: argparse.Namespace, problem) -> int:
             f"problem {problem.name!r} has no exact solution to benchmark against; "
             "use derive or taylor instead"
         )
-    _check_horizons(args, problem)
     report = run_benchmark(
         problem,
         max_order=args.order,
@@ -226,9 +218,6 @@ def _cmd_derive(args: argparse.Namespace, problem) -> int:
 
 
 def _cmd_taylor(args: argparse.Namespace, problem) -> int:
-    _check_horizons(args, problem)
-    if not args.t1:
-        raise _UsageError("taylor needs at least one --t1 horizon")
     tau = args.tau if args.tau is not None else default_exclusion(problem)
     x = sample_points(problem, args.points, tau, args.seed)
     expansion = compute_expansion(problem, x, args.order)
@@ -262,7 +251,6 @@ def _cmd_plotdata(args: argparse.Namespace, problem) -> int:
         raise _UsageError(
             f"problem {problem.name!r} has no exact solution to plot against"
         )
-    _check_horizons(args, problem)
     lo, hi = problem.domain
     x = np.linspace(lo, hi, args.points + 2)[1:-1]
     expansion = compute_expansion(problem, x, args.order)
@@ -279,11 +267,19 @@ def _cmd_plotdata(args: argparse.Namespace, problem) -> int:
     return 0
 
 
+# Each subcommand: its handler, its help line, and the options it reads (its
+# flags and config keys) with their defaults, None where there is none.
 _COMMANDS = {
-    "bench": _cmd_bench,
-    "derive": _cmd_derive,
-    "taylor": _cmd_taylor,
-    "plotdata": _cmd_plotdata,
+    "bench": (_cmd_bench, "score against the closed-form solution and check accuracy bounds",
+              dict(problem=None, order=10, points=50, seed=0, t1=(0.01, 0.05, 0.1), tau=None,
+                   out=".", param=None)),
+    "derive": (_cmd_derive, "export time derivatives at t=0 at sampled points",
+               dict(problem=None, order=7, points=100, seed=0, tau=None, out=".", param=None)),
+    "taylor": (_cmd_taylor, "export series evaluations at finite horizons",
+               dict(problem=None, order=7, points=100, seed=0, t1=(0.01, 0.02, 0.03, 0.04, 0.05),
+                    tau=None, out=".", format="csv", param=None)),
+    "plotdata": (_cmd_plotdata, "export exact-vs-series profiles on a uniform grid",
+                 dict(problem=None, order=10, points=500, t1=(0.1,), out=".", param=None)),
 }
 
 
@@ -293,11 +289,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
+    handler, _, defaults = _COMMANDS[args.command]
     try:
-        _resolve(args)
+        _resolve(args, defaults)
         problem = get_problem(args.problem, _parse_param_items(args.param or ()) or None)
+        if "t1" in defaults:
+            _check_horizons(args, problem)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](args, problem)
+        return handler(args, problem)
     except (_UsageError, UnknownProblemError, NoExactOracleError) as e:
         print(f"error: {e}", file=sys.stderr)
         print(f"problems: {', '.join(available_problems())}", file=sys.stderr)

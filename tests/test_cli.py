@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,15 +263,16 @@ def test_each_option_comes_from_a_flag_then_the_file_then_the_default(
 
 def test_config_file_param_list_merges_with_flags_and_t1_flags_replace_it(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.cfg").write_text(
-        "problem = heat\norder = 1\npoints = 4\nparam = alpha=0.2, mode=2\nt1 = 0.01, 0.02\n",
-        encoding="utf-8",
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "problem = heat\norder = 1\npoints = 4\nparam = alpha=0.2, mode=2\n", encoding="utf-8"
     )
     assert cli.main(["derive", "--config", "run.cfg", "--param", "alpha=0.3"]) == 0
     rows = only_rows(tmp_path)
     for i, x, v in ((int(r[1]), float(r[2]), float(r[3])) for r in rows):
         assert v == pytest.approx((-0.3 * (2 * PI) ** 2) ** i * math.sin(2 * PI * x), rel=1e-12)
     (tmp_path / "derivatives_heat.csv").unlink()
+    cfg.write_text(cfg.read_text(encoding="utf-8") + "t1 = 0.01, 0.02\n", encoding="utf-8")
     assert cli.main(["taylor", "--config", "run.cfg", "--t1", "0.03"]) == 0
     assert sorted({float(r[1]) for r in only_rows(tmp_path)}) == [0.03]
 
@@ -280,6 +282,61 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("problem = heat\ngrid = 5\n", encoding="utf-8")
     assert cli.main(["derive", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+# The options each subcommand reads; it takes no other flag or config key.
+OPTIONS_READ = {
+    "bench": {"problem", "order", "points", "seed", "t1", "tau", "out", "param"},
+    "derive": {"problem", "order", "points", "seed", "tau", "out", "param"},
+    "taylor": {"problem", "order", "points", "seed", "t1", "tau", "out", "format", "param"},
+    "plotdata": {"problem", "order", "points", "t1", "out", "param"},
+}
+UNREAD = [
+    ("derive", "t1", "0.5"), ("derive", "format", "json"), ("plotdata", "seed", "4"),
+    ("plotdata", "tau", "0.9"), ("plotdata", "format", "json"), ("bench", "format", "csv"),
+]
+
+
+def help_text(command, capsys):
+    assert cli.main([command, "--help"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", list(OPTIONS_READ))
+def test_each_subcommand_help_lists_exactly_its_options(command, capsys):
+    options = help_text(command, capsys).split("options:")[1]
+    assert set(re.findall(r"^  --(\w+)", options, re.M)) == OPTIONS_READ[command] | {"config"}
+
+
+@pytest.mark.parametrize("command", list(OPTIONS_READ))
+def test_each_subcommand_help_names_every_problem(command, capsys):
+    text = " ".join(help_text(command, capsys).split())
+    for name in ("heat", "diffusion", "wave", "burgers", "allen_cahn", "schrodinger"):
+        assert name in text
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command, key, value", UNREAD)
+def test_option_a_subcommand_does_not_read_is_a_usage_error(
+    tmp_path, capsys, command, key, value, source
+):
+    cfg = tmp_path / "run.cfg"
+    extra_line = f"{key} = {value}\n" if source == "file" else ""
+    cfg.write_text(f"problem = heat\norder = 1\npoints = 3\n{extra_line}", encoding="utf-8")
+    flags = [f"--{key}", value] if source == "flag" else []
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert ("unrecognized arguments" if source == "flag" else "unknown key") in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "taylor", "plotdata"])
+def test_empty_horizon_list_is_a_usage_error(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = heat\norder = 1\npoints = 3\nt1 =\n", encoding="utf-8")
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{command} needs at least one --t1 horizon" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
