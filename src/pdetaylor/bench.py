@@ -13,7 +13,9 @@ method-of-lines oracle: fourth-order centred finite differences in space on a
 fine grid, classical Runge-Kutta in time with a conservatively small step,
 cubic-spline interpolation onto the query points.  It is built exclusively on
 the plain-array evaluators of a problem, never on the series machinery it is
-used to check, and is only trusted over short horizons (t <= 0.1).
+used to check, and is only trusted over short horizons (t <= 0.1).  scipy,
+for the spline, is imported on the first interpolation, so a run that never
+calls :func:`reference_solve` loads numpy but no part of scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .driver import compute_expansion
 from .problems import NoExactOracleError, PdeProblem
@@ -71,24 +72,36 @@ def _ic_peaks(problem: PdeProblem) -> list[float]:
     return [float(np.abs(gm).max()) for gm in problem.ic_numpy(np.linspace(lo, hi, 4097))]
 
 
+def _exclusion(peaks: list[float]) -> float:
+    return 0.1 * max(peaks)
+
+
 def default_exclusion(problem: PdeProblem) -> float:
     """Default sampling threshold: a tenth of the largest initial amplitude."""
-    return 0.1 * max(_ic_peaks(problem))
+    return _exclusion(_ic_peaks(problem))
 
 
-def sample_points(problem: PdeProblem, count: int, tau: float, seed: int) -> np.ndarray:
+def sample_points(problem: PdeProblem, count: int, tau: float | None, seed: int) -> np.ndarray:
     """Draw points uniformly inside the domain, skipping small-amplitude regions.
 
     A draw is kept when every non-trivial component of the initial condition
     exceeds ``tau`` in magnitude there (with ``tau = 0`` the filter is off and
-    this is a plain uniform sample).  Draws are capped at ten times ``count``;
+    this is a plain uniform sample; ``tau = None`` is
+    :func:`default_exclusion`).  Draws are capped at ten times ``count``;
     a threshold leaving too little of the domain raises :class:`SamplingError`.
     """
+    return _sample(problem, count, tau, seed)[0]
+
+
+def _sample(problem: PdeProblem, count: int, tau: float | None, seed: int):
+    """:func:`sample_points` and the threshold it applied."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not tau >= 0:  # also rejects NaN
+    if tau is not None and not tau >= 0:  # also rejects NaN
         raise ValueError(f"exclusion threshold must be >= 0, got {tau}")
     peaks = _ic_peaks(problem)
+    if tau is None:
+        tau = _exclusion(peaks)
     gmax = max(peaks)
     if tau >= gmax:
         raise ValueError(
@@ -97,7 +110,7 @@ def sample_points(problem: PdeProblem, count: int, tau: float, seed: int) -> np.
     lo, hi = problem.domain
     rng = np.random.default_rng(seed)
     if tau == 0.0:
-        return rng.uniform(lo, hi, size=count)
+        return rng.uniform(lo, hi, size=count), tau
     active = [m for m, peak in enumerate(peaks) if peak > 1e-12]  # not identically zero
     kept: list[np.ndarray] = []
     total = 0
@@ -116,7 +129,7 @@ def sample_points(problem: PdeProblem, count: int, tau: float, seed: int) -> np.
             f"only {n_kept} of {count} requested points admissible after {total} draws; "
             f"lower the exclusion threshold (currently {tau})"
         )
-    return np.concatenate(kept)[:count]
+    return np.concatenate(kept)[:count], tau
 
 
 @dataclass(frozen=True)
@@ -156,9 +169,7 @@ def run_benchmark(
             f"problem {problem.name!r} has no closed-form oracle to benchmark against"
         )
     start = time.perf_counter()
-    if tau is None:
-        tau = default_exclusion(problem)
-    x = sample_points(problem, num_points, tau, seed)
+    x, tau = _sample(problem, num_points, tau, seed)
     expansion = compute_expansion(problem, x, max_order)
     derivs = expansion.derivatives()
 
@@ -421,6 +432,8 @@ def _stable_step(problem: PdeProblem, h: float, dt_max: float) -> float:
 
 
 def _interpolate(problem, grid, state, x_query, periodic, hi):
+    from scipy.interpolate import CubicSpline  # here, so that only the oracle pays its import
+
     out = []
     for c in range(problem.components):
         if periodic:

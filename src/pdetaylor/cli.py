@@ -11,7 +11,8 @@ Four subcommands:
 Each option is stated once, in ``_OPTIONS``, and each subcommand once, in
 ``_COMMANDS``, with the options it reads and their defaults.  A subcommand
 has a flag for each of its options and its flat ``key = value`` config file
-(``--config``) may hold only those keys.  File values go through the flag's
+(``--config``) may hold only those keys; another flag is an error reported
+with that subcommand's usage line.  File values go through the flag's
 ``type`` and ``choices``; a repeatable option (``t1``, ``param``) takes a
 comma- or space-separated list there.  A flag wins over the file and the
 file over the defaults, except that the file's ``param`` items merge with
@@ -37,7 +38,6 @@ from .bench import (
     OracleFailure,
     SamplingError,
     check_thresholds,
-    default_exclusion,
     format_report_table,
     run_benchmark,
     sample_points,
@@ -51,6 +51,16 @@ from .series import LiftDomainError
 
 class _UsageError(Exception):
     pass
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports an argument it does not take with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
 
 
 # The argparse settings of each flag; the names are also the config-file keys.
@@ -74,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pdetaylor",
         description="Taylor-expand PDE solutions in time and export or score the results.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for key, settings in _OPTIONS.items():
@@ -202,8 +212,7 @@ def _cmd_bench(args: argparse.Namespace, problem) -> int:
 
 
 def _cmd_derive(args: argparse.Namespace, problem) -> int:
-    tau = args.tau if args.tau is not None else default_exclusion(problem)
-    x = sample_points(problem, args.points, tau, args.seed)
+    x = sample_points(problem, args.points, args.tau, args.seed)
     expansion = compute_expansion(problem, x, args.order)
     derivs = expansion.derivatives()
     lines = ["component,order,x,value"]
@@ -218,8 +227,7 @@ def _cmd_derive(args: argparse.Namespace, problem) -> int:
 
 
 def _cmd_taylor(args: argparse.Namespace, problem) -> int:
-    tau = args.tau if args.tau is not None else default_exclusion(problem)
-    x = sample_points(problem, args.points, tau, args.seed)
+    x = sample_points(problem, args.points, args.tau, args.seed)
     expansion = compute_expansion(problem, x, args.order)
     rows = []
     for m in range(problem.components):

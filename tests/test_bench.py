@@ -127,6 +127,27 @@ def test_sampling_evaluates_the_probe_grid_once():
     assert sizes.count(4097) == 1
 
 
+def test_default_threshold_is_the_explicit_default_exclusion():
+    prob = get_problem("wave")
+    np.testing.assert_array_equal(
+        sample_points(prob, 30, None, 3), sample_points(prob, 30, default_exclusion(prob), 3)
+    )
+
+
+def test_benchmark_evaluates_the_probe_grid_once():
+    # the default threshold and the draws come from one probe-grid evaluation
+    prob = get_problem("heat")
+    sizes = []
+
+    def counting(x):
+        sizes.append(np.size(x))
+        return prob.ic_numpy(x)
+
+    report = run_benchmark(dataclasses.replace(prob, ic_numpy=counting), max_order=2, num_points=20)
+    assert sizes.count(4097) == 1
+    assert report.tau == default_exclusion(prob)
+
+
 def test_single_point_sampling():
     prob = get_problem("heat")
     a = sample_points(prob, 1, tau=0.1, seed=4)

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,6 +334,17 @@ def test_option_a_subcommand_does_not_read_is_a_usage_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, key, value", UNREAD)
+def test_an_unread_flag_is_reported_with_the_subcommand_usage(
+    tmp_path, capsys, command, key, value
+):
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--problem", "heat", "--out", out, f"--{key}", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: pdetaylor {command} [-h]")
+    assert f"pdetaylor {command}: error: unrecognized arguments: --{key} {value}" in err
+
+
 @pytest.mark.parametrize("command", ["bench", "taylor", "plotdata"])
 def test_empty_horizon_list_is_a_usage_error(tmp_path, capsys, command):
     cfg = tmp_path / "run.cfg"
@@ -457,3 +472,36 @@ def test_argparse_level_errors_map_to_exit_codes(capsys):
     assert cli.main(["derive", "--format", "xml"]) == 2
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+# -- start-up -------------------------------------------------------------------
+
+_SCIPY_PROBE = """
+import json, sys
+import numpy as np
+import pdetaylor, pdetaylor.cli
+from pdetaylor import cli, get_problem, reference_solve
+
+out = sys.argv[1]
+codes = [
+    cli.main(["taylor", "--problem", "burgers", "--order", "2", "--points", "5", "--out", out]),
+    cli.main(["bench", "--problem", "heat", "--points", "5", "--out", out]),
+]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+values = reference_solve(get_problem("burgers"), np.linspace(-0.9, 0.9, 7), 0.0)
+print(json.dumps({"codes": codes, "scipy": loaded,
+                  "finite": all(bool(np.isfinite(v).all()) for v in values)}))
+"""
+
+
+def test_cli_runs_load_no_scipy_until_the_reference_solver(tmp_path):
+    # a fresh interpreter: this suite's own imports have loaded scipy already
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    assert result["scipy"] == []
+    assert result["finite"]
