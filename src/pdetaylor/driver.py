@@ -144,7 +144,9 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
         block = slice(start, start + _BLOCK)
         rows = [[c[block] for c in comp] for comp in coeffs]
         try:
-            _expand_block(problem, x[block], max_order, rows)
+            # an overflow or NaN is reported once, as DivergenceError, not as numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                _expand_block(problem, x[block], max_order, rows)
         except DivergenceError as exc:
             if failure is None or (exc.order, exc.component) < (failure.order, failure.component):
                 failure = exc
@@ -209,7 +211,7 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
         new_jets = []
         for c in range(m):
             new_jet = _real(alg, f[c].coeff(i - 1) * (1.0 / i))
-            if not alg.finite(new_jet):
+            if not np.isfinite(new_jet.coeffs).all():
                 raise DivergenceError(order=i, component=c)
             new_jets.append(new_jet)
             rows[c][i][:] = new_jet.coeffs[0]

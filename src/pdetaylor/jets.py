@@ -15,9 +15,9 @@ for bit those of a series over :class:`BatchAlgebra` on the same rows.
 A jet is a :class:`~pdetaylor.series.TruncatedSeries` over
 :class:`BatchAlgebra`, so the quotient and the analytic lifts of
 :mod:`pdetaylor.series` apply unchanged: they run the series recurrence steps
-over the rows of a preallocated array.  :class:`BatchAlgebra` supplies only
-the batch size, the constants and the elementwise primitives exp, sin_cos,
-log and pow.
+over the rows of a preallocated array.  :class:`BatchAlgebra` is the
+elementwise :class:`~pdetaylor.series.RealAlgebra` with a batch size and
+array constants; the tests and primitives are stated once, there.
 
 :func:`seed_variable` builds the jet of the identity function, ``[X, 1, 0,
 ..., 0]``; evaluating an expression on the seed yields the jet of that
@@ -39,7 +39,7 @@ import numpy as np
 
 from .series import (
     CoefficientAlgebra,
-    LiftDomainError,
+    RealAlgebra,
     TruncatedSeries,
     _as_scalar,
     exp,
@@ -54,8 +54,8 @@ class InsufficientJetOrderError(ValueError):
 
 
 @dataclass(frozen=True)
-class BatchAlgebra(CoefficientAlgebra):
-    """Elementwise float64 arithmetic over a fixed batch of points."""
+class BatchAlgebra(RealAlgebra):
+    """Float64 arrays over one batch of points: :class:`RealAlgebra` with array constants."""
 
     size: int
 
@@ -64,34 +64,6 @@ class BatchAlgebra(CoefficientAlgebra):
 
     def one(self):
         return np.ones(self.size)
-
-    def is_zero(self, a):
-        return bool(np.all(a == 0.0))
-
-    def is_invertible(self, a):
-        return bool(np.all(a != 0.0))
-
-    def finite(self, a):
-        return bool(np.isfinite(a).all())
-
-    def exp(self, a):
-        return np.exp(a)
-
-    def sin_cos(self, a):
-        return np.sin(a), np.cos(a)
-
-    def log(self, a):
-        if np.any(a <= 0.0):
-            raise LiftDomainError("log requires every constant-term entry positive")
-        return np.log(a)
-
-    def pow(self, a, exponent):
-        if not float(exponent).is_integer():
-            if np.any(a < 0.0):
-                raise LiftDomainError("non-integer power of a negative entry")
-        elif exponent < 0 and np.any(a == 0.0):
-            raise LiftDomainError("negative power of a zero entry")
-        return np.power(a, exponent)
 
 
 class Jet(TruncatedSeries):
@@ -232,9 +204,6 @@ class JetAlgebra(CoefficientAlgebra):
 
     def is_invertible(self, a):
         return self.inner.is_invertible(a.coeffs[0])
-
-    def finite(self, a):
-        return bool(np.isfinite(a.coeffs).all())
 
     def exp(self, a):
         return exp(a)

@@ -14,12 +14,13 @@ is an error rather than a renormalisation.
 Coefficients combine through their own ``+``, ``-``, ``*``, ``/`` and
 ``* float`` operators, so Python floats, NumPy batches and jets all work
 unchanged.  A :class:`CoefficientAlgebra` supplies only what differs between
-those spaces: the constants zero, one and a real number, the zero,
-invertibility and finiteness tests, and the analytic primitives.  The scalar
-algebra over Python floats is provided here; batched (NumPy) and spatial-jet
-algebras live in :mod:`pdetaylor.jets`.  Because a jet is itself a truncated
-series, series can nest: a series in the time infinitesimal whose coefficients
-are jets in a space increment, whose coefficients are batches of reals.
+those spaces: the constants zero and one, the zero and invertibility tests,
+and the analytic primitives.  :class:`RealAlgebra` states these once,
+elementwise on NumPy, so it serves a float and a batch of points alike; the
+batch algebra, which only adds a size, and the spatial-jet algebra live in
+:mod:`pdetaylor.jets`.  Because a jet is itself a truncated series, series
+can nest: a series in the time infinitesimal whose coefficients are jets in a
+space increment, whose coefficients are batches of reals.
 
 Analytic functions (exp, sin, cos, ln, constant powers) extend to series
 through the usual Taylor-composition recurrences, and reciprocal and sech are
@@ -41,10 +42,11 @@ ACM TOMS 39(3), 2013).  Algebra methods and :class:`TruncatedSeries` never see i
 
 from __future__ import annotations
 
-import math
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class OrderMismatchError(ValueError):
@@ -73,9 +75,9 @@ class CoefficientAlgebra(ABC):
     Ring arithmetic is not part of it: coefficients combine with each other
     and with a float through their own ``+``, ``-``, ``*`` and ``/``
     operators.  An algebra supplies the constants ``zero`` and ``one``, the
-    predicates ``is_zero``, ``is_invertible`` and ``finite``, and the analytic
-    primitives evaluated on the constant term of a lift.  Implementations are
-    small stateless (or shape-carrying) objects; two algebra instances compare
+    predicates ``is_zero`` and ``is_invertible``, and the analytic primitives
+    evaluated on the constant term of a lift.  Implementations are small
+    stateless (or shape-carrying) objects; two algebra instances compare
     equal when they describe the same coefficient space, which is what series
     compatibility checks rely on.
     """
@@ -91,10 +93,6 @@ class CoefficientAlgebra(ABC):
 
     @abstractmethod
     def is_invertible(self, a) -> bool: ...
-
-    @abstractmethod
-    def finite(self, a) -> bool:
-        """True when the element contains no infinities or NaNs."""
 
     # analytic primitives, used for the constant term of lifted functions
 
@@ -114,7 +112,13 @@ class CoefficientAlgebra(ABC):
 
 @dataclass(frozen=True)
 class RealAlgebra(CoefficientAlgebra):
-    """Plain float coefficients; the reference algebra implementation."""
+    """Real coefficients, as floats or NumPy arrays, combined elementwise.
+
+    Every method works the same on a float as on an array, so
+    :class:`~pdetaylor.jets.BatchAlgebra` adds only its batch size and
+    constants.  A test holds when it holds at every entry, and a lift's
+    domain check fails when any entry lies outside the domain.
+    """
 
     def zero(self):
         return 0.0
@@ -123,33 +127,26 @@ class RealAlgebra(CoefficientAlgebra):
         return 1.0
 
     def is_zero(self, a):
-        return a == 0.0
+        return bool(np.all(a == 0.0))
 
     def is_invertible(self, a):
-        return a != 0.0
-
-    def finite(self, a):
-        return math.isfinite(a)
+        return bool(np.all(a != 0.0))
 
     def exp(self, a):
-        return math.exp(a)
+        return np.exp(a)
 
     def sin_cos(self, a):
-        return math.sin(a), math.cos(a)
+        return np.sin(a), np.cos(a)
 
     def log(self, a):
-        if a <= 0.0:
-            raise LiftDomainError(f"log requires a positive constant term, got {a}")
-        return math.log(a)
+        if np.any(a <= 0.0):
+            raise LiftDomainError("log requires every constant-term entry positive")
+        return np.log(a)
 
     def pow(self, a, exponent):
-        if a < 0.0 and not float(exponent).is_integer():
-            raise LiftDomainError(
-                f"non-integer power of a negative constant term: {a} ** {exponent}"
-            )
-        if a == 0.0 and exponent < 0:
-            raise LiftDomainError("negative power of a zero constant term")
-        return a ** exponent
+        if not float(exponent).is_integer() and np.any(a < 0.0):
+            raise LiftDomainError("non-integer power of a negative entry")
+        return np.power(a, exponent)
 
 
 class _StructuralZero:
@@ -749,35 +746,6 @@ def sech(series):
     e = exp(series)
     cosh = (e + reciprocal(e)) * 0.5
     return reciprocal(cosh)
-
-
-_LIFTS = {
-    "exp": exp,
-    "sin": sin,
-    "cos": cos,
-    "ln": log,
-    "log": log,
-    "reciprocal": reciprocal,
-    "sech": sech,
-}
-
-
-def analytic_lift(name: str, series, exponent: float | None = None):
-    """Apply a named analytic function to a series.
-
-    ``pow_const`` requires ``exponent``; the other names are exp, sin, cos,
-    ln, reciprocal and sech.
-    """
-    if name == "pow_const":
-        if exponent is None:
-            raise ValueError("pow_const needs an exponent")
-        return power(series, exponent)
-    try:
-        f = _LIFTS[name]
-    except KeyError:
-        known = ", ".join(sorted(_LIFTS) + ["pow_const"])
-        raise ValueError(f"unknown analytic function {name!r}; known: {known}") from None
-    return f(series)
 
 
 def _require_series(obj):

@@ -22,7 +22,7 @@ from pdetaylor import (
     sample_points,
     write_report_csv,
 )
-from pdetaylor.bench import default_exclusion
+from pdetaylor.bench import _CELLS, _DT_MAX, default_exclusion
 from pdetaylor.series import sin as series_sin
 
 PI = math.pi
@@ -290,10 +290,10 @@ def test_reference_contract_enforced():
         reference_solve(prob, pts, 0.2)
     with pytest.raises(ValueError):
         reference_solve(prob, pts, -0.01)
-    with pytest.raises(ValueError):
-        reference_solve(prob, pts, 0.01, cells=1024)
-    with pytest.raises(ValueError):
-        reference_solve(prob, pts, 0.01, dt_max=1e-5)
+    with pytest.raises(ValueError, match="horizon"):
+        reference_solve(prob, pts, math.nan)
+    # the grid and step are fixed at the contract: at least 2048 cells, dt <= 1e-6
+    assert _CELLS >= 2048 and _DT_MAX <= 1e-6
 
 
 def test_reference_at_zero_returns_initial_profile():

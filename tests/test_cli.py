@@ -467,6 +467,20 @@ def test_numerical_failure_exits_1_although_it_is_a_value_error(
     assert not list(tmp_path.iterdir())
 
 
+def test_divergence_prints_its_error_line_and_no_numpy_warnings(tmp_path):
+    # a fresh interpreter that shows every RuntimeWarning on stderr, as a plain run does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m", "pdetaylor.cli", "taylor",
+         "--problem", "allen_cahn", "--param", "reaction=1e150", "--order", "20",
+         "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert run.returncode == 1
+    assert run.stderr == "error: non-finite expansion coefficient at order 3 (component 0)\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_argparse_level_errors_map_to_exit_codes(capsys):
     assert cli.main([]) == 2  # a subcommand is required
     assert cli.main(["derive", "--format", "xml"]) == 2

@@ -15,7 +15,6 @@ from pdetaylor import (
     RealAlgebra,
     TruncatedSeries,
     TruncationWarning,
-    analytic_lift,
 )
 from pdetaylor.jets import Jet
 from pdetaylor.series import (
@@ -258,18 +257,6 @@ def test_sech_matches_exp_composition():
     assert c.coeffs[0] == pytest.approx(1.0 / math.cosh(0.3), rel=1e-15)
 
 
-def test_analytic_lift_dispatch():
-    a = s(0.2, 1, 0, 0)
-    assert analytic_lift("exp", a).coeffs == exp(a).coeffs
-    assert analytic_lift("sin", a).coeffs == sin(a).coeffs
-    assert analytic_lift("cos", a).coeffs == cos(a).coeffs
-    assert analytic_lift("ln", a + 1).coeffs == log(a + 1).coeffs
-    assert analytic_lift("log", a + 1).coeffs == log(a + 1).coeffs
-    assert analytic_lift("reciprocal", a + 1).coeffs == reciprocal(a + 1).coeffs
-    assert analytic_lift("sech", a).coeffs == sech(a).coeffs
-    assert analytic_lift("pow_const", a + 1, exponent=0.5).coeffs == power(a + 1, 0.5).coeffs
-
-
 # -- error behaviour ------------------------------------------------------
 
 
@@ -312,28 +299,35 @@ def test_shift_validation():
         s(1, 2).shift_down(-1)
 
 
-def test_log_domain_error():
+def batch_s(*coeffs):
+    """A series over two points: the constant 1, then the given coefficients.
+    One entry outside a lift's domain fails the whole batch."""
+    rows = [np.array([float(k == 0), float(c)]) for k, c in enumerate(coeffs)]
+    return TruncatedSeries(BatchAlgebra(2), rows)
+
+
+# One domain check serves a float and a batch of points.
+FLOAT_AND_BATCH = pytest.mark.parametrize("make", [s, batch_s], ids=["float", "batch"])
+
+
+@FLOAT_AND_BATCH
+def test_log_domain_error(make):
     with pytest.raises(LiftDomainError):
-        log(s(-1, 1, 0))
+        log(make(-1, 1, 0))
     with pytest.raises(LiftDomainError):
-        log(s(0, 1, 0))
+        log(make(0, 1, 0))
 
 
-def test_fractional_power_needs_invertible_constant():
+@FLOAT_AND_BATCH
+def test_fractional_power_needs_invertible_constant(make):
     with pytest.raises(LiftDomainError):
-        power(s(0, 1, 0), 0.5)
+        power(make(0, 1, 0), 0.5)
 
 
-def test_negative_fractional_power_of_negative_base():
+@FLOAT_AND_BATCH
+def test_negative_fractional_power_of_negative_base(make):
     with pytest.raises(LiftDomainError):
-        power(s(-2, 1, 0), 0.5)
-
-
-def test_unknown_lift_name():
-    with pytest.raises(ValueError, match="unknown analytic function"):
-        analytic_lift("tanh", s(0, 1))
-    with pytest.raises(ValueError, match="exponent"):
-        analytic_lift("pow_const", s(1, 1))
+        power(make(-2, 1, 0), 0.5)
 
 
 def test_series_is_immutable():

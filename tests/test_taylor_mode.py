@@ -13,7 +13,6 @@ from pdetaylor import (
     PdeProblem,
     RealAlgebra,
     TruncatedSeries,
-    analytic_lift,
     available_problems,
     compute_expansion,
     cos,
@@ -63,8 +62,8 @@ def _lifts_rhs(u, u_x, u_xx, t, x):
     s, c = sin_cos(x * PI)
     return [
         (exp(-t) * s + cos(v) * u_x[0] - sin(v) * 0.1 + log(v) * c
-         + analytic_lift("sech", v - 2.0) - reciprocal(v) + sech(t + 0.3)
-         + v ** 1.5 - power(v, 3) * 0.01 + v ** -2.0 + analytic_lift("pow_const", v, 0.5))
+         + sech(v - 2.0) - reciprocal(v) + sech(t + 0.3)
+         + v ** 1.5 - power(v, 3) * 0.01 + v ** -2.0 + power(v, 0.5))
         * 0.05
     ]
 
