@@ -201,7 +201,7 @@ def test_batch_algebra_invertibility_and_finiteness():
     assert alg.is_invertible(np.array([1.0, -2.0, 0.5]))
     assert not alg.is_invertible(np.array([1.0, 0.0, 0.5]))
     # the tests are elementwise comparisons, whatever the entries' finiteness;
-    # finiteness itself is the driver's check, not the algebra's
+    # finiteness itself is checked by compute_expansion, not by the algebra
     assert alg.is_invertible(np.array([1.0, np.inf, -np.inf]))
     assert not alg.is_zero(np.array([0.0, np.nan, 0.0]))
     assert alg.is_zero(np.array([0.0, -0.0, 0.0]))
