@@ -177,6 +177,8 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
     # Only its value row is kept of older orders, copied out into ``rows``.
     newest = list(g)
     for c, jet in enumerate(newest):
+        if not np.isfinite(jet.coeffs).all():
+            raise DivergenceError(order=0, component=c)
         rows[c][0][:] = jet.coeffs[0]
     tape = SeriesTape()
 

@@ -10,7 +10,14 @@ that convolution one slice-accumulate kernel: ``P+1`` array multiplies and
 adds over whole blocks of rows, instead of ``(P+1)(P+2)/2`` of each on single
 rows.  The kernel sums ``a_0 b_k + a_1 b_{k-1} + ...`` in the order of
 :class:`~pdetaylor.series.TruncatedSeries`, so a jet's coefficients are bit
-for bit those of a series over :class:`BatchAlgebra` on the same rows.
+for bit those of a series over :class:`BatchAlgebra` on the same rows.  The
+one exception: when an operand is constant in space (every row past 0 zero,
+as in a zero jet), the product skips the kernel and scales the other operand
+row by row by that constant.  The kernel would only have added zeros, so the
+result is the same except that a zero may have the other sign.  Every row of
+the other operand is kept, so an ``inf`` in it still makes its row of the
+product non-finite (``inf * 0`` is NaN) and leaves the rows below finite, as
+in the kernel: a divergence is reported at the same order.
 
 A jet is a :class:`~pdetaylor.series.TruncatedSeries` over
 :class:`BatchAlgebra`, so the quotient and the analytic lifts of
@@ -133,6 +140,12 @@ class Jet(TruncatedSeries):
         if b is None:
             return NotImplemented
         a = self.coeffs
+        # An operand constant in space scales the other row by row; only the
+        # sign of a zero result may differ from the kernel.
+        if _constant_in_space(a):
+            return Jet(self.algebra, b * a[0])
+        if _constant_in_space(b):
+            return Jet(self.algebra, a * b[0])
         n = len(a)
         # row k accumulates a_0 b_k + a_1 b_{k-1} + ... + a_k b_0 in that order
         c = a[0] * b
@@ -141,6 +154,16 @@ class Jet(TruncatedSeries):
         return Jet(self.algebra, c)
 
     __rmul__ = __mul__
+
+
+def _constant_in_space(rows) -> bool:
+    """Every row past 0 is zero, as in a zero jet; a NaN row is nonzero.
+
+    Row 1 is tested first, which settles a jet that varies in space in O(N):
+    testing every row of both operands took about a tenth of allen_cahn's
+    jet-product time.
+    """
+    return not (rows[1:2].any() or rows[2:].any())
 
 
 def seed_variable(points, order: int) -> Jet:

@@ -467,17 +467,35 @@ def test_numerical_failure_exits_1_although_it_is_a_value_error(
     assert not list(tmp_path.iterdir())
 
 
-def test_divergence_prints_its_error_line_and_no_numpy_warnings(tmp_path):
-    # a fresh interpreter that shows every RuntimeWarning on stderr, as a plain run does
+def _run_warning_loud(argv):
+    """Run the CLI in a fresh interpreter that shows every RuntimeWarning on
+    stderr, as a plain run does."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    run = subprocess.run(
-        [sys.executable, "-W", "always::RuntimeWarning", "-m", "pdetaylor.cli", "taylor",
-         "--problem", "allen_cahn", "--param", "reaction=1e150", "--order", "20",
-         "--out", str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m", "pdetaylor.cli", *argv],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+
+
+def test_divergence_prints_its_error_line_and_no_numpy_warnings(tmp_path):
+    run = _run_warning_loud(
+        ["taylor", "--problem", "allen_cahn", "--param", "reaction=1e150", "--order", "20",
+         "--out", str(tmp_path)]
     )
     assert run.returncode == 1
     assert run.stderr == "error: non-finite expansion coefficient at order 3 (component 0)\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["taylor", "derive"])
+def test_non_finite_initial_condition_diverges_at_order_0(tmp_path, command):
+    # sin(inf * x) is NaN already in C_0; sampling the points must not warn either
+    run = _run_warning_loud(
+        [command, "--problem", "heat", "--param", "mode=1e308", "--order", "2", "--points", "3",
+         "--out", str(tmp_path)]
+    )
+    assert run.returncode == 1
+    assert run.stderr == "error: non-finite expansion coefficient at order 0 (component 0)\n"
     assert not list(tmp_path.iterdir())
 
 

@@ -179,6 +179,36 @@ def test_divergence_error_can_appear_at_higher_order():
     assert err.value.order >= 1
 
 
+@pytest.mark.parametrize(
+    "ic, rhs, max_order, expected",
+    [
+        # V is identically zero; at jet order 6, u^4 from 1e78 * x overflows in
+        # row 4 only, and V * u^4 carries that row's inf * 0 into V's C_1
+        (
+            lambda seed: [seed * 1e78, seed * 0.0],
+            lambda u, u_x, u_xx, t, x: [u[0] * u[0] * u[0], u[1] * (u[0] * u[0] * u[0] * u[0])],
+            3,
+            (1, 1),
+        ),
+        # V is the constant 2; u^3 * V from 1e60 * x overflows at order 3
+        (
+            lambda seed: [seed * 1e60, seed * 0.0 + 2.0],
+            lambda u, u_x, u_xx, t, x: [u[0] * u[0] * u[0] * u[1], u[1] * 0.0],
+            5,
+            (3, 0),
+        ),
+    ],
+    ids=["zero", "constant"],
+)
+def test_divergence_through_a_jet_constant_in_space(ic, rhs, max_order, expected):
+    # a product by a jet constant in space scales the other operand instead of
+    # convolving it; the overflow must still be reported where the kernel did
+    prob = dataclasses.replace(_toy_problem(1.0, rhs), components=2, ic=ic)
+    with pytest.raises(DivergenceError) as err:
+        compute_expansion(prob, np.array([-0.01, 0.02]), max_order)
+    assert (err.value.order, err.value.component) == expected
+
+
 def test_rhs_must_return_series():
     prob = _toy_problem(1.0, lambda u, u_x, u_xx, t, x: [np.zeros(1)])
     with pytest.raises(TypeError, match="series"):
@@ -349,3 +379,19 @@ def test_divergence_through_x_and_t_is_reported_where_it_enters():
     with pytest.raises(DivergenceError) as err:
         compute_expansion(toy(lambda node, t, x: node * t), x, 5)
     assert (err.value.order, err.value.component) == (4, 0)
+
+
+def test_schrodinger_parity_in_time_gives_exact_zero_coefficients():
+    # real initial data make U even in t and V odd; jet products by those
+    # zero coefficients scale the other operand instead of convolving it
+    x = np.array([-2.3, -0.4, 0.0, 1.1, 3.7])
+    u, v = compute_expansion(get_problem("schrodinger"), x, 20).coeffs
+    for i in range(21):
+        np.testing.assert_array_equal((v if i % 2 == 0 else u)[i] == 0.0, True)
+
+
+def test_non_finite_initial_condition_diverges_at_order_0():
+    prob = _toy_problem(np.nan, lambda u, u_x, u_xx, t, x: [u[0]])
+    with pytest.raises(DivergenceError) as err:
+        compute_expansion(prob, np.array([-0.5, 0.5]), 3)
+    assert (err.value.order, err.value.component) == (0, 0)

@@ -8,11 +8,15 @@ series recurrence steps row by row, and the results are compared as uint64
 bit patterns.  Orders reach 42 (the working jet order of a K=21 expansion)
 and batches 70 points; rows are random and finite, with exact and negative
 zeros mixed in.
+
+The one exception is a product with an operand constant in space (every row
+past 0 zero): the jet scales the other operand row by row instead of running
+the kernel, and a zero result may then differ from the kernel's in sign.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdetaylor import BatchAlgebra, TruncatedSeries, derivative, exp, sin_cos
@@ -72,8 +76,23 @@ def _as_tuple(result):
     return result if isinstance(result, tuple) else (result,)
 
 
+def _any_constant_in_space(*jets):
+    return any(not j.coeffs[1:].any() for j in jets)
+
+
+def _assert_equal_but_for_zero_signs(got, want):
+    """Bit for bit wherever ``want`` is nonzero, and ``==`` at its zeros."""
+    got, want = np.asarray(got), np.asarray(want)
+    zero = want == 0.0
+    np.testing.assert_array_equal(_bits(got[~zero]), _bits(want[~zero]))
+    np.testing.assert_array_equal(got[zero], want[zero])
+
+
 @pytest.mark.parametrize("name", sorted(OPERATIONS))
 @settings(max_examples=40, deadline=None)
+# a zero jet times a jet whose row 1 is negative: the kernel adds 0 * b_0 to
+# the -0 of a_0 * b_1, the scaling does not
+@example(order=1, size=1, seed=66309899, s=1.0)
 @given(order=orders, size=sizes, seed=seeds, s=scalars)
 def test_flat_jet_matches_row_by_row_series(name, order, size, seed, s):
     jet_a, ref_a = _pair(_rows(seed, order, size))
@@ -86,7 +105,60 @@ def test_flat_jet_matches_row_by_row_series(name, order, size, seed, s):
     for g, w in zip(got, want):
         assert isinstance(g, Jet) and g.coeffs.flags.c_contiguous
         assert g.coeffs.shape == (order + 1, size)
-        np.testing.assert_array_equal(_bits(g.coeffs), _bits(w.coeffs))
+        if name == "mul" and _any_constant_in_space(jet_a, jet_b):
+            _assert_equal_but_for_zero_signs(g.coeffs, w.coeffs)
+        else:
+            np.testing.assert_array_equal(_bits(g.coeffs), _bits(w.coeffs))
+
+
+def _lowest_non_finite_row(rows):
+    bad = ~np.isfinite(rows).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    order=orders,
+    size=sizes,
+    seed=seeds,
+    all_zero=st.booleans(),
+    constant_first=st.booleans(),
+)
+def test_product_by_a_jet_constant_in_space(data, order, size, seed, all_zero, constant_first):
+    # zeros of both signs past row 0, and in row 0 too for an all-zero jet
+    constant = _rows(seed, order, size)
+    constant[1:] = np.copysign(0.0, constant[1:])
+    if all_zero:
+        constant[0] = np.copysign(0.0, constant[0])
+    other = _rows(seed + 1, order, size)
+
+    def product(constant, other):
+        jet_c, ref_c = _pair(constant)
+        jet_o, ref_o = _pair(other)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if constant_first:
+                return (jet_c * jet_o).coeffs, (ref_c * ref_o).coeffs
+            return (jet_o * jet_c).coeffs, (ref_o * ref_c).coeffs
+
+    got, want = product(constant, other)
+    _assert_equal_but_for_zero_signs(got, want)
+
+    # an inf in row r of the other operand makes row r of the product
+    # non-finite and leaves every row below it finite, as in the kernel
+    r = data.draw(st.integers(0, order), label="r")
+    point = data.draw(st.integers(0, size - 1), label="point")
+    with_inf = other.copy()
+    with_inf[r, point] = data.draw(st.sampled_from([np.inf, -np.inf]), label="inf")
+    got, want = product(constant, with_inf)
+    assert not np.isfinite(got[r, point])
+    assert _lowest_non_finite_row(got) == _lowest_non_finite_row(want) == r
+
+    # a NaN past row 0 is not a zero: that operand takes the kernel
+    if order > 0:
+        constant[data.draw(st.integers(1, order), label="nan_row"), point] = np.nan
+        got, want = product(constant, other)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 @settings(max_examples=60, deadline=None)
