@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import compute_expansion
+from .driver import DivergenceError, compute_expansion
 from .problems import NoExactOracleError, PdeProblem
 
 
@@ -72,11 +72,18 @@ def nrmse(y_true, y_approx) -> float:
 
 
 def _ic_peaks(problem: PdeProblem) -> list[float]:
-    """Largest magnitude of each initial-condition component on a 4097-point grid."""
+    """Largest magnitude of each initial-condition component on a 4097-point grid.
+
+    A component that is not finite there raises the :class:`DivergenceError`
+    that :func:`compute_expansion` gives for it, at order 0; a NaN peak would
+    pass every threshold test.
+    """
     lo, hi = problem.domain
-    # a non-finite initial condition is reported by compute_expansion, at order 0
     with np.errstate(over="ignore", invalid="ignore"):
         g = problem.ic_numpy(np.linspace(lo, hi, 4097))
+    for m, gm in enumerate(g):
+        if not np.isfinite(gm).all():
+            raise DivergenceError(order=0, component=m)
     return [float(np.abs(gm).max()) for gm in g]
 
 

@@ -6,17 +6,26 @@ infinitesimal step ``h`` is a truncated series ``U(h, X) = C_0 + C_1*h + ...
 The right-hand side is called once per block of points and the coefficients
 are then grown one order per iteration (Taylor-mode propagation):
 
-1. seed ``C_0`` with the initial condition evaluated on a jet of ``x``;
+1. seed ``C_0`` with the initial condition evaluated on a jet of ``x``; a
+   component that is zero whatever the data may be
+   :data:`~pdetaylor.series.ZERO` (a structural zero) instead of a jet;
 2. call ``F`` once on :class:`~pdetaylor.series.LazySeries` nodes for ``U``,
    ``U_x``, ``U_xx``, ``t`` and ``x``; the ``U`` nodes read the coefficients
-   stored so far, differentiating each in space only when it is first read.
-   ``x`` is the seed jet at order 0 and :data:`~pdetaylor.series.ZERO` (a
-   structural zero) above it, ``t`` is one at order 1 and ``ZERO`` elsewhere,
-   so an explicit ``x`` or ``t`` in ``F`` convolves no zeros;
+   stored so far, differentiating each in space only when it is first read,
+   and read a ``ZERO`` coefficient as ``ZERO`` in every derivative.
+   ``x`` is the seed jet at order 0 and ``ZERO`` above it, ``t`` is one at
+   order 1 and ``ZERO`` elsewhere, so an explicit ``x`` or ``t`` in ``F``
+   convolves no zeros;
 3. at iteration ``i``, ask each output node of ``F`` for its coefficient
    ``F_{i-1}``; each node in the graph computes exactly one new coefficient
-   from the ones it has memoised, and ``C_i = F_{i-1} / i`` (a ``ZERO``
-   output becomes a zero jet, so no caller ever sees the sentinel).
+   from the ones it has memoised, and ``C_i = F_{i-1} / i``.  A ``ZERO``
+   output stays ``ZERO`` for the next iteration to read, and its value row is
+   written as ``+0.0``; a jet is checked finite and its row 0 copied out.
+
+A ``ZERO`` initial component carries through the graph: with real initial
+data, Schrodinger's ``V`` starts as ``ZERO``, so every time coefficient of
+the opposite parity (``U``'s odd and ``V``'s even ones) is ``ZERO`` too, and
+the products, sums, derivatives and copies of that half cost nothing.
 
 That costs ``O(K**2)`` jet products per product in ``F`` instead of the
 ``O(K**3)`` of re-evaluating ``F`` at every order.  Every recurrence step is
@@ -33,7 +42,8 @@ including the stored history of every node, is truncated to ``W_i`` before
 the step, and ``C_i`` is computed at ``W_i``.  ``C_K`` is never
 differentiated.  Coefficient values are exact to the end regardless, for the
 same triangularity reason.  Iteration ``i`` reads only ``C_{i-1}``, so the
-driver holds one jet per component, and of older orders only the values.
+driver holds one jet (or ``ZERO``) per component, and of older orders only
+the values.
 
 A jet is one ``(P+1, N)`` array (:class:`~pdetaylor.jets.Jet`), and the
 points are expanded in blocks of ``_BLOCK``, each with its own ``rhs`` call
@@ -58,7 +68,7 @@ import numpy as np
 
 from .jets import BatchAlgebra, Jet, JetAlgebra, derivative, seed_variable
 from .problems import PdeProblem
-from .series import ZERO, LazySeries, SeriesTape, _real
+from .series import ZERO, LazySeries, SeriesTape
 
 MAX_ORDER = 20
 # Points expanded together.  Every operation is elementwise across points, so
@@ -173,22 +183,22 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
     if len(g) != m:
         raise ValueError(f"initial condition returned {len(g)} components, expected {m}")
 
-    # Per component: the newest coefficient jet, C_i stored at jet order W_i.
-    # Only its value row is kept of older orders, copied out into ``rows``.
+    # Per component: the newest coefficient, C_i stored at jet order W_i, or
+    # ZERO.  Only its value row is kept of older orders, copied out into ``rows``.
     newest = list(g)
-    for c, jet in enumerate(newest):
-        if not np.isfinite(jet.coeffs).all():
-            raise DivergenceError(order=0, component=c)
-        rows[c][0][:] = jet.coeffs[0]
+    for c, coeff in enumerate(newest):
+        _store(coeff, rows[c][0], 0, c)
     tape = SeriesTape()
 
     def spatial(c, d):
         # d-th x-derivative of component c.  Every node is asked for coefficient
         # k = i - 1 at iteration i, while ``newest`` still holds C_k; it is read
         # at W_{k+1}, from C_k stored at W_k = W_{k+1} + 2 jet orders.
-        return LazySeries(
-            tape, lambda alg, k: derivative(newest[c].truncated(alg.order + d), d)
-        )
+        def rule(alg, k):
+            jet = newest[c]
+            return ZERO if jet is ZERO else derivative(jet.truncated(alg.order + d), d)
+
+        return LazySeries(tape, rule)
 
     u = [spatial(c, 0) for c in range(m)]
     u_x = [spatial(c, 1) for c in range(m)]
@@ -210,11 +220,19 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
         alg = JetAlgebra(batch, work_order)
         # a copy of each kept jet: a view would keep its untruncated array alive
         tape.advance(alg, lambda jet: Jet(batch, jet.coeffs[: work_order + 1].copy()))
-        new_jets = []
+        new = []
         for c in range(m):
-            new_jet = _real(alg, f[c].coeff(i - 1) * (1.0 / i))
-            if not np.isfinite(new_jet.coeffs).all():
-                raise DivergenceError(order=i, component=c)
-            new_jets.append(new_jet)
-            rows[c][i][:] = new_jet.coeffs[0]
-        newest[:] = new_jets
+            new.append(f[c].coeff(i - 1) * (1.0 / i))
+            _store(new[c], rows[c][i], i, c)
+        newest[:] = new
+
+
+def _store(coeff, row: np.ndarray, order: int, component: int) -> None:
+    """Write the values of ``C_order`` into ``row``: ``+0.0`` for ZERO, else
+    row 0 of the jet once the whole jet is checked finite."""
+    if coeff is ZERO:
+        row[:] = 0.0
+        return
+    if not np.isfinite(coeff.coeffs).all():
+        raise DivergenceError(order=order, component=component)
+    row[:] = coeff.coeffs[0]

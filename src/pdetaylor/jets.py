@@ -12,12 +12,15 @@ rows.  The kernel sums ``a_0 b_k + a_1 b_{k-1} + ...`` in the order of
 :class:`~pdetaylor.series.TruncatedSeries`, so a jet's coefficients are bit
 for bit those of a series over :class:`BatchAlgebra` on the same rows.  The
 one exception: when an operand is constant in space (every row past 0 zero,
-as in a zero jet), the product skips the kernel and scales the other operand
-row by row by that constant.  The kernel would only have added zeros, so the
-result is the same except that a zero may have the other sign.  Every row of
-the other operand is kept, so an ``inf`` in it still makes its row of the
-product non-finite (``inf * 0`` is NaN) and leaves the rows below finite, as
-in the kernel: a divergence is reported at the same order.
+as in diffusion's ``exp(-t)`` coefficients or a zero jet), the product skips
+the kernel and scales the other operand row by row by that constant.  The
+kernel would only have added zeros, so the result is the same except that a
+zero may have the other sign.  Every row of the other operand is kept, so an
+``inf`` in it still makes its row of the product non-finite (``inf * 0`` is
+NaN) and leaves the rows below finite, as in the kernel: a divergence is
+reported at the same order.  A coefficient that is zero whatever the data,
+such as Schrodinger's parity zeros, is the structural zero of
+:mod:`pdetaylor.series` instead, and never reaches a jet product.
 
 A jet is a :class:`~pdetaylor.series.TruncatedSeries` over
 :class:`BatchAlgebra`, so the quotient and the analytic lifts of
@@ -157,7 +160,7 @@ class Jet(TruncatedSeries):
 
 
 def _constant_in_space(rows) -> bool:
-    """Every row past 0 is zero, as in a zero jet; a NaN row is nonzero.
+    """Every row past 0 is zero, as in ``exp(-t)``'s jets; a NaN row is nonzero.
 
     Row 1 is tested first, which settles a jet that varies in space in O(N):
     testing every row of both operands took about a tenth of allen_cahn's

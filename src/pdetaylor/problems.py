@@ -3,7 +3,10 @@
 Each problem bundles the pieces the expansion driver and the benchmark
 harness need:
 
-* ``ic``          initial condition evaluated on a spatial jet seed,
+* ``ic``          initial condition evaluated on a spatial jet seed; a
+  component that is zero whatever the data is
+  :data:`~pdetaylor.series.ZERO`, which the driver carries without
+  multiplying it,
 * ``rhs``         right-hand side evaluated on lazy series-of-jets arguments,
 * ``ic_numpy``    the same initial condition on plain arrays,
 * ``rhs_numpy``   the same right-hand side on plain arrays,
@@ -34,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .series import TruncatedSeries, cos, exp, sech, sin
+from .series import ZERO, TruncatedSeries, cos, exp, sech, sin
 
 PI = math.pi
 
@@ -55,8 +58,11 @@ class PdeProblem:
     oddly extendable) or ``"periodic"``; the reference solver uses it to close
     its finite-difference stencils.  ``diffusivity`` and ``advection_speed``
     bound the stiffest second- and first-order terms for time-step selection;
-    they play no role in the series path.  ``rhs`` receives ``U``, ``U_x`` and
-    ``U_xx`` and no higher spatial derivative.  ``exact_time_derivative(i, t,
+    they play no role in the series path.  ``ic`` returns one jet per
+    component, or :data:`~pdetaylor.series.ZERO` for a component that is zero
+    whatever the data (wave's and Schrodinger's second); ``ic_numpy`` returns
+    arrays throughout.  ``rhs`` receives ``U``, ``U_x`` and ``U_xx`` and no
+    higher spatial derivative.  ``exact_time_derivative(i, t,
     x)``, where given, is the closed-form ``d^i U / dt^i``; :meth:`exact` is its
     order 0.
     """
@@ -228,7 +234,7 @@ def _wave(overrides=None) -> PdeProblem:
     w2 = second_mode * speed * PI
 
     def ic(seed):
-        return [sin(seed * PI) + sin(seed * (second_mode * PI)), seed * 0.0]
+        return [sin(seed * PI) + sin(seed * (second_mode * PI)), ZERO]
 
     def rhs(u, u_x, u_xx, t, x):
         return [u[1], u_xx[0] * c2]
@@ -354,7 +360,7 @@ def _schrodinger(overrides=None) -> PdeProblem:
     params = _merge_params({}, overrides, "schrodinger")
 
     def ic(seed):
-        return [sech(seed) * 2.0, seed * 0.0]
+        return [sech(seed) * 2.0, ZERO]
 
     def rhs(u, u_x, u_xx, t, x):
         amp = u[0] * u[0] + u[1] * u[1]

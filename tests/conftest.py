@@ -16,6 +16,8 @@ import pytest
 
 from pdetaylor import TruncatedSeries, get_problem, reference_solve, sample_points
 from pdetaylor.bench import default_exclusion
+from pdetaylor.jets import Jet
+from pdetaylor.series import ZERO
 
 
 def flatten(series: TruncatedSeries) -> np.ndarray:
@@ -35,6 +37,14 @@ def assert_series_close(a: TruncatedSeries, b: TruncatedSeries, rtol=1e-14, atol
     np.testing.assert_allclose(fa, fb, rtol=rtol, atol=atol)
 
 
+def assert_equal_but_for_zero_signs(got, want):
+    """Bit for bit wherever ``want`` is nonzero, and ``==`` at its zeros."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    zero = want == 0.0
+    np.testing.assert_array_equal(got[~zero].view(np.uint64), want[~zero].view(np.uint64))
+    np.testing.assert_array_equal(got[zero], want[zero])
+
+
 def eval_jet(jet: TruncatedSeries, dx: float):
     """Numerically evaluate a spatial jet at offset dx (Horner)."""
     acc = jet.coeffs[-1]
@@ -50,6 +60,12 @@ def eval_nested(series: TruncatedSeries, eps: float, dx: float):
     for v in reversed(vals[:-1]):
         acc = acc * eps + v
     return acc
+
+
+def ic_jets(problem, seed: Jet) -> list[Jet]:
+    """The problem's initial condition on ``seed`` as jets: a component that
+    ``ic`` returns as the structural zero ``ZERO`` becomes a zero jet."""
+    return [Jet.zeros(seed.algebra, seed.order) if g is ZERO else g for g in problem.ic(seed)]
 
 
 def mp_derivative(f, x: float, m: int, base_step=0.25, levels: int = 8) -> float:

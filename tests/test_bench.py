@@ -8,6 +8,7 @@ import pytest
 
 from pdetaylor import (
     BenchReport,
+    DivergenceError,
     NoExactOracleError,
     OracleFailure,
     PdeProblem,
@@ -112,6 +113,23 @@ def test_sampling_threshold_validation():
 def test_sampling_error_when_threshold_leaves_no_room():
     with pytest.raises(SamplingError):
         sample_points(get_problem("heat"), 5, tau=1.0 - 1e-9, seed=0)
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda prob: sample_points(prob, 3, 5.0, 0),
+        lambda prob: sample_points(prob, 3, None, 0),
+        default_exclusion,
+    ],
+    ids=["tau", "default-tau", "default_exclusion"],
+)
+def test_sampling_rejects_a_non_finite_initial_condition(sample):
+    # sin(inf * x) is NaN at every point, and a NaN peak would pass every
+    # threshold test; sampling raises the expansion's order-0 error instead
+    with pytest.raises(DivergenceError) as err:
+        sample(get_problem("heat", {"mode": 1e308}))
+    assert (err.value.order, err.value.component) == (0, 0)
 
 
 def test_sampling_evaluates_the_probe_grid_once():

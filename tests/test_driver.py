@@ -301,38 +301,48 @@ def test_coefficients_own_their_memory():
 # -- structural zeros ---------------------------------------------------------
 
 
-def test_zero_coefficients_of_x_and_t_cost_no_jet_products(monkeypatch):
-    # x is zero past C_0 and t is zero except C_1 = 1; convolving those zeros
-    # made diffusion's forcing cost O(K**2) jet products
-    products = 0
+@pytest.fixture
+def jet_products(monkeypatch):
+    """One entry per jet×jet product made in the test: whether each operand is all zero."""
+    products = []
     mul = Jet.__mul__
 
-    def counting(self, other):
-        nonlocal products
-        products += isinstance(other, Jet)
+    def recording(self, other):
+        if isinstance(other, Jet):
+            products.append((not self.coeffs.any(), not other.coeffs.any()))
         return mul(self, other)
 
-    monkeypatch.setattr(Jet, "__mul__", counting)
+    monkeypatch.setattr(Jet, "__mul__", recording)
+    return products
+
+
+def test_zero_coefficients_of_x_and_t_cost_no_jet_products(jet_products):
+    # x is zero past C_0 and t is zero except C_1 = 1; convolving those zeros
+    # made diffusion's forcing cost O(K**2) jet products
     order = 20
     for name, most in (("heat", 0), ("diffusion", 2 * order)):
         prob = get_problem(name)
-        products = 0
+        jet_products.clear()
         compute_expansion(prob, np.linspace(*prob.domain, 9)[1:-1], order)
-        assert products <= most, name
+        assert len(jet_products) <= most, name
 
 
-def test_integer_power_costs_the_jet_products_of_repeated_products(monkeypatch):
+def test_zero_initial_components_cost_no_jet_products(jet_products):
+    # V's initial condition is the structural ZERO, and real initial data
+    # keep U even and V odd in t, so every term with a zero half of the
+    # parity is ZERO too and reaches no jet product (a zero jet for V would
+    # make schrodinger's 840)
+    for name, count in (("schrodinger", 210), ("wave", 0)):
+        prob = get_problem(name)
+        jet_products.clear()
+        compute_expansion(prob, np.linspace(*prob.domain, 9)[1:-1], 20)
+        assert len(jet_products) == count, name
+        assert not any(a_zero or b_zero for a_zero, b_zero in jet_products), name
+
+
+def test_integer_power_costs_the_jet_products_of_repeated_products(jet_products):
     # square-and-multiply must start from the base: starting from a constant
     # one convolves that one's zero jets (632 jet products here, not 422)
-    products = 0
-    mul = Jet.__mul__
-
-    def counting(self, other):
-        nonlocal products
-        products += isinstance(other, Jet)
-        return mul(self, other)
-
-    monkeypatch.setattr(Jet, "__mul__", counting)
     base = get_problem("allen_cahn")
     d, lam = base.params["diffusion"], base.params["reaction"]
     counts = {}
@@ -340,9 +350,9 @@ def test_integer_power_costs_the_jet_products_of_repeated_products(monkeypatch):
         def rhs(u, u_x, u_xx, t, x, cube=cube):
             return [u_xx[0] * d + (u[0] - cube(u[0])) * lam]
 
-        products = 0
+        jet_products.clear()
         compute_expansion(dataclasses.replace(base, rhs=rhs), np.linspace(-0.9, 0.9, 50), 20)
-        counts[spelling] = products
+        counts[spelling] = len(jet_products)
     assert counts["power"] == counts["products"]
 
 
@@ -382,12 +392,14 @@ def test_divergence_through_x_and_t_is_reported_where_it_enters():
 
 
 def test_schrodinger_parity_in_time_gives_exact_zero_coefficients():
-    # real initial data make U even in t and V odd; jet products by those
-    # zero coefficients scale the other operand instead of convolving it
+    # real initial data make U even in t and V odd; those coefficients are the
+    # structural ZERO, whose value row the driver writes as +0.0
     x = np.array([-2.3, -0.4, 0.0, 1.1, 3.7])
     u, v = compute_expansion(get_problem("schrodinger"), x, 20).coeffs
     for i in range(21):
-        np.testing.assert_array_equal((v if i % 2 == 0 else u)[i] == 0.0, True)
+        zero = (v if i % 2 == 0 else u)[i]
+        np.testing.assert_array_equal(zero == 0.0, True)
+        np.testing.assert_array_equal(np.signbit(zero), False)
 
 
 def test_non_finite_initial_condition_diverges_at_order_0():

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from pdetaylor import BatchAlgebra, TruncatedSeries, derivative, exp, sin_cos
 from pdetaylor.jets import Jet
 
+from conftest import assert_equal_but_for_zero_signs
+
 orders = st.integers(0, 42)
 sizes = st.integers(1, 70)
 seeds = st.integers(0, 2**32 - 1)
@@ -80,14 +82,6 @@ def _any_constant_in_space(*jets):
     return any(not j.coeffs[1:].any() for j in jets)
 
 
-def _assert_equal_but_for_zero_signs(got, want):
-    """Bit for bit wherever ``want`` is nonzero, and ``==`` at its zeros."""
-    got, want = np.asarray(got), np.asarray(want)
-    zero = want == 0.0
-    np.testing.assert_array_equal(_bits(got[~zero]), _bits(want[~zero]))
-    np.testing.assert_array_equal(got[zero], want[zero])
-
-
 @pytest.mark.parametrize("name", sorted(OPERATIONS))
 @settings(max_examples=40, deadline=None)
 # a zero jet times a jet whose row 1 is negative: the kernel adds 0 * b_0 to
@@ -106,7 +100,7 @@ def test_flat_jet_matches_row_by_row_series(name, order, size, seed, s):
         assert isinstance(g, Jet) and g.coeffs.flags.c_contiguous
         assert g.coeffs.shape == (order + 1, size)
         if name == "mul" and _any_constant_in_space(jet_a, jet_b):
-            _assert_equal_but_for_zero_signs(g.coeffs, w.coeffs)
+            assert_equal_but_for_zero_signs(g.coeffs, w.coeffs)
         else:
             np.testing.assert_array_equal(_bits(g.coeffs), _bits(w.coeffs))
 
@@ -142,7 +136,7 @@ def test_product_by_a_jet_constant_in_space(data, order, size, seed, all_zero, c
             return (jet_o * jet_c).coeffs, (ref_o * ref_c).coeffs
 
     got, want = product(constant, other)
-    _assert_equal_but_for_zero_signs(got, want)
+    assert_equal_but_for_zero_signs(got, want)
 
     # an inf in row r of the other operand makes row r of the product
     # non-finite and leaves every row below it finite, as in the kernel

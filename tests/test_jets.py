@@ -16,9 +16,9 @@ from pdetaylor import (
     seed_variable,
     values,
 )
-from pdetaylor.series import LiftDomainError, exp, sin
+from pdetaylor.series import ZERO, LiftDomainError, exp, sin
 
-from conftest import factorial, mp_derivative, mp_initial_profiles
+from conftest import factorial, ic_jets, mp_derivative, mp_initial_profiles
 
 
 def test_seed_variable_layout():
@@ -80,7 +80,7 @@ def test_derivative_order_validation():
 
 def _jet_derivs(problem_name, x, upto):
     prob = get_problem(problem_name)
-    jets = prob.ic(seed_variable(x, upto))
+    jets = ic_jets(prob, seed_variable(x, upto))
     out = []
     for jet in jets:
         rows = [factorial(k) * np.asarray(jet.coeffs[k]) for k in range(upto + 1)]
@@ -152,7 +152,7 @@ _FD_CASES = [
 def test_profile_jets_match_finite_differences(name, points):
     x = np.array(points)
     prob = get_problem(name)
-    jets = prob.ic(seed_variable(x, 4))
+    jets = ic_jets(prob, seed_variable(x, 4))
     profiles = mp_initial_profiles(name)
     for comp, jet in enumerate(jets):
         f = profiles[comp]
@@ -163,9 +163,11 @@ def test_profile_jets_match_finite_differences(name, points):
 
 
 def test_zero_component_profiles_are_exactly_zero():
+    # zero whatever the data, so the series path carries the structural zero
     for name in ("wave", "schrodinger"):
-        jets = get_problem(name).ic(seed_variable(np.array([0.3]), 6))
-        assert all(float(np.abs(c).max()) == 0.0 for c in jets[1].coeffs)
+        prob = get_problem(name)
+        assert prob.ic(seed_variable(np.array([0.3]), 6))[1] is ZERO
+        assert float(np.abs(prob.ic_numpy(np.array([0.3]))[1]).max()) == 0.0
 
 
 # -- calculus identities through jets --------------------------------------

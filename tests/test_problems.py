@@ -18,6 +18,8 @@ from pdetaylor import (
     values,
 )
 
+from conftest import ic_jets
+
 PI = math.pi
 
 ALL_NAMES = ["allen_cahn", "burgers", "diffusion", "heat", "schrodinger", "wave"]
@@ -211,7 +213,7 @@ def test_series_rhs_matches_array_rhs_at_start(name):
     x = np.linspace(lo + 0.07, hi - 0.07, 13)
     c1 = [c[1] for c in compute_expansion(prob, x, 1).coeffs]
 
-    jets = prob.ic(seed_variable(x, 2))
+    jets = ic_jets(prob, seed_variable(x, 2))
     u = [values(j) for j in jets]
     u_x = [values(derivative(j, 1)) for j in jets]
     u_xx = [values(derivative(j, 2)) for j in jets]
