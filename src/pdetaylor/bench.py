@@ -168,6 +168,7 @@ class BenchReport:
     runtime_seconds: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_benchmark(
     problem: PdeProblem,
     max_order: int = 10,
@@ -178,7 +179,8 @@ def run_benchmark(
 ) -> BenchReport:
     """Expand at sampled points and score derivatives, coefficients and values.
 
-    Requires a problem with closed-form solution and derivatives.
+    Requires a problem with closed-form solution and derivatives; one that
+    overflows raises :class:`OracleFailure`.  An overflowing error scores inf.
     """
     if not problem.has_exact_oracle:
         raise NoExactOracleError(
@@ -193,7 +195,12 @@ def run_benchmark(
     for m in range(problem.components):
         d_row, c_row = [], []
         for i in range(max_order + 1):
-            truth = problem.exact_derivative(i, 0.0, x)[m]
+            try:
+                truth = problem.exact_derivative(i, 0.0, x)[m]
+            except OverflowError:  # a Python float raises; an array reads inf
+                truth = np.inf
+            if not np.isfinite(truth).all():
+                raise OracleFailure(f"closed-form time derivative of order {i} overflows")
             d_row.append(nrmse(truth, derivs[m][i]))
             c_row.append(nrmse(truth / math.factorial(i), expansion.coeffs[m][i]))
         d_rows.append(tuple(d_row))

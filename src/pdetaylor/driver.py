@@ -12,15 +12,16 @@ are then grown one order per iteration (Taylor-mode propagation):
 2. call ``F`` once on :class:`~pdetaylor.series.LazySeries` nodes for ``U``,
    ``U_x``, ``U_xx``, ``t`` and ``x``; the ``U`` nodes read the coefficients
    stored so far, differentiating each in space only when it is first read,
-   and read a ``ZERO`` coefficient as ``ZERO`` in every derivative.
-   ``x`` is the seed jet at order 0 and ``ZERO`` above it, ``t`` is one at
-   order 1 and ``ZERO`` elsewhere, so an explicit ``x`` or ``t`` in ``F``
-   convolves no zeros;
+   and read a coefficient that is not a jet (``ZERO`` or a number) as
+   constant in space.  ``x`` is the seed jet at order 0 and ``ZERO`` above
+   it, and ``t`` is ``1.0`` at order 1 and ``ZERO`` elsewhere, so ``x`` or
+   ``t`` convolves no zeros and a function of ``t`` alone has numbers for
+   coefficients;
 3. at iteration ``i``, ask each output node of ``F`` for its coefficient
    ``F_{i-1}``; each node in the graph computes exactly one new coefficient
-   from the ones it has memoised, and ``C_i = F_{i-1} / i``.  A ``ZERO``
-   output stays ``ZERO`` for the next iteration to read, and its value row is
-   written as ``+0.0``; a jet is checked finite and its row 0 copied out.
+   from the ones it has memoised, and ``C_i = F_{i-1} / i``, kept as it is
+   for the next iteration to read.  ``C_i`` is checked finite, and its value
+   row is row 0 of a jet, or a number (``+0.0`` for ``ZERO``) at every point.
 
 A ``ZERO`` initial component carries through the graph: with real initial
 data, Schrodinger's ``V`` starts as ``ZERO``, so every time coefficient of
@@ -42,8 +43,8 @@ including the stored history of every node, is truncated to ``W_i`` before
 the step, and ``C_i`` is computed at ``W_i``.  ``C_K`` is never
 differentiated.  Coefficient values are exact to the end regardless, for the
 same triangularity reason.  Iteration ``i`` reads only ``C_{i-1}``, so the
-driver holds one jet (or ``ZERO``) per component, and of older orders only
-the values.
+driver holds one jet (or number, or ``ZERO``) per component, and of older
+orders only the values.
 
 A jet is one ``(P+1, N)`` array (:class:`~pdetaylor.jets.Jet`), and the
 points are expanded in blocks of ``_BLOCK``, each with its own ``rhs`` call
@@ -62,13 +63,14 @@ terms of interest (20).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .jets import BatchAlgebra, Jet, JetAlgebra, derivative, seed_variable
 from .problems import PdeProblem
-from .series import ZERO, LazySeries, SeriesTape
+from .series import ZERO, LazySeries, SeriesTape, _real
 
 MAX_ORDER = 20
 # Points expanded together.  Every operation is elementwise across points, so
@@ -111,11 +113,15 @@ class TaylorExpansion:
     coeffs: tuple[tuple[np.ndarray, ...], ...]
 
     def derivatives(self) -> list[list[np.ndarray]]:
-        """Time derivatives ``d^i U/dt^i = i! * C_i`` per component and order."""
-        return [
-            [math.factorial(i) * c for i, c in enumerate(comp)]
-            for comp in self.coeffs
-        ]
+        """Time derivatives ``d^i U/dt^i = i! * C_i`` per component and order;
+        :class:`OverflowError` names the lowest order, then component, that overflows."""
+        with np.errstate(over="ignore"):
+            derivs = [[math.factorial(i) * c for i, c in enumerate(comp)] for comp in self.coeffs]
+        for i in range(self.max_order + 1):
+            for m, comp in enumerate(derivs):
+                if not np.isfinite(comp[i]).all():
+                    raise OverflowError(f"time derivative of order {i} (component {m}) overflows")
+        return derivs
 
     def evaluate(self, t1: float) -> list[np.ndarray]:
         """Evaluate the truncated series at a finite time by Horner's rule."""
@@ -144,7 +150,11 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
     lo, hi = problem.domain
     if not bool(np.all((x > lo) & (x < hi))):
         raise ValueError(f"expansion points must lie strictly inside ({lo}, {hi})")
-    if not isinstance(max_order, int) or not 1 <= max_order <= MAX_ORDER:
+    try:
+        max_order = 0 if isinstance(max_order, bool) else operator.index(max_order)
+    except TypeError:
+        max_order = 0
+    if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be an integer in 1..{MAX_ORDER}")
 
     m = problem.components
@@ -195,15 +205,17 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
         # k = i - 1 at iteration i, while ``newest`` still holds C_k; it is read
         # at W_{k+1}, from C_k stored at W_k = W_{k+1} + 2 jet orders.
         def rule(alg, k):
-            jet = newest[c]
-            return ZERO if jet is ZERO else derivative(jet.truncated(alg.order + d), d)
+            coeff = newest[c]
+            if isinstance(coeff, Jet):
+                return derivative(coeff.truncated(alg.order + d), d)
+            return ZERO if d else coeff
 
         return LazySeries(tape, rule)
 
     u = [spatial(c, 0) for c in range(m)]
     u_x = [spatial(c, 1) for c in range(m)]
     u_xx = [spatial(c, 2) for c in range(m)]
-    t_node = LazySeries(tape, lambda alg, k: alg.one() if k == 1 else ZERO)
+    t_node = LazySeries(tape, lambda alg, k: 1.0 if k == 1 else ZERO)
     x_node = LazySeries(tape, lambda alg, k: seed.truncated(alg.order) if k == 0 else ZERO)
 
     f = problem.rhs(u, u_x, u_xx, t_node, x_node)
@@ -219,7 +231,8 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
         work_order = seed_order - _SPATIAL_ORDER * i
         alg = JetAlgebra(batch, work_order)
         # a copy of each kept jet: a view would keep its untruncated array alive
-        tape.advance(alg, lambda jet: Jet(batch, jet.coeffs[: work_order + 1].copy()))
+        tape.advance(alg, lambda c: Jet(batch, c.coeffs[: work_order + 1].copy())
+                     if isinstance(c, Jet) else c)
         new = []
         for c in range(m):
             new.append(f[c].coeff(i - 1) * (1.0 / i))
@@ -228,11 +241,9 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
 
 
 def _store(coeff, row: np.ndarray, order: int, component: int) -> None:
-    """Write the values of ``C_order`` into ``row``: ``+0.0`` for ZERO, else
-    row 0 of the jet once the whole jet is checked finite."""
-    if coeff is ZERO:
-        row[:] = 0.0
-        return
-    if not np.isfinite(coeff.coeffs).all():
+    """Write the values of ``C_order`` into ``row`` once it is checked finite:
+    row 0 of a jet, or a number (``+0.0`` for ZERO) at every point."""
+    rows = coeff.coeffs if isinstance(coeff, Jet) else np.full((1, 1), _real(coeff))
+    if not np.isfinite(rows).all():
         raise DivergenceError(order=order, component=component)
-    row[:] = coeff.coeffs[0]
+    row[:] = rows[0]

@@ -9,18 +9,13 @@ plain convolution with no factorial bookkeeping, and the flat layout makes
 that convolution one slice-accumulate kernel: ``P+1`` array multiplies and
 adds over whole blocks of rows, instead of ``(P+1)(P+2)/2`` of each on single
 rows.  The kernel sums ``a_0 b_k + a_1 b_{k-1} + ...`` in the order of
-:class:`~pdetaylor.series.TruncatedSeries`, so a jet's coefficients are bit
-for bit those of a series over :class:`BatchAlgebra` on the same rows.  The
-one exception: when an operand is constant in space (every row past 0 zero,
-as in diffusion's ``exp(-t)`` coefficients or a zero jet), the product skips
-the kernel and scales the other operand row by row by that constant.  The
-kernel would only have added zeros, so the result is the same except that a
-zero may have the other sign.  Every row of the other operand is kept, so an
-``inf`` in it still makes its row of the product non-finite (``inf * 0`` is
-NaN) and leaves the rows below finite, as in the kernel: a divergence is
-reported at the same order.  A coefficient that is zero whatever the data,
-such as Schrodinger's parity zeros, is the structural zero of
-:mod:`pdetaylor.series` instead, and never reaches a jet product.
+:class:`~pdetaylor.series.TruncatedSeries`, so every product of two jets, and
+so every jet operation, gives bit for bit the coefficients of a series over
+:class:`BatchAlgebra` on the same rows.  A coefficient that does not vary in
+space is not a jet at all: it is the structural zero of
+:mod:`pdetaylor.series` when it is zero whatever the data, such as
+Schrodinger's parity zeros, or a plain number, such as those of diffusion's
+``exp(-t)``, and a jet times a number is one scaling.
 
 A jet is a :class:`~pdetaylor.series.TruncatedSeries` over
 :class:`BatchAlgebra`, so the quotient and the analytic lifts of
@@ -38,7 +33,7 @@ orders shorter than its input.
 nesting time-series -> space-jet -> point-batch used by the expansion
 driver.  Jets already add, subtract, multiply, divide and scale, so the
 algebra supplies only the jet order, the constant jets and the lifts that
-evaluate an analytic function on a jet.
+evaluate an analytic function on a jet or a number.
 """
 
 from __future__ import annotations
@@ -143,12 +138,6 @@ class Jet(TruncatedSeries):
         if b is None:
             return NotImplemented
         a = self.coeffs
-        # An operand constant in space scales the other row by row; only the
-        # sign of a zero result may differ from the kernel.
-        if _constant_in_space(a):
-            return Jet(self.algebra, b * a[0])
-        if _constant_in_space(b):
-            return Jet(self.algebra, a * b[0])
         n = len(a)
         # row k accumulates a_0 b_k + a_1 b_{k-1} + ... + a_k b_0 in that order
         c = a[0] * b
@@ -157,16 +146,6 @@ class Jet(TruncatedSeries):
         return Jet(self.algebra, c)
 
     __rmul__ = __mul__
-
-
-def _constant_in_space(rows) -> bool:
-    """Every row past 0 is zero, as in ``exp(-t)``'s jets; a NaN row is nonzero.
-
-    Row 1 is tested first, which settles a jet that varies in space in O(N):
-    testing every row of both operands took about a tenth of allen_cahn's
-    jet-product time.
-    """
-    return not (rows[1:2].any() or rows[2:].any())
 
 
 def seed_variable(points, order: int) -> Jet:
@@ -209,9 +188,9 @@ def values(jet: Jet) -> np.ndarray:
 class JetAlgebra(CoefficientAlgebra):
     """Flat jets of a fixed order over one batch of points as series coefficients.
 
-    Every element is a :class:`Jet` over ``inner`` with truncation order
-    ``order``; an analytic lift of a series-of-jets evaluates its constant
-    term by lifting again inside the jet.
+    An element is a :class:`Jet` over ``inner`` with truncation order
+    ``order``, or a number, the same at every point.  A lift evaluates a
+    series element by lifting again inside it, and a number with ``inner``.
     """
 
     inner: BatchAlgebra
@@ -229,16 +208,16 @@ class JetAlgebra(CoefficientAlgebra):
         return bool(np.all(a.coeffs == 0.0))
 
     def is_invertible(self, a):
-        return self.inner.is_invertible(a.coeffs[0])
+        return self.inner.is_invertible(a.constant_term if isinstance(a, TruncatedSeries) else a)
 
     def exp(self, a):
-        return exp(a)
+        return exp(a) if isinstance(a, TruncatedSeries) else self.inner.exp(a)
 
     def sin_cos(self, a):
-        return sin_cos(a)
+        return sin_cos(a) if isinstance(a, TruncatedSeries) else self.inner.sin_cos(a)
 
     def log(self, a):
-        return log(a)
+        return log(a) if isinstance(a, TruncatedSeries) else self.inner.log(a)
 
     def pow(self, a, exponent):
-        return power(a, exponent)
+        return power(a, exponent) if isinstance(a, TruncatedSeries) else self.inner.pow(a, exponent)

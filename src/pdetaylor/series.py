@@ -36,8 +36,9 @@ serious", 1999; Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Both
 kinds run each recurrence through one per-coefficient step function, so they
 produce bit-identical coefficients.  A lazy coefficient that is zero whatever
 the data is the structural zero :data:`ZERO`, which sums drop and products pass
-on, so the shared steps skip its terms (activity analysis; Hascoet & Pascual,
-ACM TOMS 39(3), 2013).  Algebra methods and :class:`TruncatedSeries` never see it.
+on, so the shared steps skip its terms; one that is the same at every point may
+be a plain number (activity analysis; Hascoet & Pascual, ACM TOMS 39(3), 2013).
+Algebra methods and :class:`TruncatedSeries` see ``0.0`` in place of ``ZERO``.
 """
 
 from __future__ import annotations
@@ -176,9 +177,9 @@ class _StructuralZero:
 ZERO = _StructuralZero()
 
 
-def _real(alg, c):
-    """``c`` as an element of ``alg``: the structural zero becomes ``alg.zero()``."""
-    return alg.zero() if c is ZERO else c
+def _real(c):
+    """``c`` with the structural zero as ``0.0``, which every algebra evaluates."""
+    return 0.0 if c is ZERO else c
 
 
 def _as_scalar(x):
@@ -320,7 +321,7 @@ class TruncatedSeries:
         s = _as_scalar(other)
         alg = self.algebra
         if s is not None:
-            return self * (1.0 / s)
+            return self._new([c / s for c in self.coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
@@ -334,7 +335,7 @@ class TruncatedSeries:
         s = _as_scalar(other)
         if s is None:
             return NotImplemented
-        return reciprocal(self) * s
+        return (_one_like(self) * s) / self
 
     def __pow__(self, exponent):
         s = _as_scalar(exponent)
@@ -411,7 +412,7 @@ def _mul_step(a, b, k):
 
 def _div_step(alg, a_k, b, q, k):
     """Coefficient k of a quotient q = a / b: (a_k - sum_{j=1..k} b_j*q_{k-j}) / b_0."""
-    if k == 0 and not alg.is_invertible(_real(alg, b[0])):
+    if k == 0 and not alg.is_invertible(_real(b[0])):
         raise InfinitesimalDivisorError(
             "division by a series with non-invertible leading coefficient"
         )
@@ -432,22 +433,21 @@ def _weighted_sum(a, f, k):
 def _exp_step(alg, a, out, k):
     """k*E_k = sum_{j=1..k} j*A_j*E_{k-j}, E_0 = exp(A_0)."""
     if k == 0:
-        # exp of a zero element is exactly one() in every algebra
-        return alg.one() if a[0] is ZERO else alg.exp(a[0])
+        return alg.exp(_real(a[0]))
     return _weighted_sum(a, out, k) * (1.0 / k)
 
 
 def _sin_cos_step(alg, a, s, c, k):
     """(S_k, C_k) with k*S_k = sum j*A_j*C_{k-j} and k*C_k = -sum j*A_j*S_{k-j}."""
     if k == 0:
-        return alg.sin_cos(_real(alg, a[0]))
+        return alg.sin_cos(_real(a[0]))
     return _weighted_sum(a, c, k) * (1.0 / k), _weighted_sum(a, s, k) * (-1.0 / k)
 
 
 def _log_step(alg, a, out, k):
     """L_k = (A_k - (1/k) sum_{j<k} j*L_j*A_{k-j}) / A_0."""
     if k == 0:
-        return alg.log(_real(alg, a[0]))
+        return alg.log(_real(a[0]))
     acc = None
     for j in range(1, k):
         term = (out[j] * a[k - j]) * float(j)
@@ -459,7 +459,7 @@ def _log_step(alg, a, out, k):
 def _power_step(alg, a, out, k, e):
     """k*A_0*P_k = sum_{j=1..k} ((e+1)*j - k) * A_j * P_{k-j}, P_0 = A_0**e."""
     if k == 0:
-        if not alg.is_invertible(_real(alg, a[0])):
+        if not alg.is_invertible(_real(a[0])):
             raise LiftDomainError(
                 "power with non-integer or negative exponent needs an invertible constant term"
             )
@@ -483,7 +483,6 @@ class SeriesTape:
     :meth:`advance` re-expresses every stored coefficient in the next algebra
     with ``narrow``, so a step only ever combines elements of one algebra.
     The expansion driver narrows jets to its shrinking working order this way.
-    :data:`ZERO` belongs to every algebra and is kept as it is.
     """
 
     def __init__(self):
@@ -494,7 +493,7 @@ class SeriesTape:
         """Move to ``algebra``, mapping every kept coefficient through ``narrow``."""
         self.algebra = algebra
         for history in self._histories:
-            history[:] = [c if c is ZERO else narrow(c) for c in history]
+            history[:] = [narrow(c) for c in history]
 
     def history(self) -> list:
         """A new coefficient list that :meth:`advance` keeps narrowed."""
@@ -522,7 +521,9 @@ class LazySeries:
 
     A rule may return :data:`ZERO` for a coefficient that is zero whatever the
     data; a node is then ``ZERO`` where its inputs force it, at no product
-    cost.  Unlike a zero element, ``ZERO * inf`` is ``ZERO``, not NaN.
+    cost.  Unlike a zero element, ``ZERO * inf`` is ``ZERO``, not NaN.  A rule
+    may also return a plain number, such as a coefficient of ``t``, which every
+    coefficient combines with and every algebra evaluates.
     """
 
     __slots__ = ("tape", "_rule", "_history", "_newest", "_count")
@@ -567,7 +568,7 @@ class LazySeries:
         if s is not None:
             def shifted(alg, k):
                 a = self.coeff(k)
-                return _real(alg, a) + s if k == 0 else a
+                return _real(a) + s if k == 0 else a
             return LazySeries(self.tape, shifted)
         b = self._operand(other)
         if b is None:
@@ -581,7 +582,7 @@ class LazySeries:
         if s is not None:
             def shifted(alg, k):
                 a = self.coeff(k)
-                return _real(alg, a) - s if k == 0 else a
+                return _real(a) - s if k == 0 else a
             return LazySeries(self.tape, shifted)
         b = self._operand(other)
         if b is None:
@@ -612,7 +613,7 @@ class LazySeries:
     def __truediv__(self, other):
         s = _as_scalar(other)
         if s is not None:
-            return self * (1.0 / s)
+            return LazySeries(self.tape, lambda alg, k: self.coeff(k) / s)
         b = self._operand(other)
         if b is None:
             return NotImplemented
@@ -662,7 +663,7 @@ def _lift(series, step):
 def _one_like(series):
     """The constant series 1 of the same kind, algebra and order as ``series``."""
     if isinstance(series, LazySeries):
-        return LazySeries(series.tape, lambda alg, k: alg.one() if k == 0 else alg.zero())
+        return LazySeries(series.tape, lambda alg, k: 1.0 if k == 0 else 0.0)
     _require_series(series)
     return type(series).constant(series.algebra, series.algebra.one(), series.order)
 

@@ -204,6 +204,43 @@ def test_run_benchmark_requires_oracle():
         run_benchmark(get_problem("burgers"))
 
 
+@pytest.mark.parametrize(
+    "problem, order",
+    [
+        # V's closed form at order 10 needs speed**11, a Python float
+        (get_problem("wave", {"speed": 1e30}), 10),
+        # an array closed form reads inf
+        (
+            dataclasses.replace(
+                get_problem("heat"),
+                exact_time_derivative=lambda i, t, x: [np.exp(np.full_like(x, 800.0 * i))],
+            ),
+            1,
+        ),
+    ],
+    ids=["float", "array"],
+)
+def test_run_benchmark_rejects_an_overflowing_closed_form(problem, order):
+    with pytest.raises(OracleFailure, match=f"order {order} overflows$"):
+        run_benchmark(problem, max_order=10, num_points=5, t1_values=(0.01,))
+
+
+def test_run_benchmark_scores_an_overflowing_error_without_warnings():
+    # with alpha = 0, C_1 is zero; C_0 is at least 1e306 at the sampled points
+    # (a tenth of its peak), so its error against the oracle's -1.797e308
+    # overflows, and the score is not finite
+    heat = get_problem("heat", {"alpha": 0.0})
+    big = dataclasses.replace(
+        heat,
+        ic=lambda seed: [h * 1e307 for h in heat.ic(seed)],
+        ic_numpy=lambda x: [g * 1e307 for g in heat.ic_numpy(x)],
+        exact_time_derivative=lambda i, t, x: [np.full_like(x, -1.797e308 if i == 0 else 0.0)],
+    )
+    r = run_benchmark(big, max_order=1, num_points=5, t1_values=(0.01,))
+    assert not math.isfinite(r.derivative_nrmse[0][0])
+    assert r.derivative_nrmse[0][1] == 0.0
+
+
 def test_wave_odd_orders_are_exactly_zero():
     r = run_benchmark(get_problem("wave"), max_order=7, num_points=15, seed=5)
     for i in (1, 3, 5, 7):

@@ -499,6 +499,28 @@ def test_non_finite_initial_condition_diverges_at_order_0(tmp_path, command):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # C_10 is finite, 10! * C_10 is not
+        (["derive", "--problem", "heat", "--param", "alpha=1e30", "--points", "3"],
+         "time derivative of order 10 (component 0) overflows"),
+        (["bench", "--problem", "heat", "--param", "alpha=1e30", "--t1", "0.01"],
+         "time derivative of order 10 (component 0) overflows"),
+        # the expansion's derivatives are finite; V's closed form at order 10
+        # needs speed**11
+        (["bench", "--problem", "wave", "--param", "speed=1e30", "--t1", "0.01"],
+         "closed-form time derivative of order 10 overflows"),
+    ],
+    ids=["derive-heat", "bench-heat", "bench-wave"],
+)
+def test_overflowing_derivatives_print_one_error_line(tmp_path, argv, error):
+    run = _run_warning_loud([*argv, "--order", "10", "--out", str(tmp_path)])
+    assert run.returncode == 1
+    assert run.stderr == f"error: {error}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_argparse_level_errors_map_to_exit_codes(capsys):
     assert cli.main([]) == 2  # a subcommand is required
     assert cli.main(["derive", "--format", "xml"]) == 2

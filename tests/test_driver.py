@@ -16,6 +16,7 @@ from pdetaylor import (
     get_problem,
 )
 from pdetaylor.jets import Jet
+from pdetaylor.series import exp as exp_
 
 PI = math.pi
 KAPPA = -0.4 * PI**2  # heat decay rate for the default parameters
@@ -50,6 +51,20 @@ def test_wave_coefficients_standing_pattern():
     assert v[0][0] == 0.0
     assert v[1][0] == pytest.approx(-2 * PI**2, rel=1e-13)
     assert v[2][0] == 0.0
+
+
+def test_derivatives_name_the_lowest_order_that_overflows():
+    # C_10 of heat with alpha = 1e30 is finite, 10! * C_10 is not
+    prob = get_problem("heat", {"alpha": 1e30})
+    exp = compute_expansion(prob, np.array([0.3, 0.6]), 10)
+    assert np.isfinite(exp.coeffs[0][10]).all()
+    with pytest.raises(OverflowError, match=r"order 10 \(component 0\)"):
+        exp.derivatives()
+    # the lowest order wins over the components: 9! * 1e303 overflows
+    second = exp.coeffs[0][:9] + (np.full(2, 1e303), np.zeros(2))
+    exp = dataclasses.replace(exp, components=2, coeffs=(exp.coeffs[0], second))
+    with pytest.raises(OverflowError, match=r"order 9 \(component 1\)"):
+        exp.derivatives()
 
 
 def test_derivatives_are_factorial_scaled_coefficients():
@@ -201,8 +216,8 @@ def test_divergence_error_can_appear_at_higher_order():
     ids=["zero", "constant"],
 )
 def test_divergence_through_a_jet_constant_in_space(ic, rhs, max_order, expected):
-    # a product by a jet constant in space scales the other operand instead of
-    # convolving it; the overflow must still be reported where the kernel did
+    # V is a jet whose rows past 0 are zero, and the kernel convolves them: an
+    # inf in the other operand must be reported at the order where it enters
     prob = dataclasses.replace(_toy_problem(1.0, rhs), components=2, ic=ic)
     with pytest.raises(DivergenceError) as err:
         compute_expansion(prob, np.array([-0.01, 0.02]), max_order)
@@ -228,9 +243,11 @@ def test_points_must_be_inside_domain():
 def test_order_validation():
     prob = get_problem("heat")
     x = np.array([0.5])
-    for bad in (0, -1, 21, 2.5):
+    for bad in (0, -1, 21, 2.5, True):
         with pytest.raises(ValueError):
             compute_expansion(prob, x, bad)
+    exp = compute_expansion(prob, x, np.int64(3))
+    assert exp.max_order == 3 and type(exp.max_order) is int
 
 
 def test_expansion_metadata():
@@ -317,14 +334,14 @@ def jet_products(monkeypatch):
 
 
 def test_zero_coefficients_of_x_and_t_cost_no_jet_products(jet_products):
-    # x is zero past C_0 and t is zero except C_1 = 1; convolving those zeros
-    # made diffusion's forcing cost O(K**2) jet products
-    order = 20
-    for name, most in (("heat", 0), ("diffusion", 2 * order)):
+    # x is zero past C_0 and t is zero except C_1 = 1.0, a number; convolving
+    # those zeros made diffusion's forcing cost O(K**2) jet products, and
+    # carrying exp(-t)'s coefficients as jets still cost 39
+    for name in ("heat", "diffusion"):
         prob = get_problem(name)
         jet_products.clear()
-        compute_expansion(prob, np.linspace(*prob.domain, 9)[1:-1], order)
-        assert len(jet_products) <= most, name
+        compute_expansion(prob, np.linspace(*prob.domain, 9)[1:-1], 20)
+        assert jet_products == [], name
 
 
 def test_zero_initial_components_cost_no_jet_products(jet_products):
@@ -357,20 +374,51 @@ def test_integer_power_costs_the_jet_products_of_repeated_products(jet_products)
 
 
 @pytest.mark.parametrize(
-    "rhs, expected",
+    "rhs, expected, rtol",
     [
-        (lambda u, u_x, u_xx, t, x: [x * 2.0], lambda x: {1: 2.0 * x}),
-        (lambda u, u_x, u_xx, t, x: [t], lambda x: {2: np.full_like(x, 0.5)}),
+        (lambda u, u_x, u_xx, t, x: [x * 2.0], lambda x: {1: 2.0 * x}, 0.0),
+        (lambda u, u_x, u_xx, t, x: [t], lambda x: {2: np.full_like(x, 0.5)}, 0.0),
+        # every C_i past 0 is a number, 1/i!, written at every point
+        (
+            lambda u, u_x, u_xx, t, x: [exp_(t)],
+            lambda x: {i: np.full_like(x, 1.0 / math.factorial(i)) for i in range(1, 7)},
+            1e-15,
+        ),
     ],
-    ids=["x", "t"],
+    ids=["x", "t", "exp_t"],
 )
-def test_rhs_of_x_or_t_alone_gives_exact_coefficients(rhs, expected):
+def test_rhs_of_x_or_t_alone_gives_exact_coefficients(rhs, expected, rtol):
     x = np.array([-0.5, 0.0, 0.25])
     exp = compute_expansion(_toy_problem(3.0, rhs), x, 6)
     want = {0: np.full_like(x, 3.0), **expected(x)}
     for i, c in enumerate(exp.coeffs[0]):
         assert c.flags.owndata
-        np.testing.assert_array_equal(c.view(np.uint64), want.get(i, np.zeros_like(x)).view(np.uint64))
+        w = want.get(i, np.zeros_like(x))
+        if rtol:
+            np.testing.assert_allclose(c, w, rtol=rtol, atol=0)
+        else:
+            np.testing.assert_array_equal(c.view(np.uint64), w.view(np.uint64))
+
+
+def test_number_valued_coefficients_are_constant_in_space():
+    # U(0) = 2x and U_t = exp(t), so U's C_i past 0 are the numbers 1/i!: then
+    # U_x reads them as ZERO and U as the number itself.  V_t = U_x + U with
+    # V(0) = 0 gives V = (1 + 2x) t + exp(t) - 1.
+    prob = dataclasses.replace(
+        _toy_problem(0.0, lambda u, u_x, u_xx, t, x: [exp_(t), u_x[0] + u[0]]),
+        components=2,
+        ic=lambda seed: [seed * 2.0, seed * 0.0],
+    )
+    x = np.array([-0.5, 0.0, 0.25])
+    u, v = compute_expansion(prob, x, 8).coeffs
+    np.testing.assert_array_equal(u[0], 2.0 * x)
+    np.testing.assert_array_equal(v[0], 0.0)
+    np.testing.assert_allclose(v[1], 2.0 + 2.0 * x, rtol=1e-15, atol=0)
+    for i in range(1, 9):
+        inverse_factorial = np.full_like(x, 1.0 / math.factorial(i))
+        np.testing.assert_allclose(u[i], inverse_factorial, rtol=1e-15, atol=0)
+        if i >= 2:
+            np.testing.assert_allclose(v[i], inverse_factorial, rtol=1e-15, atol=0)
 
 
 def test_divergence_through_x_and_t_is_reported_where_it_enters():

@@ -8,10 +8,6 @@ series recurrence steps row by row, and the results are compared as uint64
 bit patterns.  Orders reach 42 (the working jet order of a K=21 expansion)
 and batches 70 points; rows are random and finite, with exact and negative
 zeros mixed in.
-
-The one exception is a product with an operand constant in space (every row
-past 0 zero): the jet scales the other operand row by row instead of running
-the kernel, and a zero result may then differ from the kernel's in sign.
 """
 
 import numpy as np
@@ -21,8 +17,6 @@ from hypothesis import strategies as st
 
 from pdetaylor import BatchAlgebra, TruncatedSeries, derivative, exp, sin_cos
 from pdetaylor.jets import Jet
-
-from conftest import assert_equal_but_for_zero_signs
 
 orders = st.integers(0, 42)
 sizes = st.integers(1, 70)
@@ -78,14 +72,10 @@ def _as_tuple(result):
     return result if isinstance(result, tuple) else (result,)
 
 
-def _any_constant_in_space(*jets):
-    return any(not j.coeffs[1:].any() for j in jets)
-
-
 @pytest.mark.parametrize("name", sorted(OPERATIONS))
 @settings(max_examples=40, deadline=None)
 # a zero jet times a jet whose row 1 is negative: the kernel adds 0 * b_0 to
-# the -0 of a_0 * b_1, the scaling does not
+# the -0 of a_0 * b_1, as the row-by-row series does
 @example(order=1, size=1, seed=66309899, s=1.0)
 @given(order=orders, size=sizes, seed=seeds, s=scalars)
 def test_flat_jet_matches_row_by_row_series(name, order, size, seed, s):
@@ -99,10 +89,7 @@ def test_flat_jet_matches_row_by_row_series(name, order, size, seed, s):
     for g, w in zip(got, want):
         assert isinstance(g, Jet) and g.coeffs.flags.c_contiguous
         assert g.coeffs.shape == (order + 1, size)
-        if name == "mul" and _any_constant_in_space(jet_a, jet_b):
-            assert_equal_but_for_zero_signs(g.coeffs, w.coeffs)
-        else:
-            np.testing.assert_array_equal(_bits(g.coeffs), _bits(w.coeffs))
+        np.testing.assert_array_equal(_bits(g.coeffs), _bits(w.coeffs))
 
 
 def _lowest_non_finite_row(rows):
@@ -136,7 +123,7 @@ def test_product_by_a_jet_constant_in_space(data, order, size, seed, all_zero, c
             return (jet_o * jet_c).coeffs, (ref_o * ref_c).coeffs
 
     got, want = product(constant, other)
-    assert_equal_but_for_zero_signs(got, want)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
 
     # an inf in row r of the other operand makes row r of the product
     # non-finite and leaves every row below it finite, as in the kernel
@@ -148,7 +135,7 @@ def test_product_by_a_jet_constant_in_space(data, order, size, seed, all_zero, c
     assert not np.isfinite(got[r, point])
     assert _lowest_non_finite_row(got) == _lowest_non_finite_row(want) == r
 
-    # a NaN past row 0 is not a zero: that operand takes the kernel
+    # a NaN past row 0 of the constant operand: still the row-by-row series
     if order > 0:
         constant[data.draw(st.integers(1, order), label="nan_row"), point] = np.nan
         got, want = product(constant, other)

@@ -395,6 +395,6 @@ def test_structural_zero_drops_out_of_every_operation():
     np.testing.assert_array_equal((ZERO - row).view(np.uint64), (row * -1.0).view(np.uint64))
     np.testing.assert_array_equal((ZERO - jet).coeffs.view(np.uint64), (jet.coeffs * -1.0).view(np.uint64))
     assert -ZERO is ZERO and ZERO * 2.0 is ZERO and ZERO - ZERO is ZERO
-    assert _real(RealAlgebra(), ZERO) == 0.0 and _real(RealAlgebra(), 1.5) == 1.5
+    assert _real(ZERO) == 0.0 and not np.signbit(_real(ZERO)) and _real(1.5) == 1.5
     with pytest.raises(TypeError):
         jet / ZERO

@@ -78,6 +78,14 @@ def _operators_rhs(u, u_x, u_xx, t, x):
     ]
 
 
+def _time_only_rhs(u, u_x, u_xx, t, x):
+    # g depends on t alone, so the driver carries its coefficients as plain
+    # numbers where the reference has constant jets; they must divide alike
+    v = u[0]
+    g = exp(t * 3.0) + 0.7
+    return [(v / g + g / (v + 2.0) + 1.5 / g - g * v) * 0.1]
+
+
 def _toy(name, components, rhs):
     return PdeProblem(
         name=name,
@@ -97,6 +105,7 @@ def _toy(name, components, rhs):
 CASES = [(get_problem(name), 20) for name in available_problems()] + [
     (_toy("lifts", 1, _lifts_rhs), 12),
     (_toy("operators", 2, _operators_rhs), 12),
+    (_toy("time_only", 1, _time_only_rhs), 12),
 ]
 
 
