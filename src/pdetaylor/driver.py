@@ -6,9 +6,13 @@ infinitesimal step ``h`` is a truncated series ``U(h, X) = C_0 + C_1*h + ...
 The right-hand side is called once per block of points and the coefficients
 are then grown one order per iteration (Taylor-mode propagation):
 
-1. seed ``C_0`` with the initial condition evaluated on a jet of ``x``; a
-   component that is zero whatever the data may be
-   :data:`~pdetaylor.series.ZERO` (a structural zero) instead of a jet;
+1. seed ``C_0`` with the initial condition evaluated on the series of the
+   identity ``[X, 1, ZERO, ..., ZERO]``, whose coefficients past order 1 are
+   the structural zero :data:`~pdetaylor.series.ZERO`, so a lift such as
+   ``sin(seed * PI)`` makes one row product per order instead of one per
+   term; each series component it returns becomes one flat jet, with zero
+   rows for ``ZERO``, and a component that is zero whatever the data may be
+   ``ZERO`` itself instead of a jet;
 2. call ``F`` once on :class:`~pdetaylor.series.LazySeries` nodes for ``U``,
    ``U_x``, ``U_xx``, ``t`` and ``x``; the ``U`` nodes read the coefficients
    stored so far, differentiating each in space only when it is first read,
@@ -70,7 +74,7 @@ import numpy as np
 
 from .jets import BatchAlgebra, Jet, JetAlgebra, derivative, seed_variable
 from .problems import PdeProblem
-from .series import ZERO, LazySeries, SeriesTape, _real
+from .series import ZERO, LazySeries, SeriesTape, TruncatedSeries, _as_scalar, _real
 
 MAX_ORDER = 20
 # Points expanded together.  Every operation is elementwise across points, so
@@ -189,13 +193,10 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
     batch = BatchAlgebra(x.size)
     seed = seed_variable(x, seed_order)
 
-    g = problem.ic(seed)
-    if len(g) != m:
-        raise ValueError(f"initial condition returned {len(g)} components, expected {m}")
-
-    # Per component: the newest coefficient, C_i stored at jet order W_i, or
-    # ZERO.  Only its value row is kept of older orders, copied out into ``rows``.
-    newest = list(g)
+    # Per component: the newest coefficient, C_i stored at jet order W_i, a
+    # number or ZERO.  Only its value row is kept of older orders, copied out
+    # into ``rows``.
+    newest = _initial_condition(problem, x, seed_order)
     for c, coeff in enumerate(newest):
         _store(coeff, rows[c][0], 0, c)
     tape = SeriesTape()
@@ -238,6 +239,41 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
             new.append(f[c].coeff(i - 1) * (1.0 / i))
             _store(new[c], rows[c][i], i, c)
         newest[:] = new
+
+
+def _initial_condition(problem: PdeProblem, x: np.ndarray, order: int) -> list:
+    """``C_0`` per component: the problem's ``ic`` on the identity at ``x`` as a
+    series whose rows past 1 are ``ZERO``, so its lifts skip them, and each
+    series it returns as one flat jet of ``order``, with ``ZERO`` rows as zero
+    rows.  A ``ZERO`` or number component is kept as it is."""
+    batch = BatchAlgebra(x.size)
+    g = problem.ic(TruncatedSeries(batch, (x, batch.one()) + (ZERO,) * (order - 1)))
+    if len(g) != problem.components:
+        raise ValueError(
+            f"initial condition returned {len(g)} components, expected {problem.components}"
+        )
+    out = []
+    for c, gc in enumerate(g):
+        if _as_scalar(gc) is not None:
+            gc = _as_scalar(gc)
+        elif gc is not ZERO:
+            if not isinstance(gc, TruncatedSeries) or gc.algebra != batch:
+                raise ValueError(
+                    f"initial condition component {c} is a {type(gc).__name__}; expected "
+                    f"ZERO, a number or a series over the {batch.size} expansion points"
+                )
+            if gc.order != order:
+                raise ValueError(
+                    f"initial condition component {c} has jet order {gc.order}, expected {order}"
+                )
+            if not isinstance(gc, Jet):
+                rows = np.zeros((order + 1, batch.size))
+                for k, r in enumerate(gc.coeffs):
+                    if r is not ZERO:
+                        rows[k] = r
+                gc = Jet(batch, rows)
+        out.append(gc)
+    return out
 
 
 def _store(coeff, row: np.ndarray, order: int, component: int) -> None:

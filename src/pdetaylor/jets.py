@@ -26,7 +26,10 @@ array constants; the tests and primitives are stated once, there.
 
 :func:`seed_variable` builds the jet of the identity function, ``[X, 1, 0,
 ..., 0]``; evaluating an expression on the seed yields the jet of that
-expression.  :func:`derivative` extracts the jet of ``f^(m)``, which is ``m``
+expression.  The expansion driver evaluates the initial condition on the
+identity as a series over :class:`BatchAlgebra` whose rows past 1 are the
+structural zero instead, so its lifts skip them, and then stores each result
+as a jet.  :func:`derivative` extracts the jet of ``f^(m)``, which is ``m``
 orders shorter than its input.
 
 :class:`JetAlgebra` lets jets serve as series coefficients, giving the

@@ -3,9 +3,10 @@
 Each problem bundles the pieces the expansion driver and the benchmark
 harness need:
 
-* ``ic``          initial condition evaluated on a spatial jet seed; a
-  component that is zero whatever the data is
-  :data:`~pdetaylor.series.ZERO`, which the driver carries without
+* ``ic``          initial condition evaluated on the spatial series of the
+  identity, whose coefficients past order 1 are the structural zero
+  :data:`~pdetaylor.series.ZERO`, so its lifts skip them; a component that is
+  zero whatever the data is ``ZERO`` too, which the driver carries without
   multiplying it,
 * ``rhs``         right-hand side evaluated on lazy series-of-jets arguments,
 * ``ic_numpy``    the same initial condition on plain arrays,
@@ -58,10 +59,16 @@ class PdeProblem:
     oddly extendable) or ``"periodic"``; the reference solver uses it to close
     its finite-difference stencils.  ``diffusivity`` and ``advection_speed``
     bound the stiffest second- and first-order terms for time-step selection;
-    they play no role in the series path.  ``ic`` returns one jet per
-    component, or :data:`~pdetaylor.series.ZERO` for a component that is zero
-    whatever the data (wave's and Schrodinger's second); ``ic_numpy`` returns
-    arrays throughout.  ``rhs`` receives ``U``, ``U_x`` and ``U_xx`` and no
+    they play no role in the series path.  ``ic`` receives the identity at
+    a block of points as a :class:`~pdetaylor.series.TruncatedSeries` over
+    :class:`~pdetaylor.jets.BatchAlgebra` of jet order ``2K``, ``[X, 1, ZERO,
+    ..., ZERO]``, and builds its result with series operations and lifts.  It
+    returns per component a series over those points of that order (a
+    :class:`~pdetaylor.jets.Jet` is one), a number that is the same at every
+    point, or :data:`~pdetaylor.series.ZERO` for a component that is zero
+    whatever the data (wave's and Schrodinger's second); anything else is a
+    ``ValueError`` that names the component.  ``ic_numpy`` returns arrays
+    throughout.  ``rhs`` receives ``U``, ``U_x`` and ``U_xx`` and no
     higher spatial derivative.  ``exact_time_derivative(i, t,
     x)``, where given, is the closed-form ``d^i U / dt^i``; :meth:`exact` is its
     order 0.

@@ -38,7 +38,14 @@ produce bit-identical coefficients.  A lazy coefficient that is zero whatever
 the data is the structural zero :data:`ZERO`, which sums drop and products pass
 on, so the shared steps skip its terms; one that is the same at every point may
 be a plain number (activity analysis; Hascoet & Pascual, ACM TOMS 39(3), 2013).
-Algebra methods and :class:`TruncatedSeries` see ``0.0`` in place of ``ZERO``.
+A :class:`TruncatedSeries` may hold ``ZERO`` too, and its operations skip those
+terms the same way: the expansion driver hands a problem's initial condition
+the identity with every coefficient past order 1 ``ZERO``, so a lift of it
+makes one product per order where zero rows would make one per term.  A
+skipped term would have added ``0.0 * f``, so an exact zero may keep the sign
+``-0.0`` where zero rows give ``+0.0``, and a non-finite ``f`` reaches no
+result; every other value is the same.  Algebra methods see ``0.0`` in place
+of ``ZERO``.
 """
 
 from __future__ import annotations
@@ -370,7 +377,7 @@ class TruncatedSeries:
         if k > n:
             raise ValueError(f"shift_down by {k} exceeds order {n}")
         for j in range(k):
-            if not alg.is_zero(self.coeffs[j]):
+            if not alg.is_zero(_real(self.coeffs[j])):
                 raise InfinitePartError(
                     f"shift_down by {k} discards nonzero coefficient at order {j}"
                 )

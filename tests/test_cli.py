@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdetaylor import PdeProblem, cli, derivative, get_problem, sample_points
+from pdetaylor import PdeProblem, cli, derivative, get_problem, sample_points, seed_variable
 from pdetaylor.bench import default_exclusion
 from pdetaylor.series import log
 
@@ -449,7 +449,8 @@ def test_bad_parameter_or_threshold_is_a_usage_error(tmp_path, capsys, argv, off
     [
         (lambda seed: [seed * 0.0 + 1.0], lambda u, u_x, u_xx, t, x: [log(u[0] * 0.0 - 1.0)],
          "log requires every constant-term entry positive"),
-        (lambda seed: [derivative(seed, seed.order + 1)], lambda u, u_x, u_xx, t, x: [u[0]],
+        (lambda seed: [derivative(seed_variable(seed.constant_term, seed.order), seed.order + 1)],
+         lambda u, u_x, u_xx, t, x: [u[0]],
          "cannot produce derivative order"),
     ],
     ids=["lift-domain", "jet-order"],

@@ -11,12 +11,17 @@ from pdetaylor import (
     DivergenceError,
     PdeProblem,
     TaylorExpansion,
+    available_problems,
     compute_expansion,
     driver,
     get_problem,
+    seed_variable,
 )
-from pdetaylor.jets import Jet
+from pdetaylor.jets import BatchAlgebra, Jet
+from pdetaylor.series import ZERO, sin
 from pdetaylor.series import exp as exp_
+
+from conftest import assert_equal_but_for_zero_signs, ic_jets
 
 PI = math.pi
 KAPPA = -0.4 * PI**2  # heat decay rate for the default parameters
@@ -290,8 +295,8 @@ def test_divergence_names_the_lowest_order_over_all_blocks():
     cut = x[2 * BLOCK]
 
     def ic(seed):
-        rows = np.zeros_like(seed.coeffs)
-        rows[0] = np.where(seed.coeffs[0] >= cut, 1e120, 1e70)
+        rows = np.zeros((seed.order + 1, seed.algebra.size))
+        rows[0] = np.where(seed.constant_term >= cut, 1e120, 1e70)
         return [Jet(seed.algebra, rows)]
 
     prob = dataclasses.replace(
@@ -455,3 +460,69 @@ def test_non_finite_initial_condition_diverges_at_order_0():
     with pytest.raises(DivergenceError) as err:
         compute_expansion(prob, np.array([-0.5, 0.5]), 3)
     assert (err.value.order, err.value.component) == (0, 0)
+
+
+# -- initial condition ----------------------------------------------------------
+
+
+def test_ic_receives_the_identity_with_zero_rows_past_1():
+    # rows past 1 of the identity are the structural ZERO, so a lift such as
+    # sin(seed * PI) skips them instead of convolving zero rows
+    heat = get_problem("heat")
+    seeds = []
+
+    def ic(seed):
+        seeds.append(seed)
+        return heat.ic(seed)
+
+    x = np.array([0.2, 0.5, 0.7])
+    compute_expansion(dataclasses.replace(heat, ic=ic), x, 5)
+    (seed,) = seeds
+    assert seed.order == 10
+    assert seed.algebra == BatchAlgebra(3)
+    np.testing.assert_array_equal(seed.coeffs[0], x)
+    np.testing.assert_array_equal(seed.coeffs[1], np.ones(3))
+    assert all(r is ZERO for r in seed.coeffs[2:])
+
+
+@pytest.mark.parametrize("name", available_problems())
+def test_initial_condition_matches_the_dense_seed(name):
+    # a dense zero row adds +0.0 terms that ZERO skips, so an exact zero
+    # (sin's even rows at x = 0) may differ in sign, and nothing else may
+    prob = get_problem(name)
+    x = np.linspace(*prob.domain, 41)[1:-1]
+    got = driver._initial_condition(prob, x, 40)
+    want = ic_jets(prob, seed_variable(x, 40))
+    assert len(got) == len(want) == prob.components
+    for g, w in zip(got, want):
+        if g is ZERO:
+            assert not w.coeffs.any()
+        else:
+            assert isinstance(g, Jet) and g.order == 40
+            assert_equal_but_for_zero_signs(g.coeffs, w.coeffs)
+
+
+@pytest.mark.parametrize(
+    "name, ic, message",
+    [
+        # zero-padding the order-2 jet gave C_2 = 0 instead of 6.30 and 7.41
+        ("heat", lambda s: [sin(s.truncated(2) * PI)], "component 0 has jet order 2, expected 10"),
+        ("heat", lambda s: [np.sin(PI * s.constant_term)], "component 0 is a ndarray"),
+        ("heat", lambda s: [seed_variable(s.constant_term, s.order + 1)],
+         "component 0 has jet order 11, expected 10"),
+        ("wave", lambda s: [sin(s * PI), np.zeros(s.algebra.size)], "component 1 is a ndarray"),
+    ],
+    ids=["short-series", "array", "long-jet", "second-component"],
+)
+def test_malformed_initial_condition_names_its_component(name, ic, message):
+    prob = dataclasses.replace(get_problem(name), ic=ic)
+    with pytest.raises(ValueError, match=message):
+        compute_expansion(prob, np.array([0.3, 0.6]), 5)
+
+
+def test_number_initial_component_is_constant_in_space():
+    prob = dataclasses.replace(get_problem("heat"), ic=lambda s: [2])
+    exp = compute_expansion(prob, np.array([0.3, 0.6]), 3)
+    np.testing.assert_array_equal(exp.coeffs[0][0], [2.0, 2.0])
+    for i in range(1, 4):
+        np.testing.assert_array_equal(exp.coeffs[0][i], [0.0, 0.0])

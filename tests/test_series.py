@@ -31,7 +31,7 @@ from pdetaylor.series import (
     sin_cos,
 )
 
-from conftest import assert_series_close, eval_nested, flatten
+from conftest import assert_equal_but_for_zero_signs, assert_series_close, eval_nested, flatten
 
 R = RealAlgebra()
 
@@ -398,3 +398,39 @@ def test_structural_zero_drops_out_of_every_operation():
     assert _real(ZERO) == 0.0 and not np.signbit(_real(ZERO)) and _real(1.5) == 1.5
     with pytest.raises(TypeError):
         jet / ZERO
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda s: s * s * s,
+        lambda s: s * 0.0 + 1.0,
+        lambda s: s - s * 2.0,
+        lambda s: (s * 3.0) / (s + 2.0),
+        lambda s: 1.5 / (s + 2.0),
+        lambda s: exp(s * 0.7),
+        lambda s: sin(s * math.pi) + cos(s * math.pi),
+        lambda s: log(s + 2.0),
+        lambda s: power(s + 2.0, 0.5),
+        lambda s: s**4,
+        lambda s: sech(s),
+        lambda s: reciprocal(s + 2.0),
+        lambda s: s.shift_up(2),
+        lambda s: (s - s).shift_down(3),
+        lambda s: s.truncated(3),
+        lambda s: s.truncated(7),
+    ],
+    ids=["cube", "constant", "sub", "div", "rdiv", "exp", "sin-cos", "log", "sqrt", "pow4",
+         "sech", "reciprocal", "shift-up", "shift-down", "drop", "pad"],
+)
+def test_series_with_structural_zero_rows_matches_zero_rows(f):
+    # the driver hands the initial condition the identity with its rows past 1
+    # ZERO; every eager operation computes what it computes on zero rows, but
+    # for the sign of an exact zero, since ZERO skips terms that add +0.0
+    x = np.array([0.3, -0.4, 0.0, 1.2])
+    alg = BatchAlgebra(4)
+    structural = TruncatedSeries(alg, (x, alg.one()) + (ZERO,) * 4)
+    got, want = f(structural), f(TruncatedSeries.variable(alg, x, 5))
+    assert got.order == want.order
+    rows = [alg.zero() if c is ZERO else c for c in got.coeffs]
+    assert_equal_but_for_zero_signs(np.stack(rows), np.stack(want.coeffs))
