@@ -343,12 +343,17 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
     wrap-around or odd reflection through zero-valued Dirichlet endpoints),
     classical fourth-order Runge-Kutta stepping with a step of at most 1e-6,
     lowered further whenever the explicit stability bound demands it, and a
-    cubic spline back onto the query points.  ``t1`` must lie in [0, 0.1].
+    cubic spline back onto the query points.  ``t1`` must lie in [0, 0.1],
+    and the points must be at least one, each inside the closed domain: the
+    spline would extrapolate past it.
     """
     if not 0.0 <= t1 <= 0.1:
         raise ValueError("reference solver horizon is limited to 0 <= t1 <= 0.1")
     x_query = np.asarray(points, dtype=np.float64).ravel()
     lo, hi = problem.domain
+    # a NaN fails both comparisons
+    if x_query.size == 0 or not np.all((x_query >= lo) & (x_query <= hi)):
+        raise ValueError(f"reference query points must be non-empty and inside [{lo}, {hi}]")
     periodic = problem.boundary == "periodic"
     h = (hi - lo) / _CELLS
     if periodic:

@@ -23,7 +23,8 @@ byte-identical files.
 
 Exit codes: 0 success, 1 numerical failure (bound exceeded, divergence,
 sampling exhaustion, a lift outside its domain, too few jet orders), 2 usage
-error.
+error, including an ``--out`` directory that cannot be created or written to
+(such as an existing file).
 """
 
 from __future__ import annotations
@@ -319,6 +320,9 @@ def main(argv=None) -> int:
     except (DivergenceError, SamplingError, OracleFailure, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except OSError as e:
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ A jet is a :class:`~pdetaylor.series.TruncatedSeries` over
 :mod:`pdetaylor.series` apply unchanged: they run the series recurrence steps
 over the rows of a preallocated array.  :class:`BatchAlgebra` is the
 elementwise :class:`~pdetaylor.series.RealAlgebra` with a batch size and
-array constants; the tests and primitives are stated once, there.
+array constants; the invertibility test and the primitives are stated
+once, there.
 
 :func:`seed_variable` builds the jet of the identity function, ``[X, 1, 0,
 ..., 0]``; evaluating an expression on the seed yields the jet of that
@@ -179,14 +180,6 @@ def derivative(jet: Jet, m: int = 1) -> Jet:
     return Jet(jet.algebra, coeffs)
 
 
-def values(jet: Jet) -> np.ndarray:
-    """The order-zero row, copied: plain function values at the batch points.
-
-    A copy, because a view of the row would keep the whole jet alive.
-    """
-    return jet.coeffs[0].copy()
-
-
 @dataclass(frozen=True)
 class JetAlgebra(CoefficientAlgebra):
     """Flat jets of a fixed order over one batch of points as series coefficients.
@@ -206,9 +199,6 @@ class JetAlgebra(CoefficientAlgebra):
         c = np.zeros((self.order + 1, self.inner.size))
         c[0] = 1.0
         return Jet(self.inner, c)
-
-    def is_zero(self, a):
-        return bool(np.all(a.coeffs == 0.0))
 
     def is_invertible(self, a):
         return self.inner.is_invertible(a.constant_term if isinstance(a, TruncatedSeries) else a)

@@ -17,14 +17,13 @@ harness need:
 ``rhs`` is called once per block of points of an expansion, with
 :class:`~pdetaylor.series.LazySeries` nodes in the time infinitesimal whose
 coefficients are flat spatial jets over that block, and must return one node
-per component.  It
-builds the expression graph that the driver then evaluates one order at a
-time, so it may use only arithmetic operators (with other nodes or plain
-numbers) and the lifts from :mod:`pdetaylor.series`: nodes have no
-``coeffs``, ``order`` or shifts.  The numpy pair
-is deliberately a separate implementation of the same equations: it backs the
-finite-difference reference solver, which must not share code with the series
-path it cross-checks.
+per component.  It builds the expression graph that the driver then
+evaluates one order at a time, so it may use only arithmetic operators (with
+other nodes or plain numbers) and the lifts from :mod:`pdetaylor.series`:
+nodes have no ``coeffs`` or ``order``.  The numpy pair is deliberately a
+separate implementation of the same equations: it backs the finite-difference
+reference solver, which must not share code with the series path it
+cross-checks.
 
 Second-order problems are posed as first-order systems in time (wave and the
 split real/imaginary Schrodinger system have two components).

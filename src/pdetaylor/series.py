@@ -14,10 +14,10 @@ is an error rather than a renormalisation.
 Coefficients combine through their own ``+``, ``-``, ``*``, ``/`` and
 ``* float`` operators, so Python floats, NumPy batches and jets all work
 unchanged.  A :class:`CoefficientAlgebra` supplies only what differs between
-those spaces: the constants zero and one, the zero and invertibility tests,
-and the analytic primitives.  :class:`RealAlgebra` states these once,
-elementwise on NumPy, so it serves a float and a batch of points alike; the
-batch algebra, which only adds a size, and the spatial-jet algebra live in
+those spaces: the constants zero and one, the invertibility test, and the
+analytic primitives.  :class:`RealAlgebra` states these once, elementwise on
+NumPy, so it serves a float and a batch of points alike; the batch algebra,
+which only adds a size, and the spatial-jet algebra live in
 :mod:`pdetaylor.jets`.  Because a jet is itself a truncated series, series
 can nest: a series in the time infinitesimal whose coefficients are jets in a
 space increment, whose coefficients are batches of reals.
@@ -50,7 +50,6 @@ of ``ZERO``.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -65,16 +64,8 @@ class InfinitesimalDivisorError(ZeroDivisionError):
     """Division by a series whose leading coefficient is not invertible."""
 
 
-class InfinitePartError(ArithmeticError):
-    """Downward shift would discard a nonzero low-order coefficient."""
-
-
 class LiftDomainError(ValueError):
     """Constant term lies outside the domain of the lifted function."""
-
-
-class TruncationWarning(RuntimeWarning):
-    """An operation truncated every stored order away."""
 
 
 class CoefficientAlgebra(ABC):
@@ -83,11 +74,11 @@ class CoefficientAlgebra(ABC):
     Ring arithmetic is not part of it: coefficients combine with each other
     and with a float through their own ``+``, ``-``, ``*`` and ``/``
     operators.  An algebra supplies the constants ``zero`` and ``one``, the
-    predicates ``is_zero`` and ``is_invertible``, and the analytic primitives
-    evaluated on the constant term of a lift.  Implementations are small
-    stateless (or shape-carrying) objects; two algebra instances compare
-    equal when they describe the same coefficient space, which is what series
-    compatibility checks rely on.
+    predicate ``is_invertible``, and the analytic primitives evaluated on the
+    constant term of a lift.  Implementations are small stateless (or
+    shape-carrying) objects; two algebra instances compare equal when they
+    describe the same coefficient space, which is what series compatibility
+    checks rely on.
     """
 
     @abstractmethod
@@ -95,9 +86,6 @@ class CoefficientAlgebra(ABC):
 
     @abstractmethod
     def one(self): ...
-
-    @abstractmethod
-    def is_zero(self, a) -> bool: ...
 
     @abstractmethod
     def is_invertible(self, a) -> bool: ...
@@ -133,9 +121,6 @@ class RealAlgebra(CoefficientAlgebra):
 
     def one(self):
         return 1.0
-
-    def is_zero(self, a):
-        return bool(np.all(a == 0.0))
 
     def is_invertible(self, a):
         return bool(np.all(a != 0.0))
@@ -222,10 +207,6 @@ class TruncatedSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zeros(cls, algebra, order: int) -> "TruncatedSeries":
-        return cls(algebra, tuple(algebra.zero() for _ in range(order + 1)))
-
-    @classmethod
     def constant(cls, algebra, value, order: int) -> "TruncatedSeries":
         tail = tuple(algebra.zero() for _ in range(order))
         return cls(algebra, (value,) + tail)
@@ -237,11 +218,6 @@ class TruncatedSeries:
             raise ValueError("a variable seed needs order >= 1")
         tail = tuple(algebra.zero() for _ in range(order - 1))
         return cls(algebra, (value, algebra.one()) + tail)
-
-    @classmethod
-    def infinitesimal(cls, algebra, order: int) -> "TruncatedSeries":
-        """The series ``eps`` itself: ``[0, 1, 0, ..., 0]``."""
-        return cls.variable(algebra, algebra.zero(), order)
 
     # -- basic queries -------------------------------------------------
 
@@ -350,39 +326,7 @@ class TruncatedSeries:
             return NotImplemented
         return power(self, s)
 
-    # -- shifts and truncation -------------------------------------------
-
-    def shift_up(self, k: int) -> "TruncatedSeries":
-        """Multiply by ``eps**k``: shift coefficients towards higher order."""
-        if not isinstance(k, int) or k <= 0:
-            raise ValueError("shift_up needs a positive integer shift")
-        alg = self.algebra
-        n = self.order
-        if k > n:
-            warnings.warn(
-                f"shift_up by {k} exceeds order {n}; every coefficient truncated",
-                TruncationWarning,
-                stacklevel=2,
-            )
-            return type(self).zeros(alg, n)
-        zeros = tuple(alg.zero() for _ in range(k))
-        return self._new(zeros + tuple(self.coeffs[: n + 1 - k]))
-
-    def shift_down(self, k: int) -> "TruncatedSeries":
-        """Divide by ``eps**k``; the k lowest coefficients must be zero."""
-        if not isinstance(k, int) or k <= 0:
-            raise ValueError("shift_down needs a positive integer shift")
-        alg = self.algebra
-        n = self.order
-        if k > n:
-            raise ValueError(f"shift_down by {k} exceeds order {n}")
-        for j in range(k):
-            if not alg.is_zero(_real(self.coeffs[j])):
-                raise InfinitePartError(
-                    f"shift_down by {k} discards nonzero coefficient at order {j}"
-                )
-        zeros = tuple(alg.zero() for _ in range(k))
-        return self._new(tuple(self.coeffs[k:]) + zeros)
+    # -- truncation ----------------------------------------------------
 
     def truncated(self, order: int) -> "TruncatedSeries":
         """The series at the given truncation order (dropping or zero-padding).
@@ -524,7 +468,7 @@ class LazySeries:
     A node keeps only its newest coefficient, unless a later step reads its
     older ones: operands of series products and quotients and the inputs and
     outputs of lifts keep their whole history on the tape.  A node has no
-    order, coefficient tuple or shifts; only operators and lifts apply.
+    order or coefficient tuple; only operators and lifts apply.
 
     A rule may return :data:`ZERO` for a coefficient that is zero whatever the
     data; a node is then ``ZERO`` where its inputs force it, at no product

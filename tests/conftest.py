@@ -65,7 +65,8 @@ def eval_nested(series: TruncatedSeries, eps: float, dx: float):
 def ic_jets(problem, seed: Jet) -> list[Jet]:
     """The problem's initial condition on ``seed`` as jets: a component that
     ``ic`` returns as the structural zero ``ZERO`` becomes a zero jet."""
-    return [Jet.zeros(seed.algebra, seed.order) if g is ZERO else g for g in problem.ic(seed)]
+    zero = Jet.constant(seed.algebra, seed.algebra.zero(), seed.order)
+    return [zero if g is ZERO else g for g in problem.ic(seed)]
 
 
 def mp_derivative(f, x: float, m: int, base_step=0.25, levels: int = 8) -> float:

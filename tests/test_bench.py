@@ -347,6 +347,13 @@ def test_reference_contract_enforced():
         reference_solve(prob, pts, -0.01)
     with pytest.raises(ValueError, match="horizon"):
         reference_solve(prob, pts, math.nan)
+    # the spline must not extrapolate: every point finite and inside [lo, hi]
+    lo, hi = prob.domain
+    for bad in ([], [hi + 1e-12], [lo - 0.5], [0.4, math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="inside"):
+            reference_solve(prob, np.array(bad), 0.0)
+    ends = reference_solve(prob, np.array([lo, hi]), 0.0)[0]
+    np.testing.assert_allclose(ends, [0.0, 0.0], rtol=0, atol=1e-12)
     # the grid and step are fixed at the contract: at least 2048 cells, dt <= 1e-6
     assert _CELLS >= 2048 and _DT_MAX <= 1e-6
 

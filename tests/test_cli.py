@@ -522,6 +522,18 @@ def test_overflowing_derivatives_print_one_error_line(tmp_path, argv, error):
     assert not list(tmp_path.iterdir())
 
 
+def test_out_pointing_at_a_file_is_a_usage_error(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    run = _run_warning_loud(
+        ["derive", "--problem", "heat", "--order", "2", "--points", "3", "--out", str(taken)]
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
+    assert taken.read_text() == "kept\n"
+
+
 def test_argparse_level_errors_map_to_exit_codes(capsys):
     assert cli.main([]) == 2  # a subcommand is required
     assert cli.main(["derive", "--format", "xml"]) == 2

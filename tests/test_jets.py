@@ -14,7 +14,6 @@ from pdetaylor import (
     derivative,
     get_problem,
     seed_variable,
-    values,
 )
 from pdetaylor.series import ZERO, LiftDomainError, exp, sin
 
@@ -44,7 +43,7 @@ def test_square_of_seed_and_its_derivative():
 
 def test_values_returns_zeroth_coefficient():
     jet = seed_variable(np.array([0.5, 1.5]), 2)
-    np.testing.assert_array_equal(values(jet * jet), [0.25, 2.25])
+    np.testing.assert_array_equal((jet * jet).coeffs[0], [0.25, 2.25])
 
 
 def test_sin_jet_is_maclaurin_at_zero():
@@ -188,10 +187,10 @@ def test_chain_rule_through_composition():
     x = np.array([0.1, -0.45, 0.62])
     jet = sin(exp(seed_variable(x, 3)))
     ex = np.exp(x)
-    np.testing.assert_allclose(values(jet), np.sin(ex), rtol=1e-14)
-    first = values(derivative(jet))
+    np.testing.assert_allclose(jet.coeffs[0], np.sin(ex), rtol=1e-14)
+    first = derivative(jet).coeffs[0]
     np.testing.assert_allclose(first, ex * np.cos(ex), rtol=1e-13)
-    second = values(derivative(jet, 2))
+    second = derivative(jet, 2).coeffs[0]
     np.testing.assert_allclose(second, ex * np.cos(ex) - ex**2 * np.sin(ex), rtol=1e-12)
 
 
@@ -202,11 +201,9 @@ def test_batch_algebra_invertibility_and_finiteness():
     alg = BatchAlgebra(3)
     assert alg.is_invertible(np.array([1.0, -2.0, 0.5]))
     assert not alg.is_invertible(np.array([1.0, 0.0, 0.5]))
-    # the tests are elementwise comparisons, whatever the entries' finiteness;
+    # the test is an elementwise comparison, whatever the entries' finiteness;
     # finiteness itself is checked by compute_expansion, not by the algebra
     assert alg.is_invertible(np.array([1.0, np.inf, -np.inf]))
-    assert not alg.is_zero(np.array([0.0, np.nan, 0.0]))
-    assert alg.is_zero(np.array([0.0, -0.0, 0.0]))
 
 
 def test_batch_algebra_domain_errors():
@@ -221,7 +218,7 @@ def test_jet_algebra_builds_series_elements():
     alg = JetAlgebra(BatchAlgebra(2), 3)
     z, o = alg.zero(), alg.one()
     assert isinstance(z, TruncatedSeries) and z.order == 3
-    np.testing.assert_array_equal(values(o), [1.0, 1.0])
+    np.testing.assert_array_equal(o.coeffs[0], [1.0, 1.0])
     assert alg.is_invertible(o)
     assert not alg.is_invertible(z)
 

@@ -1,20 +1,17 @@
 """Truncated-series arithmetic: frozen examples, ring axioms, lift identities."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from pdetaylor import (
     BatchAlgebra,
-    InfinitePartError,
     InfinitesimalDivisorError,
     JetAlgebra,
     OrderMismatchError,
     RealAlgebra,
     TruncatedSeries,
-    TruncationWarning,
 )
 from pdetaylor.jets import Jet
 from pdetaylor.series import (
@@ -108,24 +105,14 @@ def test_power_half_matches_binomial_series():
     np.testing.assert_allclose(out.coeffs, expected, rtol=1e-15)
 
 
-def test_shift_up_moves_coefficients():
-    assert s(1, 2, 3).shift_up(1).coeffs == (0.0, 1.0, 2.0)
-
-
-def test_shift_down_divides_by_eps():
-    assert s(0, 0, 5).shift_down(2).coeffs == (5.0, 0.0, 0.0)
-
-
 def test_truncated_drops_or_pads():
     assert s(1, 2, 3).truncated(1).coeffs == (1.0, 2.0)
     assert s(1, 2).truncated(3).coeffs == (1.0, 2.0, 0.0, 0.0)
 
 
 def test_constructors():
-    assert TruncatedSeries.zeros(R, 2).coeffs == (0.0, 0.0, 0.0)
     assert TruncatedSeries.constant(R, 7.0, 2).coeffs == (7.0, 0.0, 0.0)
     assert TruncatedSeries.variable(R, 3.0, 2).coeffs == (3.0, 1.0, 0.0)
-    assert TruncatedSeries.infinitesimal(R, 2).coeffs == (0.0, 1.0, 0.0)
 
 
 def test_scalar_mixing():
@@ -159,7 +146,7 @@ def test_ring_axioms_real(order):
     assert_series_close(a * b, b * a, rtol=1e-14, atol=1e-16)
     assert_series_close(a * (b + c), a * b + a * c, rtol=1e-13, atol=1e-15)
     one = TruncatedSeries.constant(R, 1.0, order)
-    zero = TruncatedSeries.zeros(R, order)
+    zero = TruncatedSeries.constant(R, R.zero(), order)
     assert (a * one).coeffs == a.coeffs
     assert (a + zero).coeffs == a.coeffs
     assert all(v == 0.0 for v in (a * zero).coeffs)
@@ -197,16 +184,6 @@ def test_div_inverts_mul(order):
     assert_series_close((a * b) / b, a, rtol=1e-12, atol=1e-13)
     one = TruncatedSeries.constant(R, 1.0, order)
     assert_series_close(b / b, one, rtol=1e-13, atol=1e-14)
-
-
-@pytest.mark.parametrize("k,order", [(1, 4), (2, 4), (4, 4)])
-def test_shift_round_trip_exact(k, order):
-    rng = np.random.default_rng(k)
-    a = random_series(rng, order)
-    back = a.shift_up(k).shift_down(k)
-    # the top k coefficients fall off the truncation; the rest come back bitwise
-    assert back.coeffs[: order + 1 - k] == a.coeffs[: order + 1 - k]
-    assert all(v == 0.0 for v in back.coeffs[order + 1 - k :])
 
 
 def test_exp_is_a_homomorphism():
@@ -279,26 +256,6 @@ def test_division_by_non_invertible_constant():
         s(1, 2, 3) / s(0, 1, 0)
 
 
-def test_shift_down_nonzero_low_coefficients():
-    with pytest.raises(InfinitePartError):
-        s(1, 2, 3).shift_down(1)
-    with pytest.raises(ValueError):
-        s(0, 0, 0).shift_down(5)
-
-
-def test_shift_up_past_order_warns_and_zeroes():
-    with pytest.warns(TruncationWarning):
-        out = s(1, 2, 3).shift_up(4)
-    assert out.coeffs == (0.0, 0.0, 0.0)
-
-
-def test_shift_validation():
-    with pytest.raises(ValueError):
-        s(1, 2).shift_up(0)
-    with pytest.raises(ValueError):
-        s(1, 2).shift_down(-1)
-
-
 def batch_s(*coeffs):
     """A series over two points: the constant 1, then the given coefficients.
     One entry outside a lift's domain fails the whole batch."""
@@ -351,12 +308,6 @@ def test_truncated_rejects_negative_order():
         s(1, 2).truncated(-1)
 
 
-def test_shift_up_warning_not_triggered_in_range():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        s(1, 2, 3).shift_up(2)
-
-
 # -- nested coefficients ---------------------------------------------------
 
 
@@ -379,7 +330,7 @@ def test_nested_series_of_jets_numeric_probe():
 def test_nested_constant_term_is_inner_series():
     batch = BatchAlgebra(2)
     jet_alg = JetAlgebra(batch, 3)
-    series = TruncatedSeries.zeros(jet_alg, 4)
+    series = TruncatedSeries.constant(jet_alg, jet_alg.zero(), 4)
     assert isinstance(series.constant_term, TruncatedSeries)
     assert series.constant_term.order == 3
     assert flatten(series).shape == (5 * 4 * 2,)
@@ -415,13 +366,11 @@ def test_structural_zero_drops_out_of_every_operation():
         lambda s: s**4,
         lambda s: sech(s),
         lambda s: reciprocal(s + 2.0),
-        lambda s: s.shift_up(2),
-        lambda s: (s - s).shift_down(3),
         lambda s: s.truncated(3),
         lambda s: s.truncated(7),
     ],
     ids=["cube", "constant", "sub", "div", "rdiv", "exp", "sin-cos", "log", "sqrt", "pow4",
-         "sech", "reciprocal", "shift-up", "shift-down", "drop", "pad"],
+         "sech", "reciprocal", "drop", "pad"],
 )
 def test_series_with_structural_zero_rows_matches_zero_rows(f):
     # the driver hands the initial condition the identity with its rows past 1

@@ -51,7 +51,8 @@ def eager_coefficients(problem, x, max_order):
             ]
 
         n = i - 1
-        t = TruncatedSeries.infinitesimal(alg, n) if n else TruncatedSeries.zeros(alg, 0)
+        zero = alg.zero()
+        t = TruncatedSeries.variable(alg, zero, n) if n else TruncatedSeries.constant(alg, zero, 0)
         x_series = TruncatedSeries.constant(alg, seed.truncated(w), n)
         f = problem.rhs(stacked(0), stacked(1), stacked(2), t, x_series)
         for comp, fc in zip(jets, f):
