@@ -230,11 +230,11 @@ def _cmd_derive(args: argparse.Namespace, problem) -> int:
 def _cmd_taylor(args: argparse.Namespace, problem) -> int:
     x = sample_points(problem, args.points, args.tau, args.seed)
     expansion = compute_expansion(problem, x, args.order)
+    evaluations = [expansion.evaluate(t1) for t1 in args.t1]
     rows = []
     for m in range(problem.components):
-        for t1 in args.t1:
-            values = expansion.evaluate(t1)[m]
-            for xp, v in zip(x, values):
+        for t1, values in zip(args.t1, evaluations):
+            for xp, v in zip(x, values[m]):
                 rows.append((m, t1, xp, v))
     if args.format == "json":
         lines = ["["]

@@ -33,7 +33,11 @@ the opposite parity (``U``'s odd and ``V``'s even ones) is ``ZERO`` too, and
 the products, sums, derivatives and copies of that half cost nothing.
 
 That costs ``O(K**2)`` jet products per product in ``F`` instead of the
-``O(K**3)`` of re-evaluating ``F`` at every order.  Every recurrence step is
+``O(K**3)`` of re-evaluating ``F`` at every order.  A step forms the jet
+products of its coefficient in stacks of up to ``_BLOCK // N`` pairs, one
+kernel call per stack (:mod:`pdetaylor.jets`), so on a few dozen points the
+``k + 1`` products of order ``k`` cost one call, and a full block makes one
+call per product.  Every recurrence step is
 the one :class:`~pdetaylor.series.TruncatedSeries` uses, in the same
 summation order, and the coefficient of order ``k`` of any product depends
 only on input coefficients of order ``<= k``; so the computed ``C_0 ... C_K``
@@ -52,9 +56,10 @@ orders only the values.
 
 A jet is one ``(P+1, N)`` array (:class:`~pdetaylor.jets.Jet`), and the
 points are expanded in blocks of ``_BLOCK``, each with its own ``rhs`` call
-and tape.  Every operation is elementwise across points, so the blocks give
-the coefficients of one pass bit for bit; a block's jets stay in cache, and
-only one block's histories are held at a time.  Value rows are copied out of
+and tape.  Every operation is elementwise across points, and a stack of jet
+products across its pairs, so the blocks give the coefficients of one pass
+bit for bit; a block's jets stay in cache, and only one block's histories
+are held at a time.  Value rows are copied out of
 the jets, and kept histories are narrowed into copies, because a view would
 keep its whole jet alive.
 
@@ -72,18 +77,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import BatchAlgebra, Jet, JetAlgebra, derivative, seed_variable
+from .jets import _BLOCK, BatchAlgebra, Jet, JetAlgebra, derivative, seed_variable
 from .problems import PdeProblem
 from .series import ZERO, LazySeries, SeriesTape, TruncatedSeries, _as_scalar, _real
 
 MAX_ORDER = 20
-# Points expanded together.  Every operation is elementwise across points, so
-# blocks give the coefficients of one pass bit for bit; at jet order 40 a
-# block's jet is about 0.7 MB, which stays in cache, and the histories the
-# tape keeps are those of one block.  Of 1024, 2048, 4096 and one pass,
-# 2048 expanded allen_cahn and schrodinger fastest at K=20, N=10**4 on a
-# two-core Xeon VM.
-_BLOCK = 2048
 # Jet orders one time order consumes: ``rhs`` reads at most ``U_xx``.
 _SPATIAL_ORDER = 2
 

@@ -38,6 +38,12 @@ produce bit-identical coefficients.  A lazy coefficient that is zero whatever
 the data is the structural zero :data:`ZERO`, which sums drop and products pass
 on, so the shared steps skip its terms; one that is the same at every point may
 be a plain number (activity analysis; Hascoet & Pascual, ACM TOMS 39(3), 2013).
+Each step lists the terms ``x_j * y_{k-j}`` of its coefficient and leaves out
+every one with a ``ZERO`` factor before multiplying, since ``acc + ZERO`` is
+``acc`` and ``ZERO + t`` is ``t``; it forms the products of each run of series
+pairs through that series class's ``_products``, which a flat jet answers with
+stacked kernel calls, and adds them up in the order of the terms, one at a
+time, so the stacking changes no bit.
 A :class:`TruncatedSeries` may hold ``ZERO`` too, and its operations skip those
 terms the same way: the expansion driver hands a problem's initial condition
 the identity with every coefficient past order 1 ``ZERO``, so a lift of it
@@ -300,6 +306,15 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def _products(pairs):
+        """``x * y`` for each pair of series of this kind, in order.
+
+        The recurrence steps form the products of a coefficient through this
+        method; :class:`~pdetaylor.jets.Jet` overrides it to stack them.
+        """
+        return [x * y for x, y in pairs]
+
     def __truediv__(self, other):
         s = _as_scalar(other)
         alg = self.algebra
@@ -353,11 +368,44 @@ class TruncatedSeries:
 # algebra, so a lift over nested series recurses.
 
 
+def _terms(x, y, k, lo, hi):
+    """Yield ``(j, x_j * y_{k-j})`` for ``lo <= j < hi`` in order of ``j``, leaving
+    out every term with a ZERO factor.
+
+    Such a term is ZERO, which a sum drops, so leaving it out changes no bit.
+    Each run of consecutive terms whose two factors are series of one class is
+    formed by that class's ``_products``, which a flat jet stacks into one
+    kernel call; any other term is one multiply.
+    """
+    run = []
+    for j in range(lo, hi):
+        xj, yj = x[j], y[k - j]
+        if xj is ZERO or yj is ZERO:
+            continue
+        if isinstance(xj, TruncatedSeries) and type(yj) is type(xj):
+            if run and type(run[0][1]) is not type(xj):
+                yield from _run_products(run)
+                run = []
+            run.append((j, xj, yj))
+            continue
+        if run:
+            yield from _run_products(run)
+            run = []
+        yield j, xj * yj
+    if run:
+        yield from _run_products(run)
+
+
+def _run_products(run):
+    """``(j, x_j * y_{k-j})`` for a run of terms whose factors are series of one class."""
+    return zip([j for j, _, _ in run], type(run[0][1])._products([(xj, yj) for _, xj, yj in run]))
+
+
 def _mul_step(a, b, k):
     """Coefficient k of a product: a_0*b_k + a_1*b_{k-1} + ... + a_k*b_0."""
-    acc = a[0] * b[k]
-    for i in range(1, k + 1):
-        acc = acc + a[i] * b[k - i]
+    acc = ZERO
+    for _, p in _terms(a, b, k, 0, k + 1):
+        acc = acc + p
     return acc
 
 
@@ -368,16 +416,16 @@ def _div_step(alg, a_k, b, q, k):
             "division by a series with non-invertible leading coefficient"
         )
     acc = a_k
-    for j in range(1, k + 1):
-        acc = acc - b[j] * q[k - j]
+    for _, p in _terms(b, q, k, 1, k + 1):
+        acc = acc - p
     return acc / b[0]
 
 
 def _weighted_sum(a, f, k):
     """sum_{j=1..k} j*a_j*f_{k-j}, shared by the exp, sin and cos recurrences."""
-    acc = a[1] * f[k - 1]
-    for j in range(2, k + 1):
-        acc = acc + (a[j] * f[k - j]) * float(j)
+    acc = ZERO
+    for j, p in _terms(a, f, k, 1, k + 1):
+        acc = acc + (p * float(j) if j > 1 else p)
     return acc
 
 
@@ -399,12 +447,10 @@ def _log_step(alg, a, out, k):
     """L_k = (A_k - (1/k) sum_{j<k} j*L_j*A_{k-j}) / A_0."""
     if k == 0:
         return alg.log(_real(a[0]))
-    acc = None
-    for j in range(1, k):
-        term = (out[j] * a[k - j]) * float(j)
-        acc = term if acc is None else acc + term
-    num = a[k] if acc is None else a[k] - acc * (1.0 / k)
-    return num / a[0]
+    acc = ZERO
+    for j, p in _terms(out, a, k, 1, k):
+        acc = acc + p * float(j)
+    return (a[k] - acc * (1.0 / k)) / a[0]
 
 
 def _power_step(alg, a, out, k, e):
@@ -415,11 +461,9 @@ def _power_step(alg, a, out, k, e):
                 "power with non-integer or negative exponent needs an invertible constant term"
             )
         return alg.pow(a[0], e)
-    acc = None
-    for j in range(1, k + 1):
-        w = (e + 1.0) * j - k
-        term = (a[j] * out[k - j]) * w
-        acc = term if acc is None else acc + term
+    acc = ZERO
+    for j, p in _terms(a, out, k, 1, k + 1):
+        acc = acc + p * ((e + 1.0) * j - k)
     return (acc * (1.0 / k)) / a[0]
 
 

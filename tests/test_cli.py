@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdetaylor import PdeProblem, cli, derivative, get_problem, sample_points, seed_variable
+from pdetaylor import PdeProblem, TaylorExpansion, cli, derivative, get_problem, sample_points, seed_variable
 from pdetaylor.bench import default_exclusion
 from pdetaylor.series import log
 
@@ -139,6 +139,27 @@ def test_taylor_json_format(tmp_path):
     assert len(records) == 2 * 6  # both components
     assert set(records[0]) == {"component", "t", "x", "value"}
     assert {r["component"] for r in records} == {0, 1}
+
+
+def test_taylor_evaluates_each_horizon_once(tmp_path, monkeypatch):
+    # every component's values come from one evaluation per horizon, not one
+    # per (component, horizon)
+    horizons = []
+    evaluate = TaylorExpansion.evaluate
+
+    def counted(self, t1):
+        horizons.append(t1)
+        return evaluate(self, t1)
+
+    monkeypatch.setattr(TaylorExpansion, "evaluate", counted)
+    code = cli.main(
+        ["taylor", "--problem", "schrodinger", "--points", "4", "--t1", "0.01",
+         "--t1", "0.03", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert horizons == [0.01, 0.03]
+    _, rows = read_rows(tmp_path / "taylor_points_schrodinger.csv")
+    assert [(int(r[0]), float(r[1])) for r in rows[::4]] == [(0, 0.01), (0, 0.03), (1, 0.01), (1, 0.03)]
 
 
 def test_taylor_repeated_t1_flags(tmp_path):

@@ -15,6 +15,7 @@ from pdetaylor import (
     compute_expansion,
     driver,
     get_problem,
+    jets,
     seed_variable,
 )
 from pdetaylor.jets import BatchAlgebra, Jet
@@ -325,16 +326,21 @@ def test_coefficients_own_their_memory():
 
 @pytest.fixture
 def jet_products(monkeypatch):
-    """One entry per jet×jet product made in the test: whether each operand is all zero."""
+    """One entry per jet×jet product made in the test: whether each operand is all zero.
+
+    Every jet product, alone or in a stack, goes through the one kernel
+    ``jets._convolve``, which is hooked here with one entry per pair: its
+    operands are ``(P+1, N)`` jets or ``(P+1, m, N)`` stacks of ``m`` pairs.
+    """
     products = []
-    mul = Jet.__mul__
+    convolve = jets._convolve
 
-    def recording(self, other):
-        if isinstance(other, Jet):
-            products.append((not self.coeffs.any(), not other.coeffs.any()))
-        return mul(self, other)
+    def recording(a, b):
+        sa, sb = (x.reshape(len(x), -1, x.shape[-1]) for x in (a, b))
+        products.extend((not sa[:, p].any(), not sb[:, p].any()) for p in range(sa.shape[1]))
+        return convolve(a, b)
 
-    monkeypatch.setattr(Jet, "__mul__", recording)
+    monkeypatch.setattr(jets, "_convolve", recording)
     return products
 
 

@@ -7,16 +7,21 @@ computed once on jets and once on a :class:`TruncatedSeries` over
 series recurrence steps row by row, and the results are compared as uint64
 bit patterns.  Orders reach 42 (the working jet order of a K=21 expansion)
 and batches 70 points; rows are random and finite, with exact and negative
-zeros mixed in.
+zeros mixed in.  A series step forms the jet products of one coefficient in
+stacks, and each stacked product is compared with the row-by-row product of
+its pair.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdetaylor import BatchAlgebra, TruncatedSeries, derivative, exp, sin_cos
+from pdetaylor import BatchAlgebra, OrderMismatchError, TruncatedSeries, derivative, exp, jets, sin_cos
 from pdetaylor.jets import Jet
+from pdetaylor.series import ZERO, _terms
 
 orders = st.integers(0, 42)
 sizes = st.integers(1, 70)
@@ -161,3 +166,72 @@ def test_flat_derivative_and_truncation_match_rows(data, order, size, seed):
     want = TruncatedSeries(jet.algebra, list(rows)).truncated(cut)
     assert isinstance(got, Jet) and got.order == cut
     np.testing.assert_array_equal(_bits(got.coeffs), _bits(want.coeffs))
+
+
+def _factor(kind, seed, order, size):
+    """A coefficient of a series of jets: a jet, ZERO or a number."""
+    if kind == "zero":
+        return ZERO
+    if kind == "number":
+        return float(np.random.default_rng(seed).uniform(-2.0, 2.0))
+    return _pair(_rows(seed, order, size))[0]
+
+
+def _row_product(x, y):
+    """``x * y`` with each jet as a row-by-row series: the reference product."""
+    ref = [TruncatedSeries(f.algebra, list(f.coeffs)) if isinstance(f, Jet) else f for f in (x, y)]
+    product = ref[0] * ref[1]
+    return np.asarray(product.coeffs if isinstance(product, TruncatedSeries) else product)
+
+
+@settings(max_examples=60, deadline=None)
+# 700 points cap a stack at 2 pairs, so 5 jet pairs make stacks of 2, 2 and 1
+@example(order=3, size=700, length=5, seed=5, kinds=["jet"] * 90)
+@given(
+    order=orders,
+    size=sizes,
+    length=st.integers(1, 45),
+    seed=seeds,
+    kinds=st.lists(st.sampled_from(["jet", "jet", "jet", "zero", "number"]), min_size=90, max_size=90),
+)
+def test_stacked_products_match_row_by_row_products(order, size, length, seed, kinds):
+    # x_j * y_{k-j} for j = 0..k, as a product step lists them
+    k = length - 1
+    x = [_factor(kinds[j], seed + 2 * j, order, size) for j in range(length)]
+    y = [_factor(kinds[45 + j], seed + 2 * j + 1, order, size) for j in range(length)]
+    stacks = []
+    convolve = jets._convolve
+
+    def recording(a, b):
+        stacks.append(a.shape[1] if a.ndim == 3 else 1)
+        return convolve(a, b)
+
+    with mock.patch.object(jets, "_convolve", recording), np.errstate(over="ignore", invalid="ignore"):
+        got = list(_terms(x, y, k, 0, length))
+    kept = [j for j in range(length) if x[j] is not ZERO and y[k - j] is not ZERO]
+    assert [j for j, _ in got] == kept
+    for j, product in got:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _row_product(x[j], y[k - j])
+        if isinstance(product, Jet):
+            assert product.coeffs.shape == (order + 1, size)
+            product = product.coeffs
+        np.testing.assert_array_equal(_bits(product), _bits(want))
+
+    # each run of jet pairs is cut into stacks of at most _BLOCK // N pairs
+    cap = max(1, jets._BLOCK // size)
+    assert all(1 <= n <= cap for n in stacks)
+    jet_pairs = sum(isinstance(x[j], Jet) and isinstance(y[k - j], Jet) for j in kept)
+    assert sum(stacks) == jet_pairs
+
+
+@pytest.mark.parametrize("mismatch", ["within a pair", "between pairs"])
+def test_stacked_products_of_different_orders_raise(mismatch):
+    x = [_factor("jet", j, 4, 3) for j in range(3)]
+    y = [_factor("jet", 10 + j, 4, 3) for j in range(3)]
+    if mismatch == "within a pair":
+        y[1] = _factor("jet", 20, 5, 3)
+    else:
+        x[2], y[0] = _factor("jet", 20, 5, 3), _factor("jet", 21, 5, 3)
+    with pytest.raises(OrderMismatchError):
+        list(_terms(x, y, 2, 0, 3))

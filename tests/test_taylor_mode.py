@@ -130,6 +130,27 @@ def test_coefficients_bit_identical_to_per_order_reevaluation(problem, order):
             assert_equal_but_for_zero_signs(got, want)
 
 
+# the problems whose steps reach the stacked jet products or the lifts: four
+# built-in ones at the top order, and the toy with log, powers and quotients
+WIDTH_CASES = [(get_problem(name), 20) for name in ("diffusion", "burgers", "allen_cahn", "schrodinger")] + [
+    (_toy("lifts", 1, _lifts_rhs), 12)
+]
+
+
+@pytest.mark.parametrize("problem, order", WIDTH_CASES, ids=[p.name for p, _ in WIDTH_CASES])
+def test_coefficients_do_not_depend_on_block_width(problem, order):
+    # 2100 points expand as a block of 2048, whose steps multiply one jet pair
+    # per kernel call, and one of 52; a 50-point slice stacks up to 40 pairs
+    lo, hi = problem.domain
+    x = np.linspace(lo, hi, 2102)[1:-1]
+    whole = compute_expansion(problem, x, order)
+    slices = [compute_expansion(problem, x[i : i + 50], order) for i in range(0, x.size, 50)]
+    for m in range(problem.components):
+        for i in range(order + 1):
+            concatenated = np.concatenate([s.coeffs[m][i] for s in slices])
+            np.testing.assert_array_equal(whole.coeffs[m][i].view(np.uint64), concatenated.view(np.uint64))
+
+
 @pytest.mark.parametrize("problem", [p for p, _ in CASES], ids=[p.name for p, _ in CASES])
 def test_rhs_is_called_once_per_expansion(problem):
     calls = []
