@@ -369,23 +369,28 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
     n_steps = max(1, math.ceil(t1 / dt))
     dt = t1 / n_steps
 
-    # Every buffer is allocated once and updated in place, with the float
-    # operations of the plain expressions in the same order (``-a + 8*b`` is
-    # computed as ``8*b - a``, which is exact).  The state and the Runge-Kutta
-    # stage argument each live inside an array with two ghost cells per end.
+    # The state and the Runge-Kutta stage argument each live inside an array
+    # with two ghost cells per end.  Each stencil is one ``np.correlate`` per
+    # component row with the integer fourth-order weights, scaled once after
+    # the sum.  The integer weights sum to exactly zero, so a constant row has
+    # no derivative; weights prescaled by 1/(12 h^2) round to values that do
+    # not, and that bias, added at every step, took the heat closed-form error
+    # at t1 = 0.01 from 1e-14 to 2e-12.
     padded = np.empty((state.shape[0], state.shape[1] + 4))
     padded[:, 2:-2] = state
     state = padded[:, 2:-2]
     stage_padded = np.empty_like(padded)
     stage = stage_padded[:, 2:-2]
-    stencil = tuple(np.empty_like(state) for _ in range(3))
     k1, k2, k3, k4 = (np.empty_like(state) for _ in range(4))
+    first = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
+    second = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+    first_scale, second_scale = 1 / (12 * h), 1 / (12 * h * h)
+    last = state.shape[1] - 1
 
     def deriv(t, ue, out):
         # ``ue`` holds the argument between its ghost cells; fill them with a
         # periodic wrap, or an odd reflection through the zero-valued
         # Dirichlet endpoints, then write the right-hand side into ``out``
-        ux, uxx, tmp = stencil
         s = ue[:, 2:-2]
         if periodic:
             ue[:, :2] = s[:, -2:]
@@ -393,22 +398,12 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
         else:
             np.negative(s[:, 2:0:-1], out=ue[:, :2])
             np.negative(s[:, -2:-4:-1], out=ue[:, -2:])
-        np.multiply(ue[:, 3:-1], 8, out=ux)
-        ux -= ue[:, 4:]
-        ux -= np.multiply(ue[:, 1:-3], 8, out=tmp)
-        ux += ue[:, :-4]
-        ux /= 12 * h
-        np.multiply(ue[:, 3:-1], 16, out=uxx)
-        uxx -= ue[:, 4:]
-        uxx -= np.multiply(ue[:, 2:-2], 30, out=tmp)
-        uxx += np.multiply(ue[:, 1:-3], 16, out=tmp)
-        uxx -= ue[:, :-4]
-        uxx /= 12 * h * h
-        for c, row in enumerate(problem.rhs_numpy(list(s), list(ux), list(uxx), t, grid)):
+        ux = [np.correlate(row, first, "valid") * first_scale for row in ue]
+        uxx = [np.correlate(row, second, "valid") * second_scale for row in ue]
+        for c, row in enumerate(problem.rhs_numpy(list(s), ux, uxx, t, grid)):
             out[c] = row
         if not periodic:
-            out[:, 0] = 0.0
-            out[:, -1] = 0.0
+            out[:, ::last] = 0.0
 
     t = 0.0
     for step in range(n_steps):
@@ -422,11 +417,10 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
         np.multiply(k3, dt, out=stage)
         stage += state
         deriv(t + dt, stage_padded, k4)
-        # state + (dt/6) * (k1 + 2*k2 + 2*k3 + k4)
+        # state + (dt/6) * (k1 + 2*(k2 + k3) + k4)
+        k2 += k3
         k2 *= 2
         k2 += k1
-        k3 *= 2
-        k2 += k3
         k2 += k4
         k2 *= dt / 6
         state += k2

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import _BLOCK, BatchAlgebra, Jet, JetAlgebra, derivative, seed_variable
+from .jets import _BLOCK, BatchAlgebra, Jet, JetAlgebra, derivative
 from .problems import PdeProblem
 from .series import ZERO, LazySeries, SeriesTape, TruncatedSeries, _as_scalar, _real
 
@@ -189,12 +189,12 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
     m = problem.components
     seed_order = _SPATIAL_ORDER * max_order
     batch = BatchAlgebra(x.size)
-    seed = seed_variable(x, seed_order)
+    seed = Jet.variable(batch, x, seed_order)
 
     # Per component: the newest coefficient, C_i stored at jet order W_i, a
     # number or ZERO.  Only its value row is kept of older orders, copied out
     # into ``rows``.
-    newest = _initial_condition(problem, x, seed_order)
+    newest = _initial_condition(problem, batch, x, seed_order)
     for c, coeff in enumerate(newest):
         _store(coeff, rows[c][0], 0, c)
     tape = SeriesTape()
@@ -239,12 +239,11 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
         newest[:] = new
 
 
-def _initial_condition(problem: PdeProblem, x: np.ndarray, order: int) -> list:
+def _initial_condition(problem: PdeProblem, batch: BatchAlgebra, x: np.ndarray, order: int) -> list:
     """``C_0`` per component: the problem's ``ic`` on the identity at ``x`` as a
     series whose rows past 1 are ``ZERO``, so its lifts skip them, and each
     series it returns as one flat jet of ``order``, with ``ZERO`` rows as zero
     rows.  A ``ZERO`` or number component is kept as it is."""
-    batch = BatchAlgebra(x.size)
     g = problem.ic(TruncatedSeries(batch, (x, batch.one()) + (ZERO,) * (order - 1)))
     if len(g) != problem.components:
         raise ValueError(

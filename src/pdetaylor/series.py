@@ -250,7 +250,7 @@ class TruncatedSeries:
         return [None] * len(self.coeffs)
 
     def _check_compatible(self, other: "TruncatedSeries"):
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise TypeError(
                 f"incompatible coefficient algebras: {self.algebra!r} vs {other.algebra!r}"
             )

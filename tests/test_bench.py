@@ -408,6 +408,35 @@ def test_reference_periodic_branch_against_closed_form():
     assert np.max(np.abs(got[0] - want)) < 1e-8
 
 
+def test_reference_first_derivative_against_advection_closed_form():
+    # u_t = -c u_x transports the profile unchanged, so only the U_x stencil
+    # shapes the solution; a speed other than 1 shows a scale error in it
+    c = 0.7
+    prob = PdeProblem(
+        name="advection_periodic",
+        components=1,
+        domain=(-1.0, 1.0),
+        t_end=1.0,
+        params={},
+        ic=lambda seed: [series_sin(seed * PI)],
+        rhs=lambda u, u_x, u_xx, t, x: [u_x[0] * -c],
+        ic_numpy=lambda x: [np.sin(PI * x)],
+        rhs_numpy=lambda u, u_x, u_xx, t, x: [-c * u_x[0]],
+        boundary="periodic",
+        advection_speed=c,
+    )
+    pts = np.linspace(-0.9, 0.9, 13)
+    got = reference_solve(prob, pts, 0.01)
+    want = np.sin(PI * (pts - c * 0.01))
+    assert np.max(np.abs(got[0] - want)) < 1e-10
+
+
+def test_reference_keeps_its_heat_accuracy(heat_reference_error):
+    # the stencils sum with integer weights and scale once; weights prescaled
+    # by 1/(12 h^2) no longer sum to zero and raised this error to 2e-12
+    assert heat_reference_error < 1e-13
+
+
 def test_reference_raises_on_blow_up():
     prob = PdeProblem(
         name="explosive",

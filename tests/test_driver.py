@@ -497,7 +497,7 @@ def test_initial_condition_matches_the_dense_seed(name):
     # (sin's even rows at x = 0) may differ in sign, and nothing else may
     prob = get_problem(name)
     x = np.linspace(*prob.domain, 41)[1:-1]
-    got = driver._initial_condition(prob, x, 40)
+    got = driver._initial_condition(prob, BatchAlgebra(x.size), x, 40)
     want = ic_jets(prob, seed_variable(x, 40))
     assert len(got) == len(want) == prob.components
     for g, w in zip(got, want):
