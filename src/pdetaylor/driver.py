@@ -65,8 +65,9 @@ keep its whole jet alive.
 
 The expansion stores the raw coefficients ``C_i``; multiplying by ``i!`` only
 when actual derivatives are requested keeps the factorial round-off out of
-the stored data.  ``K`` is capped where ``K!`` stops being exact in float64
-terms of interest (20).
+the stored data.  ``K`` is capped at ``MAX_ORDER`` = 20, the highest order
+the tests and the benchmark run.  The cap is not a float64 limit: ``i!`` is
+exact in float64 up to ``22!``, and the stored ``C_i`` do not include it.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import _BLOCK, BatchAlgebra, Jet, JetAlgebra, derivative
+from .jets import _BLOCK, BatchAlgebra, Jet, derivative
 from .problems import PdeProblem
 from .series import ZERO, LazySeries, SeriesTape, TruncatedSeries, _as_scalar, _real
 
@@ -202,11 +203,11 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
     def spatial(c, d):
         # d-th x-derivative of component c.  Every node is asked for coefficient
         # k = i - 1 at iteration i, while ``newest`` still holds C_k; it is read
-        # at W_{k+1}, from C_k stored at W_k = W_{k+1} + 2 jet orders.
-        def rule(alg, k):
+        # at ``work_order`` W_{k+1}, from C_k stored at W_k = W_{k+1} + 2 jet orders.
+        def rule(k):
             coeff = newest[c]
             if isinstance(coeff, Jet):
-                return derivative(coeff.truncated(alg.order + d), d)
+                return derivative(coeff.truncated(work_order + d), d)
             return ZERO if d else coeff
 
         return LazySeries(tape, rule)
@@ -214,8 +215,8 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
     u = [spatial(c, 0) for c in range(m)]
     u_x = [spatial(c, 1) for c in range(m)]
     u_xx = [spatial(c, 2) for c in range(m)]
-    t_node = LazySeries(tape, lambda alg, k: 1.0 if k == 1 else ZERO)
-    x_node = LazySeries(tape, lambda alg, k: seed.truncated(alg.order) if k == 0 else ZERO)
+    t_node = LazySeries(tape, lambda k: 1.0 if k == 1 else ZERO)
+    x_node = LazySeries(tape, lambda k: seed.truncated(work_order) if k == 0 else ZERO)
 
     f = problem.rhs(u, u_x, u_xx, t_node, x_node)
     if len(f) != m:
@@ -228,9 +229,8 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
 
     for i in range(1, max_order + 1):
         work_order = seed_order - _SPATIAL_ORDER * i
-        alg = JetAlgebra(batch, work_order)
         # a copy of each kept jet: a view would keep its untruncated array alive
-        tape.advance(alg, lambda c: Jet(batch, c.coeffs[: work_order + 1].copy())
+        tape.advance(lambda c: Jet(batch, c.coeffs[: work_order + 1].copy())
                      if isinstance(c, Jet) else c)
         new = []
         for c in range(m):

@@ -27,10 +27,9 @@ Schrodinger's parity zeros, or a plain number, such as those of diffusion's
 A jet is a :class:`~pdetaylor.series.TruncatedSeries` over
 :class:`BatchAlgebra`, so the quotient and the analytic lifts of
 :mod:`pdetaylor.series` apply unchanged: they run the series recurrence steps
-over the rows of a preallocated array.  :class:`BatchAlgebra` is the
-elementwise :class:`~pdetaylor.series.RealAlgebra` with a batch size and
-array constants; the invertibility test and the primitives are stated
-once, there.
+over the rows of a preallocated array, and evaluate each function on the
+constant row with NumPy.  :class:`BatchAlgebra` is
+:class:`~pdetaylor.series.RealAlgebra` with a batch size and array constants.
 
 :func:`seed_variable` builds the jet of the identity function, ``[X, 1, 0,
 ..., 0]``; evaluating an expression on the seed yields the jet of that
@@ -40,11 +39,11 @@ structural zero instead, so its lifts skip them, and then stores each result
 as a jet.  :func:`derivative` extracts the jet of ``f^(m)``, which is ``m``
 orders shorter than its input.
 
-:class:`JetAlgebra` lets jets serve as series coefficients, giving the
-nesting time-series -> space-jet -> point-batch used by the expansion
-driver.  Jets already add, subtract, multiply, divide and scale, so the
-algebra supplies only the jet order, the constant jets and the lifts that
-evaluate an analytic function on a jet or a number.
+Jets add, subtract, multiply, divide and scale, so they serve as the
+coefficients of a series in time, giving the nesting time-series ->
+space-jet -> point-batch of the expansion driver; a lift of such a series
+lifts its constant jet again.  :class:`JetAlgebra` supplies only the jet
+order and the constant jets an eager series of jets pads and seeds with.
 """
 
 from __future__ import annotations
@@ -53,16 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import (
-    CoefficientAlgebra,
-    RealAlgebra,
-    TruncatedSeries,
-    _as_scalar,
-    exp,
-    log,
-    power,
-    sin_cos,
-)
+from .series import RealAlgebra, TruncatedSeries, _as_scalar
 
 
 # The width of one array operation on jets, in points times stacked pairs.
@@ -233,12 +223,11 @@ def derivative(jet: Jet, m: int = 1) -> Jet:
 
 
 @dataclass(frozen=True)
-class JetAlgebra(CoefficientAlgebra):
+class JetAlgebra:
     """Flat jets of a fixed order over one batch of points as series coefficients.
 
     An element is a :class:`Jet` over ``inner`` with truncation order
-    ``order``, or a number, the same at every point.  A lift evaluates a
-    series element by lifting again inside it, and a number with ``inner``.
+    ``order``, or a number, the same at every point.
     """
 
     inner: BatchAlgebra
@@ -251,18 +240,3 @@ class JetAlgebra(CoefficientAlgebra):
         c = np.zeros((self.order + 1, self.inner.size))
         c[0] = 1.0
         return Jet(self.inner, c)
-
-    def is_invertible(self, a):
-        return self.inner.is_invertible(a.constant_term if isinstance(a, TruncatedSeries) else a)
-
-    def exp(self, a):
-        return exp(a) if isinstance(a, TruncatedSeries) else self.inner.exp(a)
-
-    def sin_cos(self, a):
-        return sin_cos(a) if isinstance(a, TruncatedSeries) else self.inner.sin_cos(a)
-
-    def log(self, a):
-        return log(a) if isinstance(a, TruncatedSeries) else self.inner.log(a)
-
-    def pow(self, a, exponent):
-        return power(a, exponent) if isinstance(a, TruncatedSeries) else self.inner.pow(a, exponent)

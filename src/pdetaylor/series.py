@@ -13,19 +13,21 @@ is an error rather than a renormalisation.
 
 Coefficients combine through their own ``+``, ``-``, ``*``, ``/`` and
 ``* float`` operators, so Python floats, NumPy batches and jets all work
-unchanged.  A :class:`CoefficientAlgebra` supplies only what differs between
-those spaces: the constants zero and one, the invertibility test, and the
-analytic primitives.  :class:`RealAlgebra` states these once, elementwise on
-NumPy, so it serves a float and a batch of points alike; the batch algebra,
-which only adds a size, and the spatial-jet algebra live in
-:mod:`pdetaylor.jets`.  Because a jet is itself a truncated series, series
-can nest: a series in the time infinitesimal whose coefficients are jets in a
-space increment, whose coefficients are batches of reals.
+unchanged.  A series also carries an algebra, which supplies only the
+constants zero and one for padding and seeding and, by equality, the
+compatibility check of binary operations: :class:`RealAlgebra` for floats,
+and the batch and spatial-jet algebras of :mod:`pdetaylor.jets`.  Because a
+jet is itself a truncated series, series can nest: a series in the time
+infinitesimal whose coefficients are jets in a space increment, whose
+coefficients are batches of reals.
 
 Analytic functions (exp, sin, cos, ln, constant powers) extend to series
 through the usual Taylor-composition recurrences, and reciprocal and sech are
-composed from them; the constant term is evaluated in the coefficient
-algebra, which recurses through nested series automatically.
+composed from them.  Only the constant term evaluates the function itself,
+and its type says how: a series is lifted again and anything else goes to
+NumPy elementwise, so a lift recurses through nested series (Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13).  Division tests
+the innermost constant term for invertibility the same way.
 
 Series are immutable once constructed; share them freely.
 
@@ -50,13 +52,13 @@ the identity with every coefficient past order 1 ``ZERO``, so a lift of it
 makes one product per order where zero rows would make one per term.  A
 skipped term would have added ``0.0 * f``, so an exact zero may keep the sign
 ``-0.0`` where zero rows give ``+0.0``, and a non-finite ``f`` reaches no
-result; every other value is the same.  Algebra methods see ``0.0`` in place
-of ``ZERO``.
+result; every other value is the same.  A constant term that is ``ZERO``
+is evaluated as ``0.0``.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,52 +76,13 @@ class LiftDomainError(ValueError):
     """Constant term lies outside the domain of the lifted function."""
 
 
-class CoefficientAlgebra(ABC):
-    """What differs between the coefficient spaces a series can sit over.
-
-    Ring arithmetic is not part of it: coefficients combine with each other
-    and with a float through their own ``+``, ``-``, ``*`` and ``/``
-    operators.  An algebra supplies the constants ``zero`` and ``one``, the
-    predicate ``is_invertible``, and the analytic primitives evaluated on the
-    constant term of a lift.  Implementations are small stateless (or
-    shape-carrying) objects; two algebra instances compare equal when they
-    describe the same coefficient space, which is what series compatibility
-    checks rely on.
-    """
-
-    @abstractmethod
-    def zero(self): ...
-
-    @abstractmethod
-    def one(self): ...
-
-    @abstractmethod
-    def is_invertible(self, a) -> bool: ...
-
-    # analytic primitives, used for the constant term of lifted functions
-
-    @abstractmethod
-    def exp(self, a): ...
-
-    @abstractmethod
-    def sin_cos(self, a):
-        """Return ``(sin(a), cos(a))`` as a pair."""
-
-    @abstractmethod
-    def log(self, a): ...
-
-    @abstractmethod
-    def pow(self, a, exponent: float): ...
-
-
 @dataclass(frozen=True)
-class RealAlgebra(CoefficientAlgebra):
-    """Real coefficients, as floats or NumPy arrays, combined elementwise.
+class RealAlgebra:
+    """Float coefficients, with the constants zero and one.
 
-    Every method works the same on a float as on an array, so
-    :class:`~pdetaylor.jets.BatchAlgebra` adds only its batch size and
-    constants.  A test holds when it holds at every entry, and a lift's
-    domain check fails when any entry lies outside the domain.
+    :class:`~pdetaylor.jets.BatchAlgebra` adds a batch size and array
+    constants.  Two algebras compare equal when they describe the same
+    coefficient space, which is what series compatibility checks rely on.
     """
 
     def zero(self):
@@ -127,25 +90,6 @@ class RealAlgebra(CoefficientAlgebra):
 
     def one(self):
         return 1.0
-
-    def is_invertible(self, a):
-        return bool(np.all(a != 0.0))
-
-    def exp(self, a):
-        return np.exp(a)
-
-    def sin_cos(self, a):
-        return np.sin(a), np.cos(a)
-
-    def log(self, a):
-        if np.any(a <= 0.0):
-            raise LiftDomainError("log requires every constant-term entry positive")
-        return np.log(a)
-
-    def pow(self, a, exponent):
-        if not float(exponent).is_integer() and np.any(a < 0.0):
-            raise LiftDomainError("non-integer power of a negative entry")
-        return np.power(a, exponent)
 
 
 class _StructuralZero:
@@ -176,7 +120,7 @@ ZERO = _StructuralZero()
 
 
 def _real(c):
-    """``c`` with the structural zero as ``0.0``, which every algebra evaluates."""
+    """``c`` with the structural zero as ``0.0``, which numpy evaluates."""
     return 0.0 if c is ZERO else c
 
 
@@ -200,7 +144,7 @@ class TruncatedSeries:
 
     __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, algebra: CoefficientAlgebra, coeffs):
+    def __init__(self, algebra, coeffs):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least its constant term")
@@ -317,7 +261,6 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         s = _as_scalar(other)
-        alg = self.algebra
         if s is not None:
             return self._new([c / s for c in self.coeffs])
         if not isinstance(other, TruncatedSeries):
@@ -326,7 +269,7 @@ class TruncatedSeries:
         a, b = self.coeffs, other.coeffs
         q = self._buffer()
         for k in range(len(a)):
-            q[k] = _div_step(alg, a[k], b, q, k)
+            q[k] = _div_step(a[k], b, q, k)
         return self._new(q)
 
     def __rtruediv__(self, other):
@@ -364,8 +307,43 @@ class TruncatedSeries:
 # a step for every k at once and LazySeries for one new k at a time; sharing
 # the step keeps the two bit-identical.  Steps combine coefficients with their
 # own operators, so they run unchanged on floats, arrays and jets.  Only the
-# constant term of a lift ever evaluates the function itself, through the
-# algebra, so a lift over nested series recurses.
+# constant term of a lift ever evaluates the function itself, and its type
+# says how: a series (a jet, in the expansion driver) is lifted again, and a
+# number or an array goes to numpy.  So a lift over nested series recurses.
+
+
+def _is_invertible(a) -> bool:
+    """Whether every entry of the innermost constant term of ``a`` is nonzero.
+
+    The test is a comparison, so an infinite entry counts as invertible.
+    """
+    while isinstance(a, TruncatedSeries):
+        a = a.coeffs[0]
+    return bool(np.all(_real(a) != 0.0))
+
+
+def _exp0(a):
+    return exp(a) if isinstance(a, TruncatedSeries) else np.exp(a)
+
+
+def _sin_cos0(a):
+    return sin_cos(a) if isinstance(a, TruncatedSeries) else (np.sin(a), np.cos(a))
+
+
+def _log0(a):
+    if isinstance(a, TruncatedSeries):
+        return log(a)
+    if np.any(a <= 0.0):
+        raise LiftDomainError("log requires every constant-term entry positive")
+    return np.log(a)
+
+
+def _pow0(a, e: float):
+    if isinstance(a, TruncatedSeries):
+        return power(a, e)
+    if not e.is_integer() and np.any(a < 0.0):
+        raise LiftDomainError("non-integer power of a negative entry")
+    return np.power(a, e)
 
 
 def _terms(x, y, k, lo, hi):
@@ -409,9 +387,9 @@ def _mul_step(a, b, k):
     return acc
 
 
-def _div_step(alg, a_k, b, q, k):
+def _div_step(a_k, b, q, k):
     """Coefficient k of a quotient q = a / b: (a_k - sum_{j=1..k} b_j*q_{k-j}) / b_0."""
-    if k == 0 and not alg.is_invertible(_real(b[0])):
+    if k == 0 and not _is_invertible(b[0]):
         raise InfinitesimalDivisorError(
             "division by a series with non-invertible leading coefficient"
         )
@@ -429,38 +407,38 @@ def _weighted_sum(a, f, k):
     return acc
 
 
-def _exp_step(alg, a, out, k):
+def _exp_step(a, out, k):
     """k*E_k = sum_{j=1..k} j*A_j*E_{k-j}, E_0 = exp(A_0)."""
     if k == 0:
-        return alg.exp(_real(a[0]))
+        return _exp0(_real(a[0]))
     return _weighted_sum(a, out, k) * (1.0 / k)
 
 
-def _sin_cos_step(alg, a, s, c, k):
+def _sin_cos_step(a, s, c, k):
     """(S_k, C_k) with k*S_k = sum j*A_j*C_{k-j} and k*C_k = -sum j*A_j*S_{k-j}."""
     if k == 0:
-        return alg.sin_cos(_real(a[0]))
+        return _sin_cos0(_real(a[0]))
     return _weighted_sum(a, c, k) * (1.0 / k), _weighted_sum(a, s, k) * (-1.0 / k)
 
 
-def _log_step(alg, a, out, k):
+def _log_step(a, out, k):
     """L_k = (A_k - (1/k) sum_{j<k} j*L_j*A_{k-j}) / A_0."""
     if k == 0:
-        return alg.log(_real(a[0]))
+        return _log0(_real(a[0]))
     acc = ZERO
     for j, p in _terms(out, a, k, 1, k):
         acc = acc + p * float(j)
     return (a[k] - acc * (1.0 / k)) / a[0]
 
 
-def _power_step(alg, a, out, k, e):
+def _power_step(a, out, k, e):
     """k*A_0*P_k = sum_{j=1..k} ((e+1)*j - k) * A_j * P_{k-j}, P_0 = A_0**e."""
     if k == 0:
-        if not alg.is_invertible(_real(a[0])):
+        if not _is_invertible(a[0]):
             raise LiftDomainError(
                 "power with non-integer or negative exponent needs an invertible constant term"
             )
-        return alg.pow(a[0], e)
+        return _pow0(a[0], e)
     acc = ZERO
     for j, p in _terms(a, out, k, 1, k + 1):
         acc = acc + p * ((e + 1.0) * j - k)
@@ -473,20 +451,18 @@ def _power_step(alg, a, out, k, e):
 class SeriesTape:
     """Shared state of one graph of :class:`LazySeries`.
 
-    ``algebra`` is the coefficient algebra of the order being computed now.
     The coefficient histories that later steps read are registered here, and
-    :meth:`advance` re-expresses every stored coefficient in the next algebra
-    with ``narrow``, so a step only ever combines elements of one algebra.
-    The expansion driver narrows jets to its shrinking working order this way.
+    :meth:`advance` maps every stored coefficient through ``narrow`` before
+    the next order is computed, so a step only ever combines coefficients of
+    one kind.  The expansion driver narrows jets to its shrinking working
+    order this way.
     """
 
     def __init__(self):
-        self.algebra = None
         self._histories = []
 
-    def advance(self, algebra, narrow) -> None:
-        """Move to ``algebra``, mapping every kept coefficient through ``narrow``."""
-        self.algebra = algebra
+    def advance(self, narrow) -> None:
+        """Map every kept coefficient through ``narrow``."""
         for history in self._histories:
             history[:] = [narrow(c) for c in history]
 
@@ -500,8 +476,8 @@ class SeriesTape:
 class LazySeries:
     """A series in one infinitesimal whose coefficients are computed on demand.
 
-    ``coeff(k)`` computes coefficient ``k`` as ``rule(tape.algebra, k)`` once
-    every lower one exists, and memoises it.  Operators and the analytic
+    ``coeff(k)`` computes coefficient ``k`` as ``rule(k)`` once every lower
+    one exists, and memoises it.  Operators and the analytic
     lifts build new nodes and compute nothing, so an expression is evaluated
     once into a graph, which then yields one new coefficient per order: about
     ``n**2`` coefficient products for ``n`` orders, where re-evaluating a
@@ -518,7 +494,7 @@ class LazySeries:
     data; a node is then ``ZERO`` where its inputs force it, at no product
     cost.  Unlike a zero element, ``ZERO * inf`` is ``ZERO``, not NaN.  A rule
     may also return a plain number, such as a coefficient of ``t``, which every
-    coefficient combines with and every algebra evaluates.
+    coefficient combines with and a lift evaluates with numpy.
     """
 
     __slots__ = ("tape", "_rule", "_history", "_newest", "_count")
@@ -533,7 +509,7 @@ class LazySeries:
     def coeff(self, k: int):
         """Coefficient ``k``: the newest one, or the next one, computed now."""
         if k == self._count:
-            self._newest = self._rule(self.tape.algebra, k)
+            self._newest = self._rule(k)
             self._count += 1
             if self._history is not None:
                 self._history.append(self._newest)
@@ -561,42 +537,42 @@ class LazySeries:
     def __add__(self, other):
         s = _as_scalar(other)
         if s is not None:
-            def shifted(alg, k):
+            def shifted(k):
                 a = self.coeff(k)
                 return _real(a) + s if k == 0 else a
             return LazySeries(self.tape, shifted)
         b = self._operand(other)
         if b is None:
             return NotImplemented
-        return LazySeries(self.tape, lambda alg, k: self.coeff(k) + b.coeff(k))
+        return LazySeries(self.tape, lambda k: self.coeff(k) + b.coeff(k))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         s = _as_scalar(other)
         if s is not None:
-            def shifted(alg, k):
+            def shifted(k):
                 a = self.coeff(k)
                 return _real(a) - s if k == 0 else a
             return LazySeries(self.tape, shifted)
         b = self._operand(other)
         if b is None:
             return NotImplemented
-        return LazySeries(self.tape, lambda alg, k: self.coeff(k) - b.coeff(k))
+        return LazySeries(self.tape, lambda k: self.coeff(k) - b.coeff(k))
 
     def __neg__(self):
-        return LazySeries(self.tape, lambda alg, k: self.coeff(k) * -1.0)
+        return LazySeries(self.tape, lambda k: self.coeff(k) * -1.0)
 
     def __mul__(self, other):
         s = _as_scalar(other)
         if s is not None:
-            return LazySeries(self.tape, lambda alg, k: self.coeff(k) * s)
+            return LazySeries(self.tape, lambda k: self.coeff(k) * s)
         b = self._operand(other)
         if b is None:
             return NotImplemented
         ha, hb = self._kept(), b._kept()
 
-        def product(alg, k):
+        def product(k):
             self.coeff(k)
             b.coeff(k)
             return _mul_step(ha, hb, k)
@@ -608,16 +584,16 @@ class LazySeries:
     def __truediv__(self, other):
         s = _as_scalar(other)
         if s is not None:
-            return LazySeries(self.tape, lambda alg, k: self.coeff(k) / s)
+            return LazySeries(self.tape, lambda k: self.coeff(k) / s)
         b = self._operand(other)
         if b is None:
             return NotImplemented
         hb = b._kept()
 
-        def quotient(alg, k):
+        def quotient(k):
             a_k = self.coeff(k)
             b.coeff(k)
-            return _div_step(alg, a_k, hb, hq, k)
+            return _div_step(a_k, hb, hq, k)
 
         q = LazySeries(self.tape, quotient)
         hq = q._kept()
@@ -639,26 +615,25 @@ def _lift(series, step):
     if isinstance(series, LazySeries):
         a = series._kept()
 
-        def lifted(alg, k):
+        def lifted(k):
             series.coeff(k)
-            return step(alg, a, out, k)
+            return step(a, out, k)
 
         node = LazySeries(series.tape, lifted)
         out = node._kept()
         return node
     _require_series(series)
-    alg = series.algebra
     a = list(series.coeffs)  # a jet's row views made once, not at every read
     out = series._buffer()
     for k in range(len(a)):
-        out[k] = step(alg, a, out, k)
+        out[k] = step(a, out, k)
     return series._new(out)
 
 
 def _one_like(series):
     """The constant series 1 of the same kind, algebra and order as ``series``."""
     if isinstance(series, LazySeries):
-        return LazySeries(series.tape, lambda alg, k: 1.0 if k == 0 else 0.0)
+        return LazySeries(series.tape, lambda k: 1.0 if k == 0 else 0.0)
     _require_series(series)
     return type(series).constant(series.algebra, series.algebra.one(), series.order)
 
@@ -674,24 +649,23 @@ def sin_cos(series):
         a = series._kept()
         s, c = series.tape.history(), series.tape.history()
 
-        def pair(alg, k):
+        def pair(k):
             if k == len(s):
                 series.coeff(k)
-                s_k, c_k = _sin_cos_step(alg, a, s, c, k)
+                s_k, c_k = _sin_cos_step(a, s, c, k)
                 s.append(s_k)
                 c.append(c_k)
             return s[k], c[k]
 
         return (
-            LazySeries(series.tape, lambda alg, k: pair(alg, k)[0]),
-            LazySeries(series.tape, lambda alg, k: pair(alg, k)[1]),
+            LazySeries(series.tape, lambda k: pair(k)[0]),
+            LazySeries(series.tape, lambda k: pair(k)[1]),
         )
     _require_series(series)
-    alg = series.algebra
     a = list(series.coeffs)
     s, c = series._buffer(), series._buffer()
     for k in range(len(a)):
-        s[k], c[k] = _sin_cos_step(alg, a, s, c, k)
+        s[k], c[k] = _sin_cos_step(a, s, c, k)
     return series._new(s), series._new(c)
 
 
@@ -717,6 +691,8 @@ def power(series, exponent: float):
     k*A_0*P_k = sum_{j=1..k} ((e+1)*j - k) * A_j * P_{k-j}.
     """
     e = float(exponent)
+    if not math.isfinite(e):
+        raise ValueError(f"power needs a finite exponent, got {exponent!r}")
     if e.is_integer() and e >= 0:
         if e == 0:
             return _one_like(series)
@@ -730,7 +706,7 @@ def power(series, exponent: float):
             if not n:
                 return result
             base = base * base
-    return _lift(series, lambda alg, a, out, k: _power_step(alg, a, out, k, e))
+    return _lift(series, lambda a, out, k: _power_step(a, out, k, e))
 
 
 def reciprocal(series):

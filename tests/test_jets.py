@@ -8,6 +8,7 @@ import pytest
 
 from pdetaylor import (
     BatchAlgebra,
+    InfinitesimalDivisorError,
     InsufficientJetOrderError,
     JetAlgebra,
     TruncatedSeries,
@@ -15,7 +16,7 @@ from pdetaylor import (
     get_problem,
     seed_variable,
 )
-from pdetaylor.series import ZERO, LiftDomainError, exp, sin
+from pdetaylor.series import ZERO, LiftDomainError, exp, log, power, reciprocal, sin
 
 from conftest import factorial, ic_jets, mp_derivative, mp_initial_profiles
 
@@ -198,20 +199,23 @@ def test_chain_rule_through_composition():
 
 
 def test_batch_algebra_invertibility_and_finiteness():
-    alg = BatchAlgebra(3)
-    assert alg.is_invertible(np.array([1.0, -2.0, 0.5]))
-    assert not alg.is_invertible(np.array([1.0, 0.0, 0.5]))
+    def constant(row):
+        return TruncatedSeries(BatchAlgebra(3), [np.array(row)])
+
+    np.testing.assert_array_equal(reciprocal(constant([1.0, -2.0, 0.5])).coeffs[0], [1.0, -0.5, 2.0])
+    with pytest.raises(InfinitesimalDivisorError):
+        reciprocal(constant([1.0, 0.0, 0.5]))
     # the test is an elementwise comparison, whatever the entries' finiteness;
-    # finiteness itself is checked by compute_expansion, not by the algebra
-    assert alg.is_invertible(np.array([1.0, np.inf, -np.inf]))
+    # finiteness itself is checked by compute_expansion, not by the division
+    np.testing.assert_array_equal(reciprocal(constant([1.0, np.inf, -np.inf])).coeffs[0], [1.0, 0.0, -0.0])
 
 
 def test_batch_algebra_domain_errors():
     alg = BatchAlgebra(2)
     with pytest.raises(LiftDomainError):
-        alg.log(np.array([1.0, -1.0]))
+        log(TruncatedSeries(alg, [np.array([1.0, -1.0]), np.ones(2)]))
     with pytest.raises(LiftDomainError):
-        alg.pow(np.array([-1.0, 2.0]), 0.5)
+        power(TruncatedSeries(alg, [np.array([-1.0, 2.0]), np.ones(2)]), 0.5)
 
 
 def test_jet_algebra_builds_series_elements():
@@ -219,8 +223,10 @@ def test_jet_algebra_builds_series_elements():
     z, o = alg.zero(), alg.one()
     assert isinstance(z, TruncatedSeries) and z.order == 3
     np.testing.assert_array_equal(o.coeffs[0], [1.0, 1.0])
-    assert alg.is_invertible(o)
-    assert not alg.is_invertible(z)
+    # a series of jets is invertible when its constant jet's value row is
+    np.testing.assert_array_equal(reciprocal(TruncatedSeries.constant(alg, o, 2)).coeffs[0].coeffs, o.coeffs)
+    with pytest.raises(InfinitesimalDivisorError):
+        reciprocal(TruncatedSeries.constant(alg, z, 2))
 
 
 def test_seed_variable_rejects_zero_order():

@@ -287,6 +287,12 @@ def test_negative_fractional_power_of_negative_base(make):
         power(make(-2, 1, 0), 0.5)
 
 
+@pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+def test_power_rejects_non_finite_exponent(exponent):
+    with pytest.raises(ValueError, match=f"finite exponent, got {exponent!r}$"):
+        power(s(2, 1, 0), exponent)
+
+
 def test_series_is_immutable():
     a = s(1, 2)
     with pytest.raises(AttributeError):

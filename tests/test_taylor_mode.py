@@ -166,8 +166,8 @@ def test_rhs_is_called_once_per_expansion(problem):
 
 def test_only_operands_that_later_steps_read_keep_history():
     tape = SeriesTape()
-    a = LazySeries(tape, lambda alg, k: float(k + 1))
-    b = LazySeries(tape, lambda alg, k: 0.5 if k == 0 else 0.0)
+    a = LazySeries(tape, lambda k: float(k + 1))
+    b = LazySeries(tape, lambda k: 0.5 if k == 0 else 0.0)
     linear = (a + b) * 2.0 - 1.0
     product = linear * a
     lifted = exp(b)
@@ -176,7 +176,7 @@ def test_only_operands_that_later_steps_read_keep_history():
     assert product._history is None
     assert (-product)._history is None
 
-    tape.advance(RealAlgebra(), lambda c: c)
+    tape.advance(lambda c: c)
     want = TruncatedSeries(RealAlgebra(), [2.0, 4.0, 6.0, 8.0])
     want = want * TruncatedSeries(RealAlgebra(), [1.0, 2.0, 3.0, 4.0])
     for k in range(4):  # in lockstep, as the driver asks
