@@ -34,12 +34,14 @@ the products, sums, derivatives and copies of that half cost nothing.
 
 That costs ``O(K**2)`` jet products per product in ``F`` instead of the
 ``O(K**3)`` of re-evaluating ``F`` at every order.  A step forms the jet
-products of its coefficient in stacks of up to ``_BLOCK // N`` pairs, one
-kernel call per stack (:mod:`pdetaylor.jets`), so on a few dozen points the
-``k + 1`` products of order ``k`` cost one call, and a full block makes one
-call per product.  Every recurrence step is
-the one :class:`~pdetaylor.series.TruncatedSeries` uses, in the same
-summation order, and the coefficient of order ``k`` of any product depends
+products of its coefficient in stacks of up to ``_BLOCK // N`` pairs, and
+each stack costs one kernel call and one summing reduction
+(:mod:`pdetaylor.jets`): on a few dozen points, the jet pairs of one product
+node's order-``k`` coefficient, up to ``k + 1`` of them, make one call and
+one sum, and a full block makes one call per pair and adds each product
+into the sum in place.  Every recurrence step is the one
+:class:`~pdetaylor.series.TruncatedSeries` uses, in the same summation
+order, and the coefficient of order ``k`` of any product depends
 only on input coefficients of order ``<= k``; so the computed ``C_0 ... C_K``
 are those of re-evaluating ``F`` at every order, and they do not change if
 the expansion is re-run with a larger ``K``.
@@ -129,6 +131,8 @@ class TaylorExpansion:
     def evaluate(self, t1: float) -> list[np.ndarray]:
         """Evaluate the truncated series at a finite time by Horner's rule."""
         t1 = float(t1)
+        if not math.isfinite(t1):
+            raise ValueError(f"evaluate needs a finite time, got {t1!r}")
         out = []
         for comp in self.coeffs:
             acc = comp[self.max_order].copy()

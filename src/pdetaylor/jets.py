@@ -14,12 +14,15 @@ so every jet operation, gives bit for bit the coefficients of a series over
 :class:`BatchAlgebra` on the same rows.  The same kernel runs on a stack of
 ``m`` jet pairs held as two ``(P+1, m, N)`` arrays, order first, so each of
 its array operations spans all ``m * N`` columns of a row; it is the only jet
-product, and ``a * b`` is the stack of one.  A series step forms the jet
-products of one coefficient through :meth:`Jet._products`, in stacks of up to
-``_BLOCK // N`` pairs, so 50-point jets make one kernel call for up to 40
-products, where one call per product spent its time in Python dispatch, and
-a driver block of ``_BLOCK`` points still multiplies one pair at a time.  A coefficient that does not vary in
-space is not a jet at all: it is the structural zero of
+product, and ``a * b`` is the stack of one.  A series step forms and sums the
+jet products of one coefficient through :meth:`Jet._fold_products`: in stacks
+of up to ``_BLOCK // N`` pairs, one kernel call each, whose ``(P+1, m, N)``
+result is weighted and summed over its ``m`` products by one reduction.  So
+50-point jets make one kernel call and one sum for up to 40 products, where a
+call, a jet and an addition per product spent their time in Python dispatch,
+and a driver block of ``_BLOCK`` points still multiplies one pair at a time,
+adding each product into the sum in its own array.  A coefficient that does
+not vary in space is not a jet at all: it is the structural zero of
 :mod:`pdetaylor.series` when it is zero whatever the data, such as
 Schrodinger's parity zeros, or a plain number, such as those of diffusion's
 ``exp(-t)``, and a jet times a number is one scaling.
@@ -27,8 +30,9 @@ Schrodinger's parity zeros, or a plain number, such as those of diffusion's
 A jet is a :class:`~pdetaylor.series.TruncatedSeries` over
 :class:`BatchAlgebra`, so the quotient and the analytic lifts of
 :mod:`pdetaylor.series` apply unchanged: they run the series recurrence steps
-over the rows of a preallocated array, and evaluate each function on the
-constant row with NumPy.  :class:`BatchAlgebra` is
+on the whole ``(P+1, N)`` array, forming the terms of each new row with one
+broadcast multiply and summing them with one reduction into a preallocated
+array, and evaluate each function on the constant row with NumPy.  :class:`BatchAlgebra` is
 :class:`~pdetaylor.series.RealAlgebra` with a batch size and array constants.
 
 :func:`seed_variable` builds the jet of the identity function, ``[X, 1, 0,
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import RealAlgebra, TruncatedSeries, _as_scalar
+from .series import RealAlgebra, TruncatedSeries, _as_scalar, _sum_jets
 
 
 # The width of one array operation on jets, in points times stacked pairs.
@@ -154,29 +158,33 @@ class Jet(TruncatedSeries):
     __rmul__ = __mul__
 
     @staticmethod
-    def _products(pairs):
-        """``x * y`` for each pair of jets, formed in stacks of ``_BLOCK // N`` pairs.
+    def _fold_products(acc, pairs, sub):
+        """``acc + w * x * y`` for each ``(w, x, y)`` of jet pairs, in order, or
+        ``-`` with ``sub``; a ``w`` of None weighs nothing.
 
-        Every pair is checked before any is multiplied.  A stack is formed
-        only once the products of the one before it have been taken, so a
-        block of ``_BLOCK`` points holds one product at a time.
+        Every pair is checked before any is multiplied.  The products are
+        formed in stacks of ``_BLOCK // N`` pairs, one kernel call each, and a
+        stack is weighted and summed into ``acc`` in its own array with one
+        reduction (:func:`~pdetaylor.series._sum_terms`) before the next is
+        formed, so a block of ``_BLOCK`` points holds one product at a time.
         """
-        first = pairs[0][0]
-        for x, y in pairs:
+        first = pairs[0][1]
+        for _, x, y in pairs:
             first._check_compatible(x)
             x._check_compatible(y)
         per_stack = max(1, _BLOCK // first.algebra.size)
         for start in range(0, len(pairs), per_stack):
             stack = pairs[start : start + per_stack]
             if len(stack) == 1:  # a full block copies no operand
-                products = [_convolve(stack[0][0].coeffs, stack[0][1].coeffs)]
+                c = _convolve(stack[0][1].coeffs, stack[0][2].coeffs)[:, None]
             else:
                 c = _convolve(
-                    np.stack([x.coeffs for x, _ in stack], axis=1),
-                    np.stack([y.coeffs for _, y in stack], axis=1),
+                    np.stack([x.coeffs for _, x, _ in stack], axis=1),
+                    np.stack([y.coeffs for _, _, y in stack], axis=1),
                 )
-                products = np.ascontiguousarray(np.moveaxis(c, 1, 0))
-            yield from [Jet(first.algebra, p) for p in products]
+            w = None if stack[0][0] is None else [w for w, _, _ in stack]
+            acc = _sum_jets(acc, first, c, w, sub)
+        return acc
 
 
 def _convolve(a, b):
@@ -210,7 +218,7 @@ def derivative(jet: Jet, m: int = 1) -> Jet:
     """
     if not isinstance(jet, Jet):
         raise TypeError(f"derivative needs a Jet, got {type(jet).__name__}")
-    if not isinstance(m, int) or m < 0:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise ValueError("derivative order must be a non-negative integer")
     if m > jet.order:
         raise InsufficientJetOrderError(

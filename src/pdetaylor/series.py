@@ -40,12 +40,16 @@ produce bit-identical coefficients.  A lazy coefficient that is zero whatever
 the data is the structural zero :data:`ZERO`, which sums drop and products pass
 on, so the shared steps skip its terms; one that is the same at every point may
 be a plain number (activity analysis; Hascoet & Pascual, ACM TOMS 39(3), 2013).
-Each step lists the terms ``x_j * y_{k-j}`` of its coefficient and leaves out
-every one with a ``ZERO`` factor before multiplying, since ``acc + ZERO`` is
-``acc`` and ``ZERO + t`` is ``t``; it forms the products of each run of series
-pairs through that series class's ``_products``, which a flat jet answers with
-stacked kernel calls, and adds them up in the order of the terms, one at a
-time, so the stacking changes no bit.
+Each step sums the terms ``x_j * y_{k-j}`` of its coefficient in the order of
+``j`` and leaves out every one with a ``ZERO`` factor before multiplying, since
+``acc + ZERO`` is ``acc`` and ``ZERO + t`` is ``t``.  Where the terms are
+arrays it forms them as one array: the rows of flat jets with one broadcast
+multiply, and each run of jet pairs in stacked kernel calls, through the
+series class's ``_fold_products``.  It sums such an array with one
+``np.subtract.reduce``, which numpy defines as the loop ``r = r - t``, every
+added term negated first; a term that comes alone is added in the memory of
+its own product.  Each term and each sum is the same float operation in the
+same order as one term at a time, so neither changes a bit.
 A :class:`TruncatedSeries` may hold ``ZERO`` too, and its operations skip those
 terms the same way: the expansion driver hands a problem's initial condition
 the identity with every coefficient past order 1 ``ZERO``, so a lift of it
@@ -251,13 +255,17 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     @staticmethod
-    def _products(pairs):
-        """``x * y`` for each pair of series of this kind, in order.
+    def _fold_products(acc, pairs, sub):
+        """``acc + w * x * y`` for each ``(w, x, y)`` of pairs of series of this
+        kind, in order, or ``-`` with ``sub``; a ``w`` of None weighs nothing.
 
-        The recurrence steps form the products of a coefficient through this
-        method; :class:`~pdetaylor.jets.Jet` overrides it to stack them.
+        The recurrence steps fold each run of series products through this
+        method; :class:`~pdetaylor.jets.Jet` overrides it to form them in
+        stacks and sum each stack with one reduction.
         """
-        return [x * y for x, y in pairs]
+        for w, x, y in pairs:
+            acc = _accumulate(acc, x * y, w, sub)
+        return acc
 
     def __truediv__(self, other):
         s = _as_scalar(other)
@@ -268,6 +276,10 @@ class TruncatedSeries:
         self._check_compatible(other)
         a, b = self.coeffs, other.coeffs
         q = self._buffer()
+        if type(a) is type(b) is tuple and _float_rows(a + b):
+            # float rows, stacked once so that every step multiplies whole arrays
+            a, b = np.stack(a), np.stack(b)
+            q = np.empty_like(b)
         for k in range(len(a)):
             q[k] = _div_step(a[k], b, q, k)
         return self._new(q)
@@ -306,7 +318,8 @@ class TruncatedSeries:
 # hold orders 0..k of its input and 0..k-1 of the result.  TruncatedSeries runs
 # a step for every k at once and LazySeries for one new k at a time; sharing
 # the step keeps the two bit-identical.  Steps combine coefficients with their
-# own operators, so they run unchanged on floats, arrays and jets.  Only the
+# own operators, or with the same numpy operations on whole arrays of terms
+# (_fold), so they run unchanged on floats, arrays and jets.  Only the
 # constant term of a lift ever evaluates the function itself, and its type
 # says how: a series (a jet, in the expansion driver) is lifted again, and a
 # number or an array goes to numpy.  So a lift over nested series recurses.
@@ -320,6 +333,15 @@ def _is_invertible(a) -> bool:
     while isinstance(a, TruncatedSeries):
         a = a.coeffs[0]
     return bool(np.all(_real(a) != 0.0))
+
+
+def _float_rows(coeffs) -> bool:
+    """Whether every coefficient is a float64 array of one shape and at least
+    one axis, as a jet's rows are (a 0-d row would be summed as a number)."""
+    shape = getattr(coeffs[0], "shape", ())
+    return len(shape) >= 1 and all(
+        isinstance(c, np.ndarray) and c.dtype == np.float64 and c.shape == shape for c in coeffs
+    )
 
 
 def _exp0(a):
@@ -346,45 +368,107 @@ def _pow0(a, e: float):
     return np.power(a, e)
 
 
-def _terms(x, y, k, lo, hi):
-    """Yield ``(j, x_j * y_{k-j})`` for ``lo <= j < hi`` in order of ``j``, leaving
-    out every term with a ZERO factor.
+def _fold(acc, x, y, k, lo, hi, w=None, sub=False):
+    """``acc + w(j) * x_j * y_{k-j}`` for ``lo <= j < hi``, added in order of
+    ``j``, or subtracted with ``sub``; ``w`` maps an index, or an array of them,
+    to its weight, and None weighs nothing.
 
-    Such a term is ZERO, which a sum drops, so leaving it out changes no bit.
-    Each run of consecutive terms whose two factors are series of one class is
-    formed by that class's ``_products``, which a flat jet stacks into one
-    kernel call; any other term is one multiply.
+    Terms with a ZERO factor are left out: such a term is ZERO, which a sum
+    drops, so leaving it out changes no bit.  When ``x`` and ``y`` are the
+    ``(P+1, N)`` arrays of flat jets, all the terms are formed by one broadcast
+    multiply and summed by :func:`_sum_terms`.  Otherwise each run of
+    consecutive terms whose two factors are series of one class is folded by
+    that class's ``_fold_products``, which a flat jet answers with stacked
+    kernel calls and one sum per stack, and any other term is one multiply,
+    summed in the memory of its own product by :func:`_accumulate`.
     """
-    run = []
+    if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
+        if lo >= hi:
+            return acc
+        terms = x[lo:hi] * y[k - hi + 1 : k - lo + 1][::-1]
+        return _sum_terms(acc, terms, None if w is None else w(np.arange(lo, hi)), sub, 0)
+    run = []  # (w_j, x_j, y_{k-j}) of consecutive series pairs of one class
     for j in range(lo, hi):
         xj, yj = x[j], y[k - j]
         if xj is ZERO or yj is ZERO:
             continue
+        wj = None if w is None else w(j)
         if isinstance(xj, TruncatedSeries) and type(yj) is type(xj):
             if run and type(run[0][1]) is not type(xj):
-                yield from _run_products(run)
-                run = []
-            run.append((j, xj, yj))
+                acc, run = type(run[0][1])._fold_products(acc, run, sub), []
+            run.append((wj, xj, yj))
             continue
         if run:
-            yield from _run_products(run)
-            run = []
-        yield j, xj * yj
-    if run:
-        yield from _run_products(run)
+            acc, run = type(run[0][1])._fold_products(acc, run, sub), []
+        acc = _accumulate(acc, xj * yj, wj, sub)
+    return type(run[0][1])._fold_products(acc, run, sub) if run else acc
 
 
-def _run_products(run):
-    """``(j, x_j * y_{k-j})`` for a run of terms whose factors are series of one class."""
-    return zip([j for j, _, _ in run], type(run[0][1])._products([(xj, yj) for _, xj, yj in run]))
+def _accumulate(acc, t, w, sub):
+    """``acc + w * t``, or ``acc - w * t`` with ``sub``, for a product ``t`` that
+    nothing else holds: an array or a flat jet takes the sum in its own memory,
+    through :func:`_sum_terms` as a stack of one term, and ``ZERO + t`` is
+    ``t``.  A weight of 1.0 is not multiplied, since that changes no bit."""
+    w = None if w is None or w == 1.0 else [w]
+    if acc is ZERO and w is None and not sub:
+        return t
+    if isinstance(t, TruncatedSeries) and isinstance(t.coeffs, np.ndarray):
+        return _sum_jets(acc, t, t.coeffs[:, None], w, sub)
+    if isinstance(t, np.ndarray):
+        return _sum_terms(acc, t[None], w, sub, 0)
+    t = t if w is None else t * w[0]
+    return acc - t if sub else acc + t
+
+
+def _sum_jets(acc, like, terms, w, sub):
+    """:func:`_sum_terms` of flat jets held on axis 1 of ``terms``, as a series like ``like``."""
+    if isinstance(acc, TruncatedSeries):
+        like._check_compatible(acc)
+        acc = acc.coeffs
+    return like._new(_sum_terms(acc, terms, w, sub, 1))
+
+
+def _sum_terms(acc, terms, w, sub, axis):
+    """``acc + w_0 t_0 + w_1 t_1 + ...``, added in that order, or with ``-`` for
+    every ``+`` under ``sub``, over the terms ``t_i`` that the array ``terms``
+    holds along ``axis``; ``terms`` is overwritten.
+
+    Along axis 0 a term is an array like ``acc``.  Along axis 1 it is a flat
+    jet, order first, to which a number ``acc`` adds at order 0 only, as a jet
+    plus a number does.  numpy defines ``np.subtract.reduce`` as the loop
+    ``r = r - t_i`` along the axis, whatever the shape, and ``r + u`` is
+    ``r - u * -1.0`` bit for bit, so every added term after the first is
+    negated (with its weight, in one multiply) and the sum is one reduction.
+    ``np.add.reduce`` would sum pairwise along a contiguous axis, as it is for
+    the terms of a single point, which changes bits.
+    """
+    n = terms.shape[axis]
+    first = terms[0] if axis == 0 else terms[:, 0]
+    # ZERO, or a number that a jet adds at order 0: not summed elementwise
+    constant = acc is ZERO or (axis == 1 and not isinstance(acc, np.ndarray))
+    if w is not None or (sub and constant) or (n > 1 and not sub):
+        c = np.ones(n) if w is None else np.array(w, dtype=np.float64)
+        if not sub:
+            c[1:] *= -1.0
+        elif constant:
+            c[0] *= -1.0
+        terms *= c.reshape((n,) + (1,) * (terms.ndim - axis - 1))
+    if constant:
+        if acc is not ZERO:
+            first[0] += acc
+    else:
+        (np.subtract if sub else np.add)(acc, first, out=first)
+    return first if n == 1 else np.subtract.reduce(terms, axis=axis)
+
+
+def _index(j):
+    """The weight ``j`` of term ``j``, as a float."""
+    return j * 1.0
 
 
 def _mul_step(a, b, k):
     """Coefficient k of a product: a_0*b_k + a_1*b_{k-1} + ... + a_k*b_0."""
-    acc = ZERO
-    for _, p in _terms(a, b, k, 0, k + 1):
-        acc = acc + p
-    return acc
+    return _fold(ZERO, a, b, k, 0, k + 1)
 
 
 def _div_step(a_k, b, q, k):
@@ -393,18 +477,12 @@ def _div_step(a_k, b, q, k):
         raise InfinitesimalDivisorError(
             "division by a series with non-invertible leading coefficient"
         )
-    acc = a_k
-    for _, p in _terms(b, q, k, 1, k + 1):
-        acc = acc - p
-    return acc / b[0]
+    return _fold(a_k, b, q, k, 1, k + 1, sub=True) / b[0]
 
 
 def _weighted_sum(a, f, k):
     """sum_{j=1..k} j*a_j*f_{k-j}, shared by the exp, sin and cos recurrences."""
-    acc = ZERO
-    for j, p in _terms(a, f, k, 1, k + 1):
-        acc = acc + (p * float(j) if j > 1 else p)
-    return acc
+    return _fold(ZERO, a, f, k, 1, k + 1, _index)
 
 
 def _exp_step(a, out, k):
@@ -425,9 +503,7 @@ def _log_step(a, out, k):
     """L_k = (A_k - (1/k) sum_{j<k} j*L_j*A_{k-j}) / A_0."""
     if k == 0:
         return _log0(_real(a[0]))
-    acc = ZERO
-    for j, p in _terms(out, a, k, 1, k):
-        acc = acc + p * float(j)
+    acc = _fold(ZERO, out, a, k, 1, k, _index)
     return (a[k] - acc * (1.0 / k)) / a[0]
 
 
@@ -439,9 +515,7 @@ def _power_step(a, out, k, e):
                 "power with non-integer or negative exponent needs an invertible constant term"
             )
         return _pow0(a[0], e)
-    acc = ZERO
-    for j, p in _terms(a, out, k, 1, k + 1):
-        acc = acc + p * ((e + 1.0) * j - k)
+    acc = _fold(ZERO, a, out, k, 1, k + 1, lambda j: (e + 1.0) * j - k)
     return (acc * (1.0 / k)) / a[0]
 
 
@@ -623,8 +697,7 @@ def _lift(series, step):
         out = node._kept()
         return node
     _require_series(series)
-    a = list(series.coeffs)  # a jet's row views made once, not at every read
-    out = series._buffer()
+    a, out = series.coeffs, series._buffer()
     for k in range(len(a)):
         out[k] = step(a, out, k)
     return series._new(out)
@@ -662,7 +735,7 @@ def sin_cos(series):
             LazySeries(series.tape, lambda k: pair(k)[1]),
         )
     _require_series(series)
-    a = list(series.coeffs)
+    a = series.coeffs
     s, c = series._buffer(), series._buffer()
     for k in range(len(a)):
         s[k], c[k] = _sin_cos_step(a, s, c, k)

@@ -87,6 +87,14 @@ def test_evaluate_at_zero_returns_initial_profile():
     np.testing.assert_array_equal(exp.evaluate(0.0)[0], np.sin(PI * x))
 
 
+@pytest.mark.parametrize("t1", [math.nan, math.inf, -math.inf])
+def test_evaluate_rejects_a_time_that_is_not_finite(t1):
+    # heat's evaluate(inf) returned -inf
+    exp = compute_expansion(get_problem("heat"), np.array([0.3, 0.6]), 4)
+    with pytest.raises(ValueError, match=f"finite time, got {t1!r}"):
+        exp.evaluate(t1)
+
+
 def test_heat_evaluation_converges_to_exact():
     prob = get_problem("heat")
     x = np.linspace(0.05, 0.95, 21)

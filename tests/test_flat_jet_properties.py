@@ -7,9 +7,12 @@ computed once on jets and once on a :class:`TruncatedSeries` over
 series recurrence steps row by row, and the results are compared as uint64
 bit patterns.  Orders reach 42 (the working jet order of a K=21 expansion)
 and batches 70 points; rows are random and finite, with exact and negative
-zeros mixed in.  A series step forms the jet products of one coefficient in
-stacks, and each stacked product is compared with the row-by-row product of
-its pair.
+zeros mixed in.  A quotient of float rows stacks them as a flat jet does,
+so the reference series is kept from doing so and divides term by term.  A
+series step forms the terms of one coefficient as one array where it can, the
+rows of a flat jet or a stack of jet products, and sums it with one
+reduction; its coefficient is compared with the same terms formed row by row
+and added one at a time, in order.
 """
 
 from unittest import mock
@@ -19,9 +22,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdetaylor import BatchAlgebra, OrderMismatchError, TruncatedSeries, derivative, exp, jets, sin_cos
+from pdetaylor import BatchAlgebra, OrderMismatchError, TruncatedSeries, derivative, exp, jets, log, power, sin_cos
+from pdetaylor import series as series_module
 from pdetaylor.jets import Jet
-from pdetaylor.series import ZERO, _terms
+from pdetaylor.series import ZERO, RealAlgebra, _div_step, _fold, _index, _mul_step, _weighted_sum
 
 orders = st.integers(0, 42)
 sizes = st.integers(1, 70)
@@ -31,7 +35,8 @@ scalars = st.sampled_from([1.0, -1.0]).flatmap(
 )
 
 # each operation maps (a, b, s) to a jet or a tuple of jets; b's constant
-# term is kept away from zero, so it may divide
+# term is kept away from zero, so it may divide, and is positive for the
+# operations in POSITIVE
 OPERATIONS = {
     "add": lambda a, b, s: a + b,
     "sub": lambda a, b, s: a - b,
@@ -48,7 +53,12 @@ OPERATIONS = {
     "neg": lambda a, b, s: -a,
     "exp": lambda a, b, s: exp(a),
     "sin_cos": lambda a, b, s: sin_cos(a),
+    "log": lambda a, b, s: log(b),
+    "power_int": lambda a, b, s: power(a, 3),
+    "power_neg_int": lambda a, b, s: power(b, -2),
+    "power_frac": lambda a, b, s: power(b, 1.5),
 }
+POSITIVE = {"log", "power_frac"}
 
 
 def _rows(seed, order, size, invertible=False):
@@ -82,19 +92,36 @@ def _as_tuple(result):
 # a zero jet times a jet whose row 1 is negative: the kernel adds 0 * b_0 to
 # the -0 of a_0 * b_1, as the row-by-row series does
 @example(order=1, size=1, seed=66309899, s=1.0)
+# one point with more than 8 terms per coefficient, where a reduction along
+# the contiguous term axis could sum pairwise
+@example(order=9, size=1, seed=17, s=-1.5)
+@example(order=40, size=1, seed=40, s=2.5)
 @given(order=orders, size=sizes, seed=seeds, s=scalars)
 def test_flat_jet_matches_row_by_row_series(name, order, size, seed, s):
     jet_a, ref_a = _pair(_rows(seed, order, size))
-    jet_b, ref_b = _pair(_rows(seed + 1, order, size, invertible=True))
+    rows_b = _rows(seed + 1, order, size, invertible=True)
+    if name in POSITIVE:
+        rows_b[0] = np.abs(rows_b[0])
+    jet_b, ref_b = _pair(rows_b)
     op = OPERATIONS[name]
     with np.errstate(over="ignore", invalid="ignore"):
         got = _as_tuple(op(jet_a, jet_b, s))
-        want = _as_tuple(op(ref_a, ref_b, s))
+        # the reference quotient, in div, rdiv and the negative power, runs the
+        # per-term steps rather than stacking its rows into the flat path
+        with mock.patch.object(series_module, "_float_rows", return_value=False):
+            want = _as_tuple(op(ref_a, ref_b, s))
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert isinstance(g, Jet) and g.coeffs.flags.c_contiguous
         assert g.coeffs.shape == (order + 1, size)
         np.testing.assert_array_equal(_bits(g.coeffs), _bits(w.coeffs))
+
+
+def test_quotient_of_zero_dimensional_rows():
+    # 0-d rows are numbers to the steps, not rows to stack
+    a = TruncatedSeries(RealAlgebra(), [np.array(2.0), np.array(1.0)])
+    assert (a / a).coeffs == (1.0, 0.0)
+    assert (1.0 / a).coeffs == (0.5, -0.25)
 
 
 def _lowest_non_finite_row(rows):
@@ -178,27 +205,85 @@ def _factor(kind, seed, order, size):
 
 
 def _row_product(x, y):
-    """``x * y`` with each jet as a row-by-row series: the reference product."""
+    """``x * y`` with each jet as a row-by-row series: the reference product,
+    its rows as one array, or a number."""
     ref = [TruncatedSeries(f.algebra, list(f.coeffs)) if isinstance(f, Jet) else f for f in (x, y)]
     product = ref[0] * ref[1]
-    return np.asarray(product.coeffs if isinstance(product, TruncatedSeries) else product)
+    return np.array(product.coeffs) if isinstance(product, TruncatedSeries) else product
+
+
+def _one_at_a_time(acc, t, sub):
+    """``acc + t`` (``acc - t`` with ``sub``) as the jet operators form it, for
+    ZERO, numbers and jet rows: a number adds to a jet's row 0 only."""
+    if acc is ZERO:
+        return t * -1.0 if sub else t
+    if isinstance(acc, np.ndarray) == isinstance(t, np.ndarray):
+        return acc - t if sub else acc + t
+    if isinstance(acc, np.ndarray):
+        out = acc.copy()
+        out[0] = out[0] - t if sub else out[0] + t
+        return out
+    out = t * -1.0 if sub else t.copy()
+    out[0] = out[0] + acc
+    return out
+
+
+def _assert_same_coefficient(got, want):
+    if want is ZERO:
+        assert got is ZERO
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, Jet) and got.coeffs.shape == want.shape
+        np.testing.assert_array_equal(_bits(got.coeffs), _bits(want))
+    else:
+        assert not isinstance(got, (Jet, np.ndarray)) and got is not ZERO
+        assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=60, deadline=None)
+# one point and 40 terms: the reduction runs along the contiguous term axis
+@example(order=40, size=1, seed=3, weighted=True, sub=False, from_zero=True)
+@given(
+    order=st.integers(1, 42),
+    size=sizes,
+    seed=seeds,
+    weighted=st.booleans(),
+    sub=st.booleans(),
+    from_zero=st.booleans(),
+)
+def test_flat_rows_fold_term_by_term(order, size, seed, weighted, sub, from_zero):
+    # a flat lift or quotient forms the terms x_j * y_{k-j} of row k with one
+    # multiply and sums them with one reduction
+    x, y = _rows(seed, order, size), _rows(seed + 1, order, size)
+    acc = ZERO if from_zero else _rows(seed + 2, 0, size)[0]
+    want = acc
+    for j in range(1, order + 1):
+        t = x[j] * y[order - j]
+        want = _one_at_a_time(want, t * float(j) if weighted else t, sub)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _fold(acc, x, y, order, 1, order + 1, _index if weighted else None, sub)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 @settings(max_examples=60, deadline=None)
 # 700 points cap a stack at 2 pairs, so 5 jet pairs make stacks of 2, 2 and 1
-@example(order=3, size=700, length=5, seed=5, kinds=["jet"] * 90)
+@example(order=3, size=700, length=5, seed=5, kinds=["jet"] * 91)
+# one point: the 30 terms of a stack sum along a contiguous axis
+@example(order=12, size=1, length=30, seed=8, kinds=["jet"] * 91)
 @given(
     order=orders,
     size=sizes,
     length=st.integers(1, 45),
     seed=seeds,
-    kinds=st.lists(st.sampled_from(["jet", "jet", "jet", "zero", "number"]), min_size=90, max_size=90),
+    kinds=st.lists(st.sampled_from(["jet", "jet", "jet", "zero", "number"]), min_size=91, max_size=91),
 )
 def test_stacked_products_match_row_by_row_products(order, size, length, seed, kinds):
-    # x_j * y_{k-j} for j = 0..k, as a product step lists them
+    # the terms x_j * y_{k-j} of a step, for j = 0..k, each formed row by row
+    # and summed one at a time in order of j, against the step's folded stacks
     k = length - 1
     x = [_factor(kinds[j], seed + 2 * j, order, size) for j in range(length)]
     y = [_factor(kinds[45 + j], seed + 2 * j + 1, order, size) for j in range(length)]
+    a_k = _factor(kinds[90], seed + 99, order, size)
+    b = [float(np.random.default_rng(seed).choice([-1.5, 0.75]))] + x[1:]  # a divisor: b_0 != 0
     stacks = []
     convolve = jets._convolve
 
@@ -206,23 +291,28 @@ def test_stacked_products_match_row_by_row_products(order, size, length, seed, k
         stacks.append(a.shape[1] if a.ndim == 3 else 1)
         return convolve(a, b)
 
-    with mock.patch.object(jets, "_convolve", recording), np.errstate(over="ignore", invalid="ignore"):
-        got = list(_terms(x, y, k, 0, length))
-    kept = [j for j in range(length) if x[j] is not ZERO and y[k - j] is not ZERO]
-    assert [j for j, _ in got] == kept
-    for j, product in got:
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = _row_product(x[j], y[k - j])
-        if isinstance(product, Jet):
-            assert product.coeffs.shape == (order + 1, size)
-            product = product.coeffs
-        np.testing.assert_array_equal(_bits(product), _bits(want))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with mock.patch.object(jets, "_convolve", recording):
+            got_product = _mul_step(x, y, k)
+        got_weighted = _weighted_sum(x, y, k)
+        got_quotient = _div_step(a_k, b, y, k)
+        terms = {j: _row_product(x[j], y[k - j]) for j in range(length) if x[j] is not ZERO and y[k - j] is not ZERO}
+        product = weighted = ZERO
+        quotient = a_k.coeffs if isinstance(a_k, Jet) else a_k
+        for j, t in sorted(terms.items()):
+            product = _one_at_a_time(product, t, False)
+            if j >= 1:
+                weighted = _one_at_a_time(weighted, t * float(j) if j > 1 else t, False)
+                quotient = _one_at_a_time(quotient, _row_product(b[j], y[k - j]), True)
+        quotient = quotient / b[0]
+    _assert_same_coefficient(got_product, product)
+    _assert_same_coefficient(got_weighted, weighted)
+    _assert_same_coefficient(got_quotient, quotient)
 
     # each run of jet pairs is cut into stacks of at most _BLOCK // N pairs
     cap = max(1, jets._BLOCK // size)
     assert all(1 <= n <= cap for n in stacks)
-    jet_pairs = sum(isinstance(x[j], Jet) and isinstance(y[k - j], Jet) for j in kept)
-    assert sum(stacks) == jet_pairs
+    assert sum(stacks) == sum(isinstance(x[j], Jet) and isinstance(y[k - j], Jet) for j in terms)
 
 
 @pytest.mark.parametrize("mismatch", ["within a pair", "between pairs"])
@@ -234,4 +324,4 @@ def test_stacked_products_of_different_orders_raise(mismatch):
     else:
         x[2], y[0] = _factor("jet", 20, 5, 3), _factor("jet", 21, 5, 3)
     with pytest.raises(OrderMismatchError):
-        list(_terms(x, y, 2, 0, 3))
+        _mul_step(x, y, 2)

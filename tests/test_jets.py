@@ -69,6 +69,8 @@ def test_derivative_order_validation():
         derivative(jet, 4)
     with pytest.raises(ValueError):
         derivative(jet, -1)
+    with pytest.raises(ValueError):  # a bool is an int, but not an order
+        derivative(jet, True)
     same = derivative(jet, 0)
     assert same.order == jet.order
     for got, want in zip(same.coeffs, jet.coeffs):

@@ -140,15 +140,20 @@ WIDTH_CASES = [(get_problem(name), 20) for name in ("diffusion", "burgers", "all
 @pytest.mark.parametrize("problem, order", WIDTH_CASES, ids=[p.name for p, _ in WIDTH_CASES])
 def test_coefficients_do_not_depend_on_block_width(problem, order):
     # 2100 points expand as a block of 2048, whose steps multiply one jet pair
-    # per kernel call, and one of 52; a 50-point slice stacks up to 40 pairs
+    # per kernel call, and one of 52; a 50-point slice stacks up to 40 pairs,
+    # and a single point sums each stack along its one contiguous axis
     lo, hi = problem.domain
     x = np.linspace(lo, hi, 2102)[1:-1]
     whole = compute_expansion(problem, x, order)
     slices = [compute_expansion(problem, x[i : i + 50], order) for i in range(0, x.size, 50)]
+    points = (0, 777, 1500, x.size - 1)
+    singles = [compute_expansion(problem, x[p : p + 1], order) for p in points]
     for m in range(problem.components):
         for i in range(order + 1):
             concatenated = np.concatenate([s.coeffs[m][i] for s in slices])
             np.testing.assert_array_equal(whole.coeffs[m][i].view(np.uint64), concatenated.view(np.uint64))
+            alone = np.concatenate([s.coeffs[m][i] for s in singles])
+            np.testing.assert_array_equal(whole.coeffs[m][i][list(points)].view(np.uint64), alone.view(np.uint64))
 
 
 @pytest.mark.parametrize("problem", [p for p, _ in CASES], ids=[p.name for p, _ in CASES])
