@@ -112,6 +112,8 @@ def _sample(problem: PdeProblem, count: int, tau: float | None, seed: int):
     """:func:`sample_points` and the threshold it applied."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if seed < 0:  # numpy's own error would not name the seed
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if tau is not None and not tau >= 0:  # also rejects NaN
         raise ValueError(f"exclusion threshold must be >= 0, got {tau}")
     peaks = _ic_peaks(problem)

@@ -245,10 +245,10 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
 
 def _initial_condition(problem: PdeProblem, batch: BatchAlgebra, x: np.ndarray, order: int) -> list:
     """``C_0`` per component: the problem's ``ic`` on the identity at ``x`` as a
-    series whose rows past 1 are ``ZERO``, so its lifts skip them, and each
-    series it returns as one flat jet of ``order``, with ``ZERO`` rows as zero
-    rows.  A ``ZERO`` or number component is kept as it is."""
-    g = problem.ic(TruncatedSeries(batch, (x, batch.one()) + (ZERO,) * (order - 1)))
+    series ``(x, 1.0, ZERO, ..., ZERO)``, so its lifts skip the rows past 1,
+    and each series it returns as one flat jet of ``order``, number and
+    ``ZERO`` rows written out.  A ``ZERO`` or number component is kept."""
+    g = problem.ic(TruncatedSeries(batch, (x, 1.0) + (ZERO,) * (order - 1)))
     if len(g) != problem.components:
         raise ValueError(
             f"initial condition returned {len(g)} components, expected {problem.components}"
@@ -267,12 +267,7 @@ def _initial_condition(problem: PdeProblem, batch: BatchAlgebra, x: np.ndarray, 
                 raise ValueError(
                     f"initial condition component {c} has jet order {gc.order}, expected {order}"
                 )
-            if not isinstance(gc, Jet):
-                rows = np.zeros((order + 1, batch.size))
-                for k, r in enumerate(gc.coeffs):
-                    if r is not ZERO:
-                        rows[k] = r
-                gc = Jet(batch, rows)
+            gc = Jet(batch, gc.coeffs)
         out.append(gc)
     return out
 

@@ -32,22 +32,23 @@ A jet is a :class:`~pdetaylor.series.TruncatedSeries` over
 :mod:`pdetaylor.series` apply unchanged: they run the series recurrence steps
 on the whole ``(P+1, N)`` array, forming the terms of each new row with one
 broadcast multiply and summing them with one reduction into a preallocated
-array, and evaluate each function on the constant row with NumPy.  :class:`BatchAlgebra` is
-:class:`~pdetaylor.series.RealAlgebra` with a batch size and array constants.
+array, and evaluate each function on the constant row with NumPy.
+:class:`BatchAlgebra` names the batch by its size.
 
-:func:`seed_variable` builds the jet of the identity function, ``[X, 1, 0,
+A :class:`Jet` built from a sequence of rows, the one conversion of a series
+to a flat jet, writes a number across its row and the structural zero as
+``+0.0``.  :func:`seed_variable` builds the jet of the identity, ``[X, 1, 0,
 ..., 0]``; evaluating an expression on the seed yields the jet of that
 expression.  The expansion driver evaluates the initial condition on the
-identity as a series over :class:`BatchAlgebra` whose rows past 1 are the
-structural zero instead, so its lifts skip them, and then stores each result
-as a jet.  :func:`derivative` extracts the jet of ``f^(m)``, which is ``m``
-orders shorter than its input.
+identity as a series ``(X, 1.0, ZERO, ..., ZERO)``, whose lifts skip the
+structural zeros, and makes each result a jet this way.  :func:`derivative`
+extracts the jet of ``f^(m)``, which is ``m`` orders shorter than its input.
 
 Jets add, subtract, multiply, divide and scale, so they serve as the
 coefficients of a series in time, giving the nesting time-series ->
 space-jet -> point-batch of the expansion driver; a lift of such a series
-lifts its constant jet again.  :class:`JetAlgebra` supplies only the jet
-order and the constant jets an eager series of jets pads and seeds with.
+lifts its constant jet again.  :class:`JetAlgebra` names only the jet order
+and the batch, which an eager series of jets compares its operands by.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import RealAlgebra, TruncatedSeries, _as_scalar, _sum_jets
+from .series import TruncatedSeries, _as_scalar, _real, _sum_jets
 
 
 # The width of one array operation on jets, in points times stacked pairs.
@@ -75,35 +76,38 @@ class InsufficientJetOrderError(ValueError):
 
 
 @dataclass(frozen=True)
-class BatchAlgebra(RealAlgebra):
-    """Float64 arrays over one batch of points: :class:`RealAlgebra` with array constants."""
+class BatchAlgebra:
+    """Float64 arrays over one batch of ``size`` points, or numbers, the same at
+    every point; two batch algebras of one size compare equal."""
 
     size: int
-
-    def zero(self):
-        return np.zeros(self.size)
-
-    def one(self):
-        return np.ones(self.size)
 
 
 class Jet(TruncatedSeries):
     """A jet stored flat: ``coeffs`` is one ``(P+1, N)`` float64 array.
 
-    ``coeffs[k]`` is the row of order ``k``.  Jets are immutable, so
-    :meth:`truncated` may return a view of the same array.  Operators take
-    jets of the same order over the same batch, or plain numbers.
+    ``coeffs[k]`` is the row of order ``k``.  From a sequence of rows, a
+    number fills its row and :data:`~pdetaylor.series.ZERO` is ``+0.0``.
+    Jets are immutable, so :meth:`truncated` may return a view of the same
+    array.  Operators take jets of the same order over the same batch, or
+    plain numbers.
     """
 
     __slots__ = ()
 
     def __init__(self, algebra: BatchAlgebra, coeffs):
+        n = algebra.size
+        if not isinstance(coeffs, np.ndarray):
+            # rows of n values or numbers, ZERO as +0.0; a row of any other
+            # shape leaves an unwritten array of that shape for the check
+            rows = [_real(r) for r in coeffs]
+            bad = [np.shape(r) for r in rows if np.shape(r) not in ((), (n,))]
+            coeffs = np.empty((len(rows),) + (bad[0] if bad else (n,)))
+            for k, r in enumerate(() if bad else rows):
+                coeffs[k] = r
         coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-        if coeffs.ndim != 2 or coeffs.shape[0] == 0 or coeffs.shape[1] != algebra.size:
-            raise ValueError(
-                f"a jet over {algebra.size} points needs a (P+1, {algebra.size}) array, "
-                f"got shape {coeffs.shape}"
-            )
+        if coeffs.ndim != 2 or coeffs.shape[0] == 0 or coeffs.shape[1] != n:
+            raise ValueError(f"a jet over {n} points needs a (P+1, {n}) array, got shape {coeffs.shape}")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -235,16 +239,9 @@ class JetAlgebra:
     """Flat jets of a fixed order over one batch of points as series coefficients.
 
     An element is a :class:`Jet` over ``inner`` with truncation order
-    ``order``, or a number, the same at every point.
+    ``order``, or a number, the same at every point; two jet algebras of one
+    batch and order compare equal.
     """
 
     inner: BatchAlgebra
     order: int
-
-    def zero(self):
-        return Jet(self.inner, np.zeros((self.order + 1, self.inner.size)))
-
-    def one(self):
-        c = np.zeros((self.order + 1, self.inner.size))
-        c[0] = 1.0
-        return Jet(self.inner, c)

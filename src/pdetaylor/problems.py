@@ -60,8 +60,9 @@ class PdeProblem:
     bound the stiffest second- and first-order terms for time-step selection;
     they play no role in the series path.  ``ic`` receives the identity at
     a block of points as a :class:`~pdetaylor.series.TruncatedSeries` over
-    :class:`~pdetaylor.jets.BatchAlgebra` of jet order ``2K``, ``[X, 1, ZERO,
-    ..., ZERO]``, and builds its result with series operations and lifts.  It
+    :class:`~pdetaylor.jets.BatchAlgebra` of jet order ``2K``, ``(X, 1.0,
+    ZERO, ..., ZERO)``: the points, the number ``1.0`` and the structural
+    zero, and builds its result with series operations and lifts.  It
     returns per component a series over those points of that order (a
     :class:`~pdetaylor.jets.Jet` is one), a number that is the same at every
     point, or :data:`~pdetaylor.series.ZERO` for a component that is zero

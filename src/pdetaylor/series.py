@@ -13,13 +13,15 @@ is an error rather than a renormalisation.
 
 Coefficients combine through their own ``+``, ``-``, ``*``, ``/`` and
 ``* float`` operators, so Python floats, NumPy batches and jets all work
-unchanged.  A series also carries an algebra, which supplies only the
-constants zero and one for padding and seeding and, by equality, the
-compatibility check of binary operations: :class:`RealAlgebra` for floats,
-and the batch and spatial-jet algebras of :mod:`pdetaylor.jets`.  Because a
-jet is itself a truncated series, series can nest: a series in the time
-infinitesimal whose coefficients are jets in a space increment, whose
-coefficients are batches of reals.
+unchanged, and mix with plain numbers: every series pads with ``0.0`` and
+seeds with ``1.0``, whatever its coefficients, and a number combines with a
+batch or a jet as the same number at every point.  A series also carries an
+algebra, which serves only, by equality, the compatibility check of binary
+operations: :class:`RealAlgebra` for floats, and the batch and spatial-jet
+algebras of :mod:`pdetaylor.jets`.  Because a jet is itself a truncated
+series, series can nest: a series in the time infinitesimal whose
+coefficients are jets in a space increment, whose coefficients are batches
+of reals.
 
 Analytic functions (exp, sin, cos, ln, constant powers) extend to series
 through the usual Taylor-composition recurrences, and reciprocal and sech are
@@ -82,18 +84,12 @@ class LiftDomainError(ValueError):
 
 @dataclass(frozen=True)
 class RealAlgebra:
-    """Float coefficients, with the constants zero and one.
+    """Float coefficients.
 
-    :class:`~pdetaylor.jets.BatchAlgebra` adds a batch size and array
-    constants.  Two algebras compare equal when they describe the same
-    coefficient space, which is what series compatibility checks rely on.
+    An algebra only names a coefficient space: two algebras compare equal
+    when they describe the same one, which is what series compatibility
+    checks rely on.
     """
-
-    def zero(self):
-        return 0.0
-
-    def one(self):
-        return 1.0
 
 
 class _StructuralZero:
@@ -162,16 +158,15 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, algebra, value, order: int) -> "TruncatedSeries":
-        tail = tuple(algebra.zero() for _ in range(order))
-        return cls(algebra, (value,) + tail)
+        """Series ``value``: every coefficient past the constant term is ``0.0``."""
+        return cls(algebra, (value,) + (0.0,) * order)
 
     @classmethod
     def variable(cls, algebra, value, order: int) -> "TruncatedSeries":
         """Series ``value + eps``: the seed for differentiating through ``value``."""
         if order < 1:
             raise ValueError("a variable seed needs order >= 1")
-        tail = tuple(algebra.zero() for _ in range(order - 1))
-        return cls(algebra, (value, algebra.one()) + tail)
+        return cls(algebra, (value, 1.0) + (0.0,) * (order - 1))
 
     # -- basic queries -------------------------------------------------
 
@@ -276,9 +271,11 @@ class TruncatedSeries:
         self._check_compatible(other)
         a, b = self.coeffs, other.coeffs
         q = self._buffer()
-        if type(a) is type(b) is tuple and _float_rows(a + b):
-            # float rows, stacked once so that every step multiplies whole arrays
-            a, b = np.stack(a), np.stack(b)
+        if type(b) is tuple and _float_rows(b) and not any(r is ZERO for r in a):
+            # float rows, stacked once so that every step multiplies whole
+            # arrays; a numerator row is read in place, and only ZERO cannot
+            # be a quotient row of an array
+            b = np.stack(b)
             q = np.empty_like(b)
         for k in range(len(a)):
             q[k] = _div_step(a[k], b, q, k)
@@ -308,8 +305,7 @@ class TruncatedSeries:
             raise ValueError("order must be >= 0")
         if order <= self.order:
             return self._new(self.coeffs[: order + 1])
-        pad = tuple(self.algebra.zero() for _ in range(order - self.order))
-        return self._new(tuple(self.coeffs) + pad)
+        return self._new(tuple(self.coeffs) + (0.0,) * (order - self.order))
 
 
 # -- recurrence steps -------------------------------------------------------
@@ -708,7 +704,7 @@ def _one_like(series):
     if isinstance(series, LazySeries):
         return LazySeries(series.tape, lambda k: 1.0 if k == 0 else 0.0)
     _require_series(series)
-    return type(series).constant(series.algebra, series.algebra.one(), series.order)
+    return type(series).constant(series.algebra, 1.0, series.order)
 
 
 def exp(series):

@@ -65,7 +65,7 @@ def eval_nested(series: TruncatedSeries, eps: float, dx: float):
 def ic_jets(problem, seed: Jet) -> list[Jet]:
     """The problem's initial condition on ``seed`` as jets: a component that
     ``ic`` returns as the structural zero ``ZERO`` becomes a zero jet."""
-    zero = Jet.constant(seed.algebra, seed.algebra.zero(), seed.order)
+    zero = Jet(seed.algebra, np.zeros((seed.order + 1, seed.algebra.size)))
     return [zero if g is ZERO else g for g in problem.ic(seed)]
 
 

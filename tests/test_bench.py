@@ -110,6 +110,11 @@ def test_sampling_threshold_validation():
         sample_points(prob, 0, tau=0.1, seed=0)
 
 
+def test_negative_seed_is_rejected_by_name():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        sample_points(get_problem("heat"), 5, tau=0.1, seed=-1)
+
+
 def test_sampling_error_when_threshold_leaves_no_room():
     with pytest.raises(SamplingError):
         sample_points(get_problem("heat"), 5, tau=1.0 - 1e-9, seed=0)

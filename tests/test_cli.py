@@ -457,6 +457,7 @@ def test_non_finite_horizon_is_a_usage_error(tmp_path, capsys):
          "'mode' of problem 'heat' must be an integer, got 1.5"),
         (["taylor", "--problem", "wave", "--param", "second_mode=2.5"],
          "'second_mode' of problem 'wave' must be an integer, got 2.5"),
+        (["derive", "--problem", "heat", "--seed", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_bad_parameter_or_threshold_is_a_usage_error(tmp_path, capsys, argv, offending):

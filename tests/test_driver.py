@@ -244,6 +244,12 @@ def test_rhs_must_return_series():
         compute_expansion(prob, np.array([0.0]), 2)
 
 
+def test_rhs_must_return_one_series_per_component():
+    prob = _toy_problem(1.0, lambda u, u_x, u_xx, t, x: [u[0], u[0]])
+    with pytest.raises(ValueError, match="rhs returned 2 components, expected 1"):
+        compute_expansion(prob, np.array([0.0]), 2)
+
+
 def test_points_must_be_inside_domain():
     prob = get_problem("heat")
     with pytest.raises(ValueError, match="inside"):
@@ -525,8 +531,9 @@ def test_initial_condition_matches_the_dense_seed(name):
         ("heat", lambda s: [seed_variable(s.constant_term, s.order + 1)],
          "component 0 has jet order 11, expected 10"),
         ("wave", lambda s: [sin(s * PI), np.zeros(s.algebra.size)], "component 1 is a ndarray"),
+        ("heat", lambda s: [sin(s * PI), ZERO], "initial condition returned 2 components, expected 1"),
     ],
-    ids=["short-series", "array", "long-jet", "second-component"],
+    ids=["short-series", "array", "long-jet", "second-component", "component-count"],
 )
 def test_malformed_initial_condition_names_its_component(name, ic, message):
     prob = dataclasses.replace(get_problem(name), ic=ic)

@@ -190,9 +190,9 @@ def test_flat_derivative_and_truncation_match_rows(data, order, size, seed):
 
     cut = data.draw(st.integers(0, order + 3), label="cut")
     got = jet.truncated(cut)
-    want = TruncatedSeries(jet.algebra, list(rows)).truncated(cut)
+    want = list(rows[: cut + 1]) + [np.zeros(size)] * (cut - order)
     assert isinstance(got, Jet) and got.order == cut
-    np.testing.assert_array_equal(_bits(got.coeffs), _bits(want.coeffs))
+    np.testing.assert_array_equal(_bits(got.coeffs), _bits(want))
 
 
 def _factor(kind, seed, order, size):

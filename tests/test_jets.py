@@ -16,6 +16,7 @@ from pdetaylor import (
     get_problem,
     seed_variable,
 )
+from pdetaylor.jets import Jet
 from pdetaylor.series import ZERO, LiftDomainError, exp, log, power, reciprocal, sin
 
 from conftest import factorial, ic_jets, mp_derivative, mp_initial_profiles
@@ -221,14 +222,52 @@ def test_batch_algebra_domain_errors():
 
 
 def test_jet_algebra_builds_series_elements():
-    alg = JetAlgebra(BatchAlgebra(2), 3)
-    z, o = alg.zero(), alg.one()
-    assert isinstance(z, TruncatedSeries) and z.order == 3
-    np.testing.assert_array_equal(o.coeffs[0], [1.0, 1.0])
+    batch = BatchAlgebra(2)
+    alg = JetAlgebra(batch, 3)
+    z = Jet(batch, np.zeros((4, 2)))
+    o = Jet(batch, np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
     # a series of jets is invertible when its constant jet's value row is
-    np.testing.assert_array_equal(reciprocal(TruncatedSeries.constant(alg, o, 2)).coeffs[0].coeffs, o.coeffs)
+    np.testing.assert_array_equal(reciprocal(TruncatedSeries(alg, [o, z, z])).coeffs[0].coeffs, o.coeffs)
     with pytest.raises(InfinitesimalDivisorError):
-        reciprocal(TruncatedSeries.constant(alg, z, 2))
+        reciprocal(TruncatedSeries(alg, [z, z, z]))
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_jet_writes_number_and_zero_rows(k):
+    # a number fills its row and ZERO is +0.0, so the identity with ZERO past
+    # row 1 is the seed jet bit for bit, and a padded constant is dense
+    x = np.array([0.5, -0.0, -2.0])
+    batch = BatchAlgebra(3)
+    got = Jet(batch, (x, 1.0) + (ZERO,) * k)
+    dense = np.zeros((k + 2, 3))
+    dense[0], dense[1] = x, 1.0
+    for want in (seed_variable(x, k + 1).coeffs, dense):
+        np.testing.assert_array_equal(got.coeffs.view(np.uint64), want.view(np.uint64))
+    dense[0], dense[1] = 1.0, 0.0
+    np.testing.assert_array_equal(Jet.constant(batch, 1.0, k + 1).coeffs.view(np.uint64), dense.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Jet(BatchAlgebra(2), np.zeros((3, 3))), ValueError,
+         r"jet over 2 points needs a \(P\+1, 2\) array, got shape \(3, 3\)$"),
+        (lambda: Jet(BatchAlgebra(2), np.zeros(2)), ValueError, r"needs a \(P\+1, 2\) array, got shape \(2,\)$"),
+        (lambda: Jet(BatchAlgebra(2), np.zeros((0, 2))), ValueError, r"got shape \(0, 2\)$"),
+        (lambda: Jet(BatchAlgebra(2), [np.zeros(2), 1.0, np.zeros(3), ZERO]), ValueError,
+         r"jet over 2 points needs a \(P\+1, 2\) array, got shape \(4, 3\)$"),
+        (lambda: Jet(BatchAlgebra(2), [np.zeros((2, 2))]), ValueError, r"got shape \(1, 2, 2\)$"),
+        (lambda: Jet(BatchAlgebra(2), []), ValueError, r"got shape \(0, 2\)$"),
+        (lambda: seed_variable(np.array([]), 3), ValueError, "at least one point"),
+        (lambda: derivative(TruncatedSeries(BatchAlgebra(1), [np.ones(1), np.zeros(1)])), TypeError,
+         "derivative needs a Jet, got TruncatedSeries"),
+    ],
+    ids=["array-shape", "one-axis", "no-rows", "row-length", "row-axes", "empty-rows", "no-points",
+         "not-a-jet"],
+)
+def test_jet_input_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_seed_variable_rejects_zero_order():

@@ -146,7 +146,7 @@ def test_ring_axioms_real(order):
     assert_series_close(a * b, b * a, rtol=1e-14, atol=1e-16)
     assert_series_close(a * (b + c), a * b + a * c, rtol=1e-13, atol=1e-15)
     one = TruncatedSeries.constant(R, 1.0, order)
-    zero = TruncatedSeries.constant(R, R.zero(), order)
+    zero = TruncatedSeries(R, [0.0] * (order + 1))
     assert (a * one).coeffs == a.coeffs
     assert (a + zero).coeffs == a.coeffs
     assert all(v == 0.0 for v in (a * zero).coeffs)
@@ -336,7 +336,7 @@ def test_nested_series_of_jets_numeric_probe():
 def test_nested_constant_term_is_inner_series():
     batch = BatchAlgebra(2)
     jet_alg = JetAlgebra(batch, 3)
-    series = TruncatedSeries.constant(jet_alg, jet_alg.zero(), 4)
+    series = TruncatedSeries(jet_alg, [Jet(batch, np.zeros((4, 2)))] * 5)
     assert isinstance(series.constant_term, TruncatedSeries)
     assert series.constant_term.order == 3
     assert flatten(series).shape == (5 * 4 * 2,)
@@ -357,7 +357,14 @@ def test_structural_zero_drops_out_of_every_operation():
         jet / ZERO
 
 
-@pytest.mark.parametrize(
+def _dense(series):
+    """The rows of a series over four points as one array: a number fills its
+    row (as ``truncated`` pads with ``0.0``) and ZERO is ``+0.0``."""
+    return np.stack([np.broadcast_to(_real(c), (4,)) for c in series.coeffs])
+
+
+# the eager operations, each on one series over four points
+EAGER_OPERATIONS = pytest.mark.parametrize(
     "f",
     [
         lambda s: s * s * s,
@@ -378,14 +385,38 @@ def test_structural_zero_drops_out_of_every_operation():
     ids=["cube", "constant", "sub", "div", "rdiv", "exp", "sin-cos", "log", "sqrt", "pow4",
          "sech", "reciprocal", "drop", "pad"],
 )
+
+
+@EAGER_OPERATIONS
 def test_series_with_structural_zero_rows_matches_zero_rows(f):
     # the driver hands the initial condition the identity with its rows past 1
     # ZERO; every eager operation computes what it computes on zero rows, but
     # for the sign of an exact zero, since ZERO skips terms that add +0.0
     x = np.array([0.3, -0.4, 0.0, 1.2])
     alg = BatchAlgebra(4)
-    structural = TruncatedSeries(alg, (x, alg.one()) + (ZERO,) * 4)
-    got, want = f(structural), f(TruncatedSeries.variable(alg, x, 5))
+    structural = TruncatedSeries(alg, (x, np.ones(4)) + (ZERO,) * 4)
+    got, want = f(structural), f(TruncatedSeries(alg, (x, np.ones(4)) + (np.zeros(4),) * 4))
     assert got.order == want.order
-    rows = [alg.zero() if c is ZERO else c for c in got.coeffs]
-    assert_equal_but_for_zero_signs(np.stack(rows), np.stack(want.coeffs))
+    assert_equal_but_for_zero_signs(_dense(got), _dense(want))
+
+
+@pytest.mark.parametrize(
+    "padded, rows",
+    [
+        (lambda alg, x: TruncatedSeries.constant(alg, x, 5), lambda x: (x,) + (np.zeros(4),) * 5),
+        (lambda alg, x: TruncatedSeries.variable(alg, x, 5),
+         lambda x: (x, np.ones(4)) + (np.zeros(4),) * 4),
+        (lambda alg, x: TruncatedSeries(alg, (x, x + 1.0)).truncated(5),
+         lambda x: (x, x + 1.0) + (np.zeros(4),) * 4),
+    ],
+    ids=["constant", "variable", "truncated"],
+)
+@EAGER_OPERATIONS
+def test_series_padded_with_numbers_matches_zero_and_one_rows(f, padded, rows):
+    # constant, variable and truncated pad with 0.0 and seed with 1.0, and a
+    # number row gives every point the bits of a row of that number
+    x = np.array([0.3, -0.4, 0.0, 1.2])
+    alg = BatchAlgebra(4)
+    got, want = f(padded(alg, x)), f(TruncatedSeries(alg, rows(x)))
+    assert got.order == want.order
+    np.testing.assert_array_equal(_dense(got).view(np.uint64), _dense(want).view(np.uint64))

@@ -3,6 +3,7 @@ re-evaluating the right-hand side at every order."""
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pdetaylor import (
     sin,
     sin_cos,
 )
+from pdetaylor.jets import Jet
 from pdetaylor.series import LazySeries, SeriesTape
 
 from conftest import assert_equal_but_for_zero_signs, ic_jets
@@ -51,9 +53,10 @@ def eager_coefficients(problem, x, max_order):
             ]
 
         n = i - 1
-        zero = alg.zero()
-        t = TruncatedSeries.variable(alg, zero, n) if n else TruncatedSeries.constant(alg, zero, 0)
-        x_series = TruncatedSeries.constant(alg, seed.truncated(w), n)
+        zero = Jet(alg.inner, np.zeros((w + 1, x.size)))
+        one = Jet(alg.inner, np.vstack([np.ones(x.size), np.zeros((w, x.size))]))
+        t = TruncatedSeries(alg, [zero, one] + [zero] * (n - 1) if n else [zero])
+        x_series = TruncatedSeries(alg, [seed.truncated(w)] + [zero] * n)
         f = problem.rhs(stacked(0), stacked(1), stacked(2), t, x_series)
         for comp, fc in zip(jets, f):
             comp.append(fc.coeffs[n] * (1.0 / i))
@@ -167,6 +170,14 @@ def test_rhs_is_called_once_per_expansion(problem):
     compute_expansion(dataclasses.replace(problem, rhs=counted), _points(problem, 3), 6)
     assert len(calls) == 1
     assert all(isinstance(arg, LazySeries) for group in calls[0][:3] for arg in group)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                         ids=["add", "sub", "mul", "div"])
+def test_lazy_series_of_different_tapes_do_not_combine(op):
+    a, b = (LazySeries(SeriesTape(), lambda k: 1.0) for _ in range(2))
+    with pytest.raises(ValueError, match="different tapes"):
+        op(a, b)
 
 
 def test_only_operands_that_later_steps_read_keep_history():
