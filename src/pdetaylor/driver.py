@@ -14,13 +14,13 @@ are then grown one order per iteration (Taylor-mode propagation):
    rows for ``ZERO``, and a component that is zero whatever the data may be
    ``ZERO`` itself instead of a jet;
 2. call ``F`` once on :class:`~pdetaylor.series.LazySeries` nodes for ``U``,
-   ``U_x``, ``U_xx``, ``t`` and ``x``; the ``U`` nodes read the coefficients
-   stored so far, differentiating each in space only when it is first read,
-   and read a coefficient that is not a jet (``ZERO`` or a number) as
-   constant in space.  ``x`` is the seed jet at order 0 and ``ZERO`` above
-   it, and ``t`` is ``1.0`` at order 1 and ``ZERO`` elsewhere, so ``x`` or
-   ``t`` convolves no zeros and a function of ``t`` alone has numbers for
-   coefficients;
+   ``U_x``, ``U_xx``, ``t`` and ``x``; the ``U`` nodes read the newest
+   coefficient at the working jet order (below), differentiating it in space
+   only when it is first read, and read a coefficient that is not a jet
+   (``ZERO`` or a number) as constant in space.  ``x`` is the seed jet at
+   order 0 and ``ZERO`` above it, and ``t`` is ``1.0`` at order 1 and
+   ``ZERO`` elsewhere, so ``x`` or ``t`` convolves no zeros and a function of
+   ``t`` alone has numbers for coefficients;
 3. at iteration ``i``, ask each output node of ``F`` for its coefficient
    ``F_{i-1}``; each node in the graph computes exactly one new coefficient
    from the ones it has memoised, and ``C_i = F_{i-1} / i``, kept as it is
@@ -30,7 +30,7 @@ are then grown one order per iteration (Taylor-mode propagation):
 A ``ZERO`` initial component carries through the graph: with real initial
 data, Schrodinger's ``V`` starts as ``ZERO``, so every time coefficient of
 the opposite parity (``U``'s odd and ``V``'s even ones) is ``ZERO`` too, and
-the products, sums, derivatives and copies of that half cost nothing.
+the products, sums and derivatives of that half cost nothing.
 
 That costs ``O(K**2)`` jet products per product in ``F`` instead of the
 ``O(K**3)`` of re-evaluating ``F`` at every order.  A step forms the jet
@@ -48,22 +48,29 @@ the expansion is re-run with a larger ``K``.
 
 Each spatial differentiation consumes jet orders.  ``F`` reads at most
 ``U_xx``, so ``C_0`` is seeded with ``2*K`` jet orders and iteration ``i``
-works at jet order ``W_i = 2*(K - i)``: every operand,
-including the stored history of every node, is truncated to ``W_i`` before
-the step, and ``C_i`` is computed at ``W_i``.  ``C_K`` is never
-differentiated.  Coefficient values are exact to the end regardless, for the
-same triangularity reason.  Iteration ``i`` reads only ``C_{i-1}``, so the
-driver holds one jet (or number, or ``ZERO``) per component, and of older
-orders only the values.
+works at jet order ``W_i = 2*(K - i)``.  That order is set where ``C_{i-1}``
+is read: the ``U`` nodes read it as a view of ``W_i + d`` orders before
+differentiating it ``d`` times, and ``x`` is the seed at ``W_1``.  Nothing
+else is truncated, because two jets combine at the lower of their orders
+(:mod:`pdetaylor.jets`): row ``r`` of a sum, product, quotient or lift reads
+only operand rows ``<= r``.  So a product of the newest coefficient with an
+older, longer one that a node keeps runs at ``W_i``, and no kept coefficient
+is narrowed or copied.  A term that pairs only older coefficients runs
+higher: Schrodinger's odd-parity square ``u1*u1`` has no term that holds
+``V``'s newest coefficient, and runs two orders above ``W_i``.  ``C_i`` has
+order ``W_i`` or more, and ``C_K`` is never differentiated.  Coefficient
+values are exact to the end regardless, for the same triangularity reason.
+Iteration ``i`` reads only ``C_{i-1}``, so the driver holds one jet (or
+number, or ``ZERO``) per component, and of older orders only the values.
 
 A jet is one ``(P+1, N)`` array (:class:`~pdetaylor.jets.Jet`), and the
 points are expanded in blocks of ``_BLOCK``, each with its own ``rhs`` call
 and tape.  Every operation is elementwise across points, and a stack of jet
 products across its pairs, so the blocks give the coefficients of one pass
 bit for bit; a block's jets stay in cache, and only one block's histories
-are held at a time.  Value rows are copied out of
-the jets, and kept histories are narrowed into copies, because a view would
-keep its whole jet alive.
+are held at a time.  Value rows are copied out of the jets, so the
+expansion keeps none of them alive; a node's kept coefficients stay at the
+order they were computed at until its block ends.
 
 The expansion stores the raw coefficients ``C_i``; multiplying by ``i!`` only
 when actual derivatives are requested keeps the factorial round-off out of
@@ -196,9 +203,9 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
     batch = BatchAlgebra(x.size)
     seed = Jet.variable(batch, x, seed_order)
 
-    # Per component: the newest coefficient, C_i stored at jet order W_i, a
-    # number or ZERO.  Only its value row is kept of older orders, copied out
-    # into ``rows``.
+    # Per component: the newest coefficient, C_i as a jet of order W_i or
+    # more, a number or ZERO.  Only its value row is kept of older orders,
+    # copied out into ``rows``.
     newest = _initial_condition(problem, batch, x, seed_order)
     for c, coeff in enumerate(newest):
         _store(coeff, rows[c][0], 0, c)
@@ -207,11 +214,11 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
     def spatial(c, d):
         # d-th x-derivative of component c.  Every node is asked for coefficient
         # k = i - 1 at iteration i, while ``newest`` still holds C_k; it is read
-        # at ``work_order`` W_{k+1}, from C_k stored at W_k = W_{k+1} + 2 jet orders.
+        # at W_{k+1} + d jet orders, a view, so its derivative has order W_{k+1}.
         def rule(k):
             coeff = newest[c]
             if isinstance(coeff, Jet):
-                return derivative(coeff.truncated(work_order + d), d)
+                return derivative(coeff.truncated(seed_order - _SPATIAL_ORDER * (k + 1) + d), d)
             return ZERO if d else coeff
 
         return LazySeries(tape, rule)
@@ -220,7 +227,7 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
     u_x = [spatial(c, 1) for c in range(m)]
     u_xx = [spatial(c, 2) for c in range(m)]
     t_node = LazySeries(tape, lambda k: 1.0 if k == 1 else ZERO)
-    x_node = LazySeries(tape, lambda k: seed.truncated(work_order) if k == 0 else ZERO)
+    x_node = LazySeries(tape, lambda k: seed.truncated(seed_order - _SPATIAL_ORDER) if k == 0 else ZERO)
 
     f = problem.rhs(u, u_x, u_xx, t_node, x_node)
     if len(f) != m:
@@ -232,10 +239,6 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
         )
 
     for i in range(1, max_order + 1):
-        work_order = seed_order - _SPATIAL_ORDER * i
-        # a copy of each kept jet: a view would keep its untruncated array alive
-        tape.advance(lambda c: Jet(batch, c.coeffs[: work_order + 1].copy())
-                     if isinstance(c, Jet) else c)
         new = []
         for c in range(m):
             new.append(f[c].coeff(i - 1) * (1.0 / i))

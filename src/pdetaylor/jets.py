@@ -44,6 +44,15 @@ identity as a series ``(X, 1.0, ZERO, ..., ZERO)``, whose lifts skip the
 structural zeros, and makes each result a jet this way.  :func:`derivative`
 extracts the jet of ``f^(m)``, which is ``m`` orders shorter than its input.
 
+Two jets over one batch combine at the lower of their orders: row ``r`` of a
+sum, product, quotient or lift reads only operand rows ``<= r`` (Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13), so each row of
+the result is the one of first truncating both.  :meth:`Jet._check_compatible`
+checks the batch and returns that row count, and every operator, stacked
+product and sum reads its operands' first rows as views.  The expansion
+driver sets its working order only where it reads a new coefficient, and
+the older, longer jets that a lazy node keeps meet it there as they are.
+
 Jets add, subtract, multiply, divide and scale, so they serve as the
 coefficients of a series in time, giving the nesting time-series ->
 space-jet -> point-batch of the expansion driver; a lift of such a series
@@ -89,8 +98,9 @@ class Jet(TruncatedSeries):
     ``coeffs[k]`` is the row of order ``k``.  From a sequence of rows, a
     number fills its row and :data:`~pdetaylor.series.ZERO` is ``+0.0``.
     Jets are immutable, so :meth:`truncated` may return a view of the same
-    array.  Operators take jets of the same order over the same batch, or
-    plain numbers.
+    array.  Operators take jets over the same batch, or plain numbers, and
+    two jets combine at the lower of their orders, reading the first rows of
+    the longer one as a view.
     """
 
     __slots__ = ()
@@ -117,11 +127,15 @@ class Jet(TruncatedSeries):
     def _buffer(self):
         return np.empty_like(self.coeffs)
 
-    def _operand(self, other):
-        if not isinstance(other, Jet):
-            return None
-        self._check_compatible(other)
-        return other.coeffs
+    def _check_compatible(self, other) -> int:
+        """Check that ``other`` is over the same batch, and return the number of
+        rows the two combine at: the lower order's, since row ``r`` of a sum,
+        product, quotient or lift reads only operand rows ``<= r``."""
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
+            raise TypeError(
+                f"incompatible coefficient algebras: {self.algebra!r} vs {other.algebra!r}"
+            )
+        return min(len(self.coeffs), len(other.coeffs))
 
     def __add__(self, other):
         s = _as_scalar(other)
@@ -129,10 +143,10 @@ class Jet(TruncatedSeries):
             c = self.coeffs.copy()
             c[0] += s
             return Jet(self.algebra, c)
-        b = self._operand(other)
-        if b is None:
+        if not isinstance(other, Jet):
             return NotImplemented
-        return Jet(self.algebra, self.coeffs + b)
+        n = self._check_compatible(other)
+        return Jet(self.algebra, self.coeffs[:n] + other.coeffs[:n])
 
     __radd__ = __add__
 
@@ -142,10 +156,10 @@ class Jet(TruncatedSeries):
             c = self.coeffs.copy()
             c[0] -= s
             return Jet(self.algebra, c)
-        b = self._operand(other)
-        if b is None:
+        if not isinstance(other, Jet):
             return NotImplemented
-        return Jet(self.algebra, self.coeffs - b)
+        n = self._check_compatible(other)
+        return Jet(self.algebra, self.coeffs[:n] - other.coeffs[:n])
 
     def __neg__(self):
         return Jet(self.algebra, self.coeffs * -1.0)
@@ -154,10 +168,10 @@ class Jet(TruncatedSeries):
         s = _as_scalar(other)
         if s is not None:
             return Jet(self.algebra, self.coeffs * s)
-        b = self._operand(other)
-        if b is None:
+        if not isinstance(other, Jet):
             return NotImplemented
-        return Jet(self.algebra, _convolve(self.coeffs, b))
+        n = self._check_compatible(other)
+        return Jet(self.algebra, _convolve(self.coeffs[:n], other.coeffs[:n]))
 
     __rmul__ = __mul__
 
@@ -166,25 +180,26 @@ class Jet(TruncatedSeries):
         """``acc + w * x * y`` for each ``(w, x, y)`` of jet pairs, in order, or
         ``-`` with ``sub``; a ``w`` of None weighs nothing.
 
-        Every pair is checked before any is multiplied.  The products are
-        formed in stacks of ``_BLOCK // N`` pairs, one kernel call each, and a
-        stack is weighted and summed into ``acc`` in its own array with one
-        reduction (:func:`~pdetaylor.series._sum_terms`) before the next is
-        formed, so a block of ``_BLOCK`` points holds one product at a time.
+        Every pair is checked before any is multiplied, and every operand is
+        read at the lowest order among them.  The products are formed in
+        stacks of ``_BLOCK // N`` pairs, one kernel call each, and a stack is
+        weighted and summed into ``acc`` in its own array with one reduction
+        (:func:`~pdetaylor.series._sum_terms`) before the next is formed, so a
+        block of ``_BLOCK`` points holds one product at a time.
         """
         first = pairs[0][1]
+        n = len(first.coeffs)
         for _, x, y in pairs:
-            first._check_compatible(x)
-            x._check_compatible(y)
+            n = min(n, first._check_compatible(x), x._check_compatible(y))
         per_stack = max(1, _BLOCK // first.algebra.size)
         for start in range(0, len(pairs), per_stack):
             stack = pairs[start : start + per_stack]
             if len(stack) == 1:  # a full block copies no operand
-                c = _convolve(stack[0][1].coeffs, stack[0][2].coeffs)[:, None]
+                c = _convolve(stack[0][1].coeffs[:n], stack[0][2].coeffs[:n])[:, None]
             else:
                 c = _convolve(
-                    np.stack([x.coeffs for _, x, _ in stack], axis=1),
-                    np.stack([y.coeffs for _, _, y in stack], axis=1),
+                    np.stack([x.coeffs[:n] for _, x, _ in stack], axis=1),
+                    np.stack([y.coeffs[:n] for _, _, y in stack], axis=1),
                 )
             w = None if stack[0][0] is None else [w for w, _, _ in stack]
             acc = _sum_jets(acc, first, c, w, sub)

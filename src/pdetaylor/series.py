@@ -9,7 +9,8 @@ Addition is componentwise and multiplication is the convolution truncated at
 order ``n``, so the coefficient of ``eps**k`` in a product only ever involves
 input coefficients of order ``<= k``.  Division inverts the convolution and
 requires an invertible leading coefficient; dividing by a pure infinitesimal
-is an error rather than a renormalisation.
+is an error rather than a renormalisation, and dividing by the number zero
+raises :class:`ZeroDivisionError`, whatever the coefficients.
 
 Coefficients combine through their own ``+``, ``-``, ``*``, ``/`` and
 ``* float`` operators, so Python floats, NumPy batches and jets all work
@@ -18,8 +19,11 @@ seeds with ``1.0``, whatever its coefficients, and a number combines with a
 batch or a jet as the same number at every point.  A series also carries an
 algebra, which serves only, by equality, the compatibility check of binary
 operations: :class:`RealAlgebra` for floats, and the batch and spatial-jet
-algebras of :mod:`pdetaylor.jets`.  Because a jet is itself a truncated
-series, series can nest: a series in the time infinitesimal whose
+algebras of :mod:`pdetaylor.jets`.  Two series of different orders raise
+:class:`OrderMismatchError`, except flat jets, which combine at the lower
+order: the check returns the number of coefficients two operands combine
+at, and every binary operation reads that many.  Because a jet is itself a
+truncated series, series can nest: a series in the time infinitesimal whose
 coefficients are jets in a space increment, whose coefficients are batches
 of reals.
 
@@ -133,13 +137,22 @@ def _as_scalar(x):
     return None
 
 
+def _number_divisor(x):
+    """:func:`_as_scalar` of a divisor; the number zero raises, for a series
+    of any coefficients, instead of numpy's warning or Python's float error."""
+    s = _as_scalar(x)
+    if s == 0.0:
+        raise ZeroDivisionError("a series was divided by the number zero")
+    return s
+
+
 class TruncatedSeries:
     """Coefficients of a power series in one infinitesimal, truncated at a fixed order.
 
     ``coeffs`` is a tuple of ``order + 1`` algebra elements, constant term
     first (:class:`~pdetaylor.jets.Jet` holds them as the rows of one array).
     Instances are immutable; every operation returns a new series of the same
-    kind, order and algebra.
+    kind and algebra, and of the same order (two jets: the lower of theirs).
     """
 
     __slots__ = ("algebra", "coeffs")
@@ -192,7 +205,9 @@ class TruncatedSeries:
         """A writable sequence of ``order + 1`` coefficient slots for :meth:`_new`."""
         return [None] * len(self.coeffs)
 
-    def _check_compatible(self, other: "TruncatedSeries"):
+    def _check_compatible(self, other: "TruncatedSeries") -> int:
+        """Check that ``other`` has this series' algebra and order, and return
+        the number of coefficients the two combine at."""
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise TypeError(
                 f"incompatible coefficient algebras: {self.algebra!r} vs {other.algebra!r}"
@@ -201,6 +216,7 @@ class TruncatedSeries:
             raise OrderMismatchError(
                 f"series orders differ: {self.order} vs {other.order}"
             )
+        return len(self.coeffs)
 
     # -- ring operations ------------------------------------------------
 
@@ -263,21 +279,21 @@ class TruncatedSeries:
         return acc
 
     def __truediv__(self, other):
-        s = _as_scalar(other)
+        s = _number_divisor(other)
         if s is not None:
             return self._new([c / s for c in self.coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_compatible(other)
+        n = self._check_compatible(other)
         a, b = self.coeffs, other.coeffs
-        q = self._buffer()
+        q = self._buffer()[:n]
         if type(b) is tuple and _float_rows(b) and not any(r is ZERO for r in a):
             # float rows, stacked once so that every step multiplies whole
             # arrays; a numerator row is read in place, and only ZERO cannot
             # be a quotient row of an array
             b = np.stack(b)
             q = np.empty_like(b)
-        for k in range(len(a)):
+        for k in range(n):
             q[k] = _div_step(a[k], b, q, k)
         return self._new(q)
 
@@ -417,10 +433,11 @@ def _accumulate(acc, t, w, sub):
 
 
 def _sum_jets(acc, like, terms, w, sub):
-    """:func:`_sum_terms` of flat jets held on axis 1 of ``terms``, as a series like ``like``."""
+    """:func:`_sum_terms` of flat jets held on axis 1 of ``terms``, as a series like
+    ``like``; a jet ``acc`` and the terms are summed at the rows they combine at."""
     if isinstance(acc, TruncatedSeries):
-        like._check_compatible(acc)
-        acc = acc.coeffs
+        terms = terms[: like._check_compatible(acc)]
+        acc = acc.coeffs[: len(terms)]
     return like._new(_sum_terms(acc, terms, w, sub, 1))
 
 
@@ -519,28 +536,9 @@ def _power_step(a, out, k, e):
 
 
 class SeriesTape:
-    """Shared state of one graph of :class:`LazySeries`.
-
-    The coefficient histories that later steps read are registered here, and
-    :meth:`advance` maps every stored coefficient through ``narrow`` before
-    the next order is computed, so a step only ever combines coefficients of
-    one kind.  The expansion driver narrows jets to its shrinking working
-    order this way.
-    """
-
-    def __init__(self):
-        self._histories = []
-
-    def advance(self, narrow) -> None:
-        """Map every kept coefficient through ``narrow``."""
-        for history in self._histories:
-            history[:] = [narrow(c) for c in history]
-
-    def history(self) -> list:
-        """A new coefficient list that :meth:`advance` keeps narrowed."""
-        h = []
-        self._histories.append(h)
-        return h
+    """The mark of one graph of :class:`LazySeries`: nodes of different tapes
+    do not combine, since each graph is asked for its coefficients in its
+    own lockstep."""
 
 
 class LazySeries:
@@ -557,8 +555,11 @@ class LazySeries:
 
     A node keeps only its newest coefficient, unless a later step reads its
     older ones: operands of series products and quotients and the inputs and
-    outputs of lifts keep their whole history on the tape.  A node has no
-    order or coefficient tuple; only operators and lifts apply.
+    outputs of lifts keep their whole history, in a list of the coefficients
+    as they were computed.  Nothing rewrites it, so kept jets keep their
+    orders, and a step meets them with newer, shorter jets at the lower
+    order.  A node has no order or coefficient tuple; only operators and
+    lifts apply, and only between nodes of one :class:`SeriesTape`.
 
     A rule may return :data:`ZERO` for a coefficient that is zero whatever the
     data; a node is then ``ZERO`` where its inputs force it, at no product
@@ -594,7 +595,7 @@ class LazySeries:
         if self._history is None:
             if self._count:
                 raise RuntimeError("a node's history must be requested before evaluation starts")
-            self._history = self.tape.history()
+            self._history = []
         return self._history
 
     def _operand(self, other):
@@ -652,7 +653,7 @@ class LazySeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        s = _as_scalar(other)
+        s = _number_divisor(other)
         if s is not None:
             return LazySeries(self.tape, lambda k: self.coeff(k) / s)
         b = self._operand(other)
@@ -716,7 +717,7 @@ def sin_cos(series):
     """Sine and cosine together; their recurrences are coupled."""
     if isinstance(series, LazySeries):
         a = series._kept()
-        s, c = series.tape.history(), series.tape.history()
+        s, c = [], []
 
         def pair(k):
             if k == len(s):

@@ -3,6 +3,7 @@ under order changes, divergence detection, input validation and point blocks."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from pdetaylor import (
     seed_variable,
 )
 from pdetaylor.jets import BatchAlgebra, Jet
-from pdetaylor.series import ZERO, sin
+from pdetaylor.series import ZERO, LazySeries, RealAlgebra, TruncatedSeries, sin
 from pdetaylor.series import exp as exp_
 
 from conftest import assert_equal_but_for_zero_signs, ic_jets
@@ -250,6 +251,33 @@ def test_rhs_must_return_one_series_per_component():
         compute_expansion(prob, np.array([0.0]), 2)
 
 
+def _heat_with_rhs(rhs):
+    return dataclasses.replace(get_problem("heat"), rhs=rhs)
+
+
+@pytest.mark.parametrize("divisor", [0.0, -0.0, 0])
+@pytest.mark.parametrize(
+    "divide",
+    [
+        # a lazy node raises when rhs builds it, before any coefficient exists
+        lambda d: compute_expansion(_heat_with_rhs(lambda u, u_x, u_xx, t, x: [u[0] / d]), [0.3], 4),
+        # t's coefficients are numbers and ZERO
+        lambda d: compute_expansion(_heat_with_rhs(lambda u, u_x, u_xx, t, x: [u[0] + t / d]), [0.3], 4),
+        lambda d: TruncatedSeries(RealAlgebra(), [1.0, 2.0, 3.0]) / d,
+        lambda d: seed_variable([0.3, 0.5], 3) / d,
+    ],
+    ids=["lazy-jets", "lazy-numbers", "eager-floats", "eager-jet"],
+)
+def test_dividing_a_series_by_the_number_zero_raises_one_error(divide, divisor):
+    # not numpy's divide-by-zero warning, a DivergenceError, Python's float
+    # error or rows of inf and nan, depending on the coefficients
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroDivisionError, match="series was divided by the number zero") as err:
+            divide(divisor)
+    assert type(err.value) is ZeroDivisionError
+
+
 def test_points_must_be_inside_domain():
     prob = get_problem("heat")
     with pytest.raises(ValueError, match="inside"):
@@ -380,6 +408,48 @@ def test_zero_initial_components_cost_no_jet_products(jet_products):
         compute_expansion(prob, np.linspace(*prob.domain, 9)[1:-1], 20)
         assert len(jet_products) == count, name
         assert not any(a_zero or b_zero for a_zero, b_zero in jet_products), name
+
+
+@pytest.mark.parametrize("name, above", [("burgers", 0), ("allen_cahn", 0), ("schrodinger", 2)])
+def test_jet_products_run_at_the_working_order(name, above, monkeypatch):
+    # Iteration i asks every output node for coefficient k = i - 1, and reads
+    # C_{i-1} at the working order W_i = 2(K - i) (plus one order per
+    # derivative).  A kept jet of an older coefficient is longer, and a
+    # product meets the newest one at the lower order, so every kernel
+    # operand has W_i + 1 rows.  Schrodinger's V is odd in t, so in the square
+    # u1*u1 the one term that holds V's newest coefficient V_k pairs it with
+    # the ZERO V_0: the square of order k pairs only V_1 .. V_{k-1}, the
+    # newest of them read at W_{i-1} = W_i + 2 jet orders.
+    max_order = 8
+    forming, depth, rows = [None], [0], []
+    coeff, convolve = LazySeries.coeff, jets._convolve
+
+    def outermost(node, k):
+        if depth[0] == 0:
+            forming[0] = k + 1
+        depth[0] += 1
+        try:
+            return coeff(node, k)
+        finally:
+            depth[0] -= 1
+
+    def recording(a, b):
+        rows.append((forming[0], len(a), len(b)))
+        return convolve(a, b)
+
+    monkeypatch.setattr(LazySeries, "coeff", outermost)
+    monkeypatch.setattr(jets, "_convolve", recording)
+    prob = get_problem(name)
+    # 9 points stack every run in one call, and 1100 make one call per pair
+    for size in (9, 1100):
+        rows.clear()
+        compute_expansion(prob, np.linspace(*prob.domain, size + 2)[1:-1], max_order)
+        assert {i for i, _, _ in rows} == set(range(1, max_order + 1))
+        for i, len_a, len_b in rows:
+            work_rows = 2 * (max_order - i) + 1
+            assert work_rows <= len_a == len_b <= work_rows + above, (size, i)
+        if above:
+            assert any(len_a > 2 * (max_order - i) + 1 for i, len_a, _ in rows)
 
 
 def test_integer_power_costs_the_jet_products_of_repeated_products(jet_products):

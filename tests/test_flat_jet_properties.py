@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdetaylor import BatchAlgebra, OrderMismatchError, TruncatedSeries, derivative, exp, jets, log, power, sin_cos
+from pdetaylor import BatchAlgebra, TruncatedSeries, derivative, exp, jets, log, power, seed_variable, sin_cos
 from pdetaylor import series as series_module
 from pdetaylor.jets import Jet
 from pdetaylor.series import ZERO, RealAlgebra, _div_step, _fold, _index, _mul_step, _weighted_sum
@@ -315,13 +315,63 @@ def test_stacked_products_match_row_by_row_products(order, size, length, seed, k
     assert sum(stacks) == sum(isinstance(x[j], Jet) and isinstance(y[k - j], Jet) for j in terms)
 
 
+def _truncated(factors, order):
+    """Every jet of ``factors`` truncated to ``order``; ZERO and numbers as they are."""
+    return [f.truncated(order) if isinstance(f, Jet) else f for f in factors]
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div"])
+def test_jets_of_different_orders_combine_at_the_lower_order(name):
+    # row r of a sum, product or quotient reads only operand rows <= r, so two
+    # jets meet at the lower order, as derivative returns a shorter jet
+    op = OPERATIONS[name]
+    x = np.array([-0.6, 0.2, 0.9])
+    long = Jet(BatchAlgebra(3), _rows(1, 7, 3, invertible=True))
+    short = Jet(BatchAlgebra(3), _rows(2, 3, 3, invertible=True))
+    seed = seed_variable(x, 6)
+    for a, b in ((long, short), (short, long), (derivative(seed, 2), seed)):
+        n = min(a.order, b.order)
+        got = op(a, b, None)
+        want = op(a.truncated(n), b.truncated(n), None)
+        assert isinstance(got, Jet) and got.order == n and got.coeffs.flags.c_contiguous
+        np.testing.assert_array_equal(_bits(got.coeffs), _bits(want.coeffs))
+
+    got = seed * derivative(seed, 2)
+    assert got.order == 4
+    np.testing.assert_array_equal(_bits(got.coeffs), _bits((seed.truncated(4) * derivative(seed, 2)).coeffs))
+
+
 @pytest.mark.parametrize("mismatch", ["within a pair", "between pairs"])
-def test_stacked_products_of_different_orders_raise(mismatch):
-    x = [_factor("jet", j, 4, 3) for j in range(3)]
-    y = [_factor("jet", 10 + j, 4, 3) for j in range(3)]
-    if mismatch == "within a pair":
-        y[1] = _factor("jet", 20, 5, 3)
-    else:
-        x[2], y[0] = _factor("jet", 20, 5, 3), _factor("jet", 21, 5, 3)
-    with pytest.raises(OrderMismatchError):
-        _mul_step(x, y, 2)
+def test_stacked_products_of_different_orders_take_the_lower_order(mismatch):
+    # five jet pairs: one stack of five on 3 points, and stacks of 2, 2 and 1
+    # on 700; every operand is read at the lowest order in the run, and a jet
+    # accumulator at its own order meets the terms at the lower of the two
+    for size, widths in ((3, [5]), (700, [2, 2, 1])):
+        x = [_factor("jet", j, 4, size) for j in range(5)]
+        y = [_factor("jet", 10 + j, 4, size) for j in range(5)]
+        if mismatch == "within a pair":
+            y[1], lowest = _factor("jet", 20, 2, size), 2
+        else:
+            x[2], y[0], lowest = _factor("jet", 20, 6, size), _factor("jet", 21, 3, size), 3
+        stacks = []
+        convolve = jets._convolve
+
+        def recording(a, b):
+            stacks.append(a.shape[1] if a.ndim == 3 else 1)
+            return convolve(a, b)
+
+        with mock.patch.object(jets, "_convolve", recording):
+            got = _mul_step(x, y, 4)
+        assert stacks == widths
+        want = _mul_step(_truncated(x, lowest), _truncated(y, lowest), 4)
+        assert got.order == lowest
+        np.testing.assert_array_equal(_bits(got.coeffs), _bits(want.coeffs))
+
+        b = [0.75] + x[1:]  # a divisor: b_0 != 0
+        for a_order in (1, 5):
+            a_k = _factor("jet", 30, a_order, size)
+            got = _div_step(a_k, b, y, 4)
+            n = min(lowest, a_order)
+            want = _div_step(a_k.truncated(n), _truncated(b, n), _truncated(y, n), 4)
+            assert got.order == n
+            np.testing.assert_array_equal(_bits(got.coeffs), _bits(want.coeffs))

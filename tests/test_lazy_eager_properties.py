@@ -88,7 +88,6 @@ def test_lazy_and_eager_agree_bit_for_bit(name, data, order):
 
     tape = SeriesTape()
     lazy = _as_tuple(op(_lazy_node(tape, a), _lazy_node(tape, b), s))
-    tape.advance(lambda c: c)
     got = [[] for _ in lazy]
     for k in range(order + 1):  # in lockstep, as the expansion driver asks
         for out, node in zip(got, lazy):

@@ -192,7 +192,6 @@ def test_only_operands_that_later_steps_read_keep_history():
     assert product._history is None
     assert (-product)._history is None
 
-    tape.advance(lambda c: c)
     want = TruncatedSeries(RealAlgebra(), [2.0, 4.0, 6.0, 8.0])
     want = want * TruncatedSeries(RealAlgebra(), [1.0, 2.0, 3.0, 4.0])
     for k in range(4):  # in lockstep, as the driver asks
