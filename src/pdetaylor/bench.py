@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import DivergenceError, compute_expansion
+from .driver import DivergenceError, _real_points, compute_expansion
 from .problems import NoExactOracleError, PdeProblem
 
 
@@ -346,12 +346,12 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
     classical fourth-order Runge-Kutta stepping with a step of at most 1e-6,
     lowered further whenever the explicit stability bound demands it, and a
     cubic spline back onto the query points.  ``t1`` must lie in [0, 0.1],
-    and the points must be at least one, each inside the closed domain: the
-    spline would extrapolate past it.
+    and the points must be at least one, each real and inside the closed
+    domain: the spline would extrapolate past it.
     """
+    x_query = _real_points(points, "reference query points")
     if not 0.0 <= t1 <= 0.1:
         raise ValueError("reference solver horizon is limited to 0 <= t1 <= 0.1")
-    x_query = np.asarray(points, dtype=np.float64).ravel()
     lo, hi = problem.domain
     # a NaN fails both comparisons
     if x_query.size == 0 or not np.all((x_query >= lo) & (x_query <= hi)):

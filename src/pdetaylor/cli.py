@@ -24,7 +24,7 @@ byte-identical files.
 Exit codes: 0 success, 1 numerical failure (bound exceeded, divergence,
 sampling exhaustion, a lift outside its domain, too few jet orders), 2 usage
 error, including an ``--out`` directory that cannot be created or written to
-(such as an existing file).
+(such as an existing file) and ``plotdata`` horizons that name one file.
 """
 
 from __future__ import annotations
@@ -167,6 +167,10 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> None:
         raise _UsageError(f"{args.command} needs at least one --t1 horizon")
 
 
+# A plotdata profile's file: horizons that print alike under %g name one file.
+_PLOT_FILE = "plot_{}_t{:g}.csv"
+
+
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
@@ -177,11 +181,17 @@ def _write_text(path: str, lines: list[str]) -> None:
 
 
 def _check_horizons(args: argparse.Namespace, problem) -> None:
+    files = {}
     for t1 in args.t1:
         if not (0.0 <= t1 <= problem.t_end):  # also rejects NaN and inf
             raise _UsageError(
                 f"t1={t1:g} outside [0, {problem.t_end:g}] for problem {problem.name}"
             )
+        if args.command == "plotdata":
+            name = _PLOT_FILE.format(problem.name, t1)
+            if name in files:
+                raise _UsageError(f"--t1 {files[name]!r} and --t1 {t1!r} would both write {name}")
+            files[name] = t1
 
 
 def _cmd_bench(args: argparse.Namespace, problem) -> int:
@@ -270,7 +280,7 @@ def _cmd_plotdata(args: argparse.Namespace, problem) -> int:
         lines += [
             f"{_fmt(xp)},{_fmt(e)},{_fmt(a)}" for xp, e, a in zip(x, exact, approx)
         ]
-        out_path = os.path.join(args.out, f"plot_{problem.name}_t{t1:g}.csv")
+        out_path = os.path.join(args.out, _PLOT_FILE.format(problem.name, t1))
         _write_text(out_path, lines)
         print(f"wrote {out_path} ({len(x)} rows)")
     return 0

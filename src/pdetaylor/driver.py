@@ -152,13 +152,13 @@ class TaylorExpansion:
 def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpansion:
     """Expand the problem's solution in time around t = 0 at the given points.
 
-    ``points`` must lie strictly inside the problem domain; ``max_order`` is
-    the highest retained time order K, between 1 and 20.  The points are
-    expanded in blocks of ``_BLOCK``; a non-finite coefficient raises
+    ``points`` must be real and lie strictly inside the problem domain;
+    ``max_order`` is the highest retained time order K, between 1 and 20.  The
+    points are expanded in blocks of ``_BLOCK``; a non-finite coefficient raises
     :class:`DivergenceError` for the lowest order, and then component, at
     which any point diverges.
     """
-    x = np.asarray(points, dtype=np.float64).ravel()
+    x = _real_points(points, "expansion points")
     if x.size == 0:
         raise ValueError("need at least one expansion point")
     lo, hi = problem.domain
@@ -194,6 +194,14 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
         components=m,
         coeffs=coeffs,
     )
+
+
+def _real_points(points, what: str) -> np.ndarray:
+    """``points`` as a flat float64 array; complex points raise, where numpy would only warn."""
+    x = np.asarray(points).ravel()
+    if np.iscomplexobj(x):
+        raise ValueError(f"{what} must be real, got complex points {x[:3].tolist()}")
+    return x.astype(np.float64, copy=False)
 
 
 def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> None:

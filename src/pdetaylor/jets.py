@@ -21,11 +21,12 @@ result is weighted and summed over its ``m`` products by one reduction.  So
 50-point jets make one kernel call and one sum for up to 40 products, where a
 call, a jet and an addition per product spent their time in Python dispatch,
 and a driver block of ``_BLOCK`` points still multiplies one pair at a time,
-adding each product into the sum in its own array.  A coefficient that does
-not vary in space is not a jet at all: it is the structural zero of
-:mod:`pdetaylor.series` when it is zero whatever the data, such as
-Schrodinger's parity zeros, or a plain number, such as those of diffusion's
-``exp(-t)``, and a jet times a number is one scaling.
+adding each product into the sum in its own array.  Only that method sums jet
+products; a lone term, such as a jet times a number, is added by one ``+``.  A
+coefficient that does not vary in space is not a jet at all: it is the
+structural zero of :mod:`pdetaylor.series` when it is zero whatever the data,
+such as Schrodinger's parity zeros, or a plain number, such as those of
+diffusion's ``exp(-t)``, and a jet times a number is one scaling.
 
 A jet is a :class:`~pdetaylor.series.TruncatedSeries` over
 :class:`BatchAlgebra`, so the quotient and the analytic lifts of
@@ -62,11 +63,12 @@ and the batch, which an eager series of jets compares its operands by.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedSeries, _as_scalar, _real, _sum_jets
+from .series import TruncatedSeries, _as_scalar, _real, _sum_terms
 
 
 # The width of one array operation on jets, in points times stacked pairs.
@@ -153,16 +155,11 @@ class Jet(TruncatedSeries):
     def __sub__(self, other):
         s = _as_scalar(other)
         if s is not None:
-            c = self.coeffs.copy()
-            c[0] -= s
-            return Jet(self.algebra, c)
+            return self + -s
         if not isinstance(other, Jet):
             return NotImplemented
         n = self._check_compatible(other)
         return Jet(self.algebra, self.coeffs[:n] - other.coeffs[:n])
-
-    def __neg__(self):
-        return Jet(self.algebra, self.coeffs * -1.0)
 
     def __mul__(self, other):
         s = _as_scalar(other)
@@ -180,17 +177,20 @@ class Jet(TruncatedSeries):
         """``acc + w * x * y`` for each ``(w, x, y)`` of jet pairs, in order, or
         ``-`` with ``sub``; a ``w`` of None weighs nothing.
 
-        Every pair is checked before any is multiplied, and every operand is
-        read at the lowest order among them.  The products are formed in
-        stacks of ``_BLOCK // N`` pairs, one kernel call each, and a stack is
-        weighted and summed into ``acc`` in its own array with one reduction
-        (:func:`~pdetaylor.series._sum_terms`) before the next is formed, so a
-        block of ``_BLOCK`` points holds one product at a time.
+        Every pair and a jet ``acc`` are checked before any is multiplied, and
+        every operand is read at the lowest order among them.  The products are
+        formed in stacks of ``_BLOCK // N`` pairs, one kernel call each, and a
+        stack is weighted and summed into ``acc`` in its own array with one
+        reduction (:func:`~pdetaylor.series._sum_terms`) before the next is
+        formed, so a block of ``_BLOCK`` points holds one product at a time.
         """
         first = pairs[0][1]
         n = len(first.coeffs)
         for _, x, y in pairs:
             n = min(n, first._check_compatible(x), x._check_compatible(y))
+        if isinstance(acc, TruncatedSeries):
+            n = min(n, first._check_compatible(acc))
+            acc = acc.coeffs[:n]
         per_stack = max(1, _BLOCK // first.algebra.size)
         for start in range(0, len(pairs), per_stack):
             stack = pairs[start : start + per_stack]
@@ -202,8 +202,8 @@ class Jet(TruncatedSeries):
                     np.stack([y.coeffs[:n] for _, _, y in stack], axis=1),
                 )
             w = None if stack[0][0] is None else [w for w, _, _ in stack]
-            acc = _sum_jets(acc, first, c, w, sub)
-        return acc
+            acc = _sum_terms(acc, c, w, sub, 1)
+        return Jet(first.algebra, acc)
 
 
 def _convolve(a, b):
@@ -237,7 +237,11 @@ def derivative(jet: Jet, m: int = 1) -> Jet:
     """
     if not isinstance(jet, Jet):
         raise TypeError(f"derivative needs a Jet, got {type(jet).__name__}")
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+    try:
+        m = -1 if isinstance(m, bool) else operator.index(m)
+    except TypeError:
+        m = -1
+    if m < 0:
         raise ValueError("derivative order must be a non-negative integer")
     if m > jet.order:
         raise InsufficientJetOrderError(

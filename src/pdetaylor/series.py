@@ -53,9 +53,10 @@ arrays it forms them as one array: the rows of flat jets with one broadcast
 multiply, and each run of jet pairs in stacked kernel calls, through the
 series class's ``_fold_products``.  It sums such an array with one
 ``np.subtract.reduce``, which numpy defines as the loop ``r = r - t``, every
-added term negated first; a term that comes alone is added in the memory of
-its own product.  Each term and each sum is the same float operation in the
-same order as one term at a time, so neither changes a bit.
+added term negated first; a lone term, such as a jet times a number, is one
+``+`` or ``-``.  Each term and each sum is the same float operation in the same
+order as one term at a time, so neither changes a bit, and nor does negating as
+``* -1.0`` or subtracting a number ``s`` as ``+ -s`` (IEEE 754 exact).
 A :class:`TruncatedSeries` may hold ``ZERO`` too, and its operations skip those
 terms the same way: the expansion driver hands a problem's initial condition
 the identity with every coefficient past order 1 ``ZERO``, so a lift of it
@@ -237,8 +238,7 @@ class TruncatedSeries:
         s = _as_scalar(other)
         alg = self.algebra
         if s is not None:
-            head = self.coeffs[0] - s
-            return TruncatedSeries(alg, (head,) + self.coeffs[1:])
+            return self + -s
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
@@ -251,7 +251,7 @@ class TruncatedSeries:
         return (-self) + s
 
     def __neg__(self):
-        return TruncatedSeries(self.algebra, tuple(c * -1.0 for c in self.coeffs))
+        return self * -1.0
 
     def __mul__(self, other):
         s = _as_scalar(other)
@@ -267,12 +267,12 @@ class TruncatedSeries:
 
     @staticmethod
     def _fold_products(acc, pairs, sub):
-        """``acc + w * x * y`` for each ``(w, x, y)`` of pairs of series of this
-        kind, in order, or ``-`` with ``sub``; a ``w`` of None weighs nothing.
+        """``acc + w * x * y`` for each ``(w, x, y)``, in order, or ``-`` with
+        ``sub``; a ``w`` of None weighs nothing.
 
-        The recurrence steps fold each run of series products through this
-        method; :class:`~pdetaylor.jets.Jet` overrides it to form them in
-        stacks and sum each stack with one reduction.
+        :func:`_fold` passes each run of products of two series of one class to
+        that class's method, and any other run to this one, which forms one
+        product at a time; :class:`~pdetaylor.jets.Jet` sums stacks of them.
         """
         for w, x, y in pairs:
             acc = _accumulate(acc, x * y, w, sub)
@@ -391,54 +391,35 @@ def _fold(acc, x, y, k, lo, hi, w=None, sub=False):
     multiply and summed by :func:`_sum_terms`.  Otherwise each run of
     consecutive terms whose two factors are series of one class is folded by
     that class's ``_fold_products``, which a flat jet answers with stacked
-    kernel calls and one sum per stack, and any other term is one multiply,
-    summed in the memory of its own product by :func:`_accumulate`.
+    kernel calls and one sum per stack, and a run of any other terms by
+    :meth:`TruncatedSeries._fold_products`, one product at a time.
     """
     if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
         if lo >= hi:
             return acc
         terms = x[lo:hi] * y[k - hi + 1 : k - lo + 1][::-1]
         return _sum_terms(acc, terms, None if w is None else w(np.arange(lo, hi)), sub, 0)
-    run = []  # (w_j, x_j, y_{k-j}) of consecutive series pairs of one class
+    run, kind = [], None  # consecutive (w_j, x_j, y_{k-j}) that kind folds
     for j in range(lo, hi):
         xj, yj = x[j], y[k - j]
         if xj is ZERO or yj is ZERO:
             continue
-        wj = None if w is None else w(j)
-        if isinstance(xj, TruncatedSeries) and type(yj) is type(xj):
-            if run and type(run[0][1]) is not type(xj):
-                acc, run = type(run[0][1])._fold_products(acc, run, sub), []
-            run.append((wj, xj, yj))
-            continue
-        if run:
-            acc, run = type(run[0][1])._fold_products(acc, run, sub), []
-        acc = _accumulate(acc, xj * yj, wj, sub)
-    return type(run[0][1])._fold_products(acc, run, sub) if run else acc
+        same = isinstance(xj, TruncatedSeries) and type(yj) is type(xj)
+        cls = type(xj) if same else TruncatedSeries
+        if run and cls is not kind:
+            acc, run = kind._fold_products(acc, run, sub), []
+        kind = cls
+        run.append((None if w is None else w(j), xj, yj))
+    return kind._fold_products(acc, run, sub) if run else acc
 
 
 def _accumulate(acc, t, w, sub):
-    """``acc + w * t``, or ``acc - w * t`` with ``sub``, for a product ``t`` that
-    nothing else holds: an array or a flat jet takes the sum in its own memory,
-    through :func:`_sum_terms` as a stack of one term, and ``ZERO + t`` is
-    ``t``.  A weight of 1.0 is not multiplied, since that changes no bit."""
-    w = None if w is None or w == 1.0 else [w]
-    if acc is ZERO and w is None and not sub:
-        return t
-    if isinstance(t, TruncatedSeries) and isinstance(t.coeffs, np.ndarray):
-        return _sum_jets(acc, t, t.coeffs[:, None], w, sub)
-    if isinstance(t, np.ndarray):
-        return _sum_terms(acc, t[None], w, sub, 0)
-    t = t if w is None else t * w[0]
+    """``acc + w * t``, or ``acc - w * t`` with ``sub``, through the operands' own
+    ``*``, ``+`` and ``-``, so ``ZERO + t`` is ``t``.  A weight of 1.0 is not
+    multiplied, since that changes no bit."""
+    if w is not None and w != 1.0:
+        t = t * w
     return acc - t if sub else acc + t
-
-
-def _sum_jets(acc, like, terms, w, sub):
-    """:func:`_sum_terms` of flat jets held on axis 1 of ``terms``, as a series like
-    ``like``; a jet ``acc`` and the terms are summed at the rows they combine at."""
-    if isinstance(acc, TruncatedSeries):
-        terms = terms[: like._check_compatible(acc)]
-        acc = acc.coeffs[: len(terms)]
-    return like._new(_sum_terms(acc, terms, w, sub, 1))
 
 
 def _sum_terms(acc, terms, w, sub, axis):
@@ -622,17 +603,13 @@ class LazySeries:
     def __sub__(self, other):
         s = _as_scalar(other)
         if s is not None:
-            def shifted(k):
-                a = self.coeff(k)
-                return _real(a) - s if k == 0 else a
-            return LazySeries(self.tape, shifted)
+            return self + -s
         b = self._operand(other)
         if b is None:
             return NotImplemented
         return LazySeries(self.tape, lambda k: self.coeff(k) - b.coeff(k))
 
-    def __neg__(self):
-        return LazySeries(self.tape, lambda k: self.coeff(k) * -1.0)
+    __neg__ = TruncatedSeries.__neg__
 
     def __mul__(self, other):
         s = _as_scalar(other)

@@ -136,3 +136,37 @@ def heat_reference_error() -> float:
 
 def factorial(i: int) -> int:
     return math.factorial(i)
+
+
+def cole_hopf_burgers_coefficients(points, max_order: int, digits: int = 120) -> np.ndarray:
+    """Time-Taylor coefficients ``C_0..C_K`` of burgers at t = 0, by Cole-Hopf.
+
+    ``u = -2 nu phi_x / phi``, where ``phi`` solves ``phi_t = nu phi_xx`` from
+    ``phi_0 = exp(-cos(pi x) / (2 pi nu))``, so the t-coefficients of ``phi`` are
+    ``nu**k phi_0^(2k) / k!`` and ``u``'s are one series division in t.  The
+    x-derivatives of ``phi_0`` come from the exp recurrence on the Taylor
+    coefficients of its exponent, in ``digits``-digit mpmath: the terms cancel
+    over a range of about ``e**(+-50)``.  ``pi`` and ``nu = 0.01 / pi`` are the
+    float64 values the problem uses.  Returns an array of shape ``(K+1, N)``.
+    """
+    pi_f = math.pi
+    out = np.empty((max_order + 1, len(points)))
+    with mp.workdps(digits):
+        pi, nu = mp.mpf(pi_f), mp.mpf(0.01 / pi_f)
+        n = 2 * max_order + 1  # phi_x needs x-derivatives up to order 2K+1
+        for col, x in enumerate(points):
+            x = mp.mpf(float(x))
+            # Taylor coefficients in h of -cos(pi (x + h)) / (2 pi nu), then of its exp
+            g = [-(pi**j) * mp.cos(pi * x + j * pi / 2) / (2 * pi * nu * mp.factorial(j))
+                 for j in range(n + 1)]
+            e = [mp.exp(g[0])]
+            for k in range(1, n + 1):
+                e.append(mp.fsum(j * g[j] * e[k - j] for j in range(1, k + 1)) / k)
+            d = [mp.factorial(m) * e[m] for m in range(n + 1)]  # phi_0^(m)
+            a = [nu**k * d[2 * k] / mp.factorial(k) for k in range(max_order + 1)]
+            b = [nu**k * d[2 * k + 1] / mp.factorial(k) for k in range(max_order + 1)]
+            q = []
+            for k in range(max_order + 1):
+                q.append((b[k] - mp.fsum(a[j] * q[k - j] for j in range(1, k + 1))) / a[0])
+            out[:, col] = [float(-2 * nu * qk) for qk in q]
+    return out

@@ -343,6 +343,16 @@ def test_format_report_table_layout():
 # -- numerical reference solver -----------------------------------------------
 
 
+@pytest.mark.parametrize("points", [np.array([0.3 + 0.2j]), [0.4, 0.3 + 0j]], ids=["complex", "zero-imaginary"])
+def test_reference_rejects_complex_points_before_any_work(points):
+    def no_work(x):
+        raise AssertionError("solved at complex points")
+
+    prob = dataclasses.replace(get_problem("heat"), ic_numpy=no_work)
+    with pytest.raises(ValueError, match=r"reference query points must be real, got complex points .*\(0\.3\+"):
+        reference_solve(prob, points, 0.01)
+
+
 def test_reference_contract_enforced():
     prob = get_problem("heat")
     pts = np.array([0.4])

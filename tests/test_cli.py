@@ -191,6 +191,36 @@ def test_plotdata_requires_oracle(tmp_path):
     assert cli.main(["plotdata", "--problem", "burgers", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "horizons, named",
+    [(["--t1", "0.1", "--t1", "0.10000001"], "plot_diffusion_t0.1.csv"),
+     (["--t1", "0.05", "--t1", "0.05"], "plot_diffusion_t0.05.csv")],
+    ids=["same-name", "same-horizon"],
+)
+def test_plotdata_horizons_that_name_one_file_are_a_usage_error(
+    tmp_path, capsys, monkeypatch, horizons, named
+):
+    def no_expansion(*args):
+        raise AssertionError("expanded before the horizons were checked")
+
+    monkeypatch.setattr(cli, "compute_expansion", no_expansion)
+    out = tmp_path / "out"
+    assert cli.main(["plotdata", "--problem", "diffusion", *horizons, "--out", str(out)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and f"would both write {named}" in errors[0]
+    assert not out.exists()
+
+
+def test_plotdata_distinct_horizons_keep_their_files(tmp_path):
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert cli.main(["plotdata", "--problem", "diffusion", "--out", str(one)]) == 0
+    assert cli.main(
+        ["plotdata", "--problem", "diffusion", "--t1", "0.1", "--t1", "0.05", "--out", str(two)]
+    ) == 0
+    assert sorted(p.name for p in two.iterdir()) == ["plot_diffusion_t0.05.csv", "plot_diffusion_t0.1.csv"]
+    assert (two / "plot_diffusion_t0.1.csv").read_bytes() == (one / "plot_diffusion_t0.1.csv").read_bytes()
+
+
 # -- configuration and errors ----------------------------------------------------
 
 

@@ -17,13 +17,14 @@ from pdetaylor import (
     driver,
     get_problem,
     jets,
+    sample_points,
     seed_variable,
 )
 from pdetaylor.jets import BatchAlgebra, Jet
 from pdetaylor.series import ZERO, LazySeries, RealAlgebra, TruncatedSeries, sin
 from pdetaylor.series import exp as exp_
 
-from conftest import assert_equal_but_for_zero_signs, ic_jets
+from conftest import assert_equal_but_for_zero_signs, cole_hopf_burgers_coefficients, ic_jets
 
 PI = math.pi
 KAPPA = -0.4 * PI**2  # heat decay rate for the default parameters
@@ -58,6 +59,35 @@ def test_wave_coefficients_standing_pattern():
     assert v[0][0] == 0.0
     assert v[1][0] == pytest.approx(-2 * PI**2, rel=1e-13)
     assert v[2][0] == 0.0
+
+
+@pytest.mark.parametrize("name", ["heat", "wave"])
+def test_order_20_coefficients_match_the_closed_form(name):
+    # measured worst, as a fraction of each order's largest value on these 50
+    # points: heat 1.22e-15, wave 1.03e-15 (U) and 1.10e-15 (V)
+    prob = get_problem(name)
+    x = sample_points(prob, 50, None, 0)
+    got = compute_expansion(prob, x, 20).coeffs
+    for i in range(21):
+        for m, exact in enumerate(prob.exact_derivative(i, 0.0, x)):
+            want = exact / math.factorial(i)
+            scale = np.max(np.abs(want))
+            if scale == 0.0:  # wave's U at odd orders, V at even ones
+                np.testing.assert_array_equal(got[m][i], 0.0)
+                continue
+            err = np.max(np.abs(got[m][i] - want)) / scale
+            assert err <= 2e-15, f"{name} component {m} order {i}: {err:.3g}"
+
+
+def test_order_20_burgers_coefficients_match_cole_hopf():
+    # measured worst relative error 4.78e-13, at x = 0.3 and order 2, where
+    # C_2 = -0.0052 is left by cancellation; every other order is below 2.5e-14
+    x = np.array([0.3, -0.55, 0.9])
+    want = cole_hopf_burgers_coefficients(x, 20)
+    got = np.array(compute_expansion(get_problem("burgers"), x, 20).coeffs[0])
+    rel = np.abs(got - want) / np.abs(want)
+    assert rel.max() <= 1e-12, np.array2string(rel.max(axis=1), precision=2)
+    assert np.delete(rel, 2, axis=0).max() <= 5e-14
 
 
 def test_derivatives_name_the_lowest_order_that_overflows():
@@ -286,6 +316,16 @@ def test_points_must_be_inside_domain():
         compute_expansion(prob, np.array([-0.1]), 3)
     with pytest.raises(ValueError):
         compute_expansion(prob, np.array([]), 3)
+
+
+@pytest.mark.parametrize("points", [np.array([0.3 + 0.2j]), [0.5, 0.3 + 0j]], ids=["complex", "zero-imaginary"])
+def test_complex_points_raise_before_any_expansion(points, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("expanded complex points")
+
+    monkeypatch.setattr(driver, "_expand_block", no_work)
+    with pytest.raises(ValueError, match=r"expansion points must be real, got complex points .*\(0\.3\+"):
+        compute_expansion(get_problem("heat"), points, 3)
 
 
 def test_order_validation():

@@ -55,6 +55,15 @@ def test_sin_jet_is_maclaurin_at_zero():
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-16)
 
 
+def test_derivative_reads_its_order_as_an_index():
+    jet = seed_variable(np.array([0.4, 0.7]), 3) ** 3
+    for m in (np.int64(2), np.uint8(2)):
+        np.testing.assert_array_equal(derivative(jet, m).coeffs, derivative(jet, 2).coeffs)
+    for m in (np.bool_(True), 1.0, "1"):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            derivative(jet, m)
+
+
 def test_derivative_matches_coefficient_shift():
     rng = np.random.default_rng(5)
     x = rng.uniform(0.2, 0.8, 4)
