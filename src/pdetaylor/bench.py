@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import DivergenceError, _real_points, compute_expansion
+from .driver import DivergenceError, compute_expansion
+from .jets import _real_points
 from .problems import NoExactOracleError, PdeProblem
 
 
@@ -349,7 +350,7 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
     and the points must be at least one, each real and inside the closed
     domain: the spline would extrapolate past it.
     """
-    x_query = _real_points(points, "reference query points")
+    x_query = _real_points(points, "reference query points").ravel()
     if not 0.0 <= t1 <= 0.1:
         raise ValueError("reference solver horizon is limited to 0 <= t1 <= 0.1")
     lo, hi = problem.domain

@@ -24,7 +24,9 @@ byte-identical files.
 Exit codes: 0 success, 1 numerical failure (bound exceeded, divergence,
 sampling exhaustion, a lift outside its domain, too few jet orders), 2 usage
 error, including an ``--out`` directory that cannot be created or written to
-(such as an existing file) and ``plotdata`` horizons that name one file.
+(such as an existing file) and ``plotdata`` horizons that name one file.  An
+error prints one ``error:`` line; an unknown problem, or one without the
+closed form a command needs, adds the ``problems:`` line.
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ def _check_horizons(args: argparse.Namespace, problem) -> None:
 
 def _cmd_bench(args: argparse.Namespace, problem) -> int:
     if not problem.has_exact_oracle:
-        raise _UsageError(
+        raise NoExactOracleError(
             f"problem {problem.name!r} has no exact solution to benchmark against; "
             "use derive or taylor instead"
         )
@@ -267,9 +269,7 @@ def _cmd_taylor(args: argparse.Namespace, problem) -> int:
 
 def _cmd_plotdata(args: argparse.Namespace, problem) -> int:
     if not problem.has_exact_oracle:
-        raise _UsageError(
-            f"problem {problem.name!r} has no exact solution to plot against"
-        )
+        raise NoExactOracleError(f"problem {problem.name!r} has no exact solution to plot against")
     lo, hi = problem.domain
     x = np.linspace(lo, hi, args.points + 2)[1:-1]
     expansion = compute_expansion(problem, x, args.order)
@@ -316,9 +316,13 @@ def main(argv=None) -> int:
             _check_horizons(args, problem)
         os.makedirs(args.out, exist_ok=True)
         return handler(args, problem)
-    except (_UsageError, UnknownProblemError, NoExactOracleError) as e:
+    except (UnknownProblemError, NoExactOracleError) as e:
+        # the choice of problem is at fault: name the others
         print(f"error: {e}", file=sys.stderr)
         print(f"problems: {', '.join(available_problems())}", file=sys.stderr)
+        return 2
+    except _UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     except (LiftDomainError, InsufficientJetOrderError) as e:
         # numerical failures, though they subclass ValueError for the library

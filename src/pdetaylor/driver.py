@@ -17,15 +17,18 @@ are then grown one order per iteration (Taylor-mode propagation):
    ``U_x``, ``U_xx``, ``t`` and ``x``; the ``U`` nodes read the newest
    coefficient at the working jet order (below), differentiating it in space
    only when it is first read, and read a coefficient that is not a jet
-   (``ZERO`` or a number) as constant in space.  ``x`` is the seed jet at
-   order 0 and ``ZERO`` above it, and ``t`` is ``1.0`` at order 1 and
-   ``ZERO`` elsewhere, so ``x`` or ``t`` convolves no zeros and a function of
-   ``t`` alone has numbers for coefficients;
+   (``ZERO`` or a number) as constant in space.  ``x`` is the same series of
+   the identity at order 0 and ``ZERO`` above it, and ``t`` is ``1.0`` at
+   order 1 and ``ZERO`` elsewhere, so ``x`` or ``t`` convolves no zeros, a
+   lift of ``x`` makes one term per order and becomes one flat jet, and a
+   function of ``t`` alone has numbers for coefficients; a jet operator
+   converts ``x``, or a product of it with numbers, where it meets a jet;
 3. at iteration ``i``, ask each output node of ``F`` for its coefficient
    ``F_{i-1}``; each node in the graph computes exactly one new coefficient
    from the ones it has memoised, and ``C_i = F_{i-1} / i``, kept as it is
-   for the next iteration to read.  ``C_i`` is checked finite, and its value
-   row is row 0 of a jet, or a number (``+0.0`` for ``ZERO``) at every point.
+   for the next iteration to read, a series of rows made one flat jet.
+   ``C_i`` is checked finite, and its value row is row 0 of a jet, or a
+   number (``+0.0`` for ``ZERO``) at every point.
 
 A ``ZERO`` initial component carries through the graph: with real initial
 data, Schrodinger's ``V`` starts as ``ZERO``, so every time coefficient of
@@ -50,8 +53,8 @@ Each spatial differentiation consumes jet orders.  ``F`` reads at most
 ``U_xx``, so ``C_0`` is seeded with ``2*K`` jet orders and iteration ``i``
 works at jet order ``W_i = 2*(K - i)``.  That order is set where ``C_{i-1}``
 is read: the ``U`` nodes read it as a view of ``W_i + d`` orders before
-differentiating it ``d`` times, and ``x`` is the seed at ``W_1``.  Nothing
-else is truncated, because two jets combine at the lower of their orders
+differentiating it ``d`` times, and ``x`` is the identity at ``W_1``.
+Nothing else is truncated, because two jets combine at the lower of their orders
 (:mod:`pdetaylor.jets`): row ``r`` of a sum, product, quotient or lift reads
 only operand rows ``<= r``.  So a product of the newest coefficient with an
 older, longer one that a node keeps runs at ``W_i``, and no kept coefficient
@@ -87,7 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import _BLOCK, BatchAlgebra, Jet, derivative
+from .jets import _BLOCK, BatchAlgebra, Jet, _real_points, derivative, flat
 from .problems import PdeProblem
 from .series import ZERO, LazySeries, SeriesTape, TruncatedSeries, _as_scalar, _real
 
@@ -158,7 +161,7 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
     :class:`DivergenceError` for the lowest order, and then component, at
     which any point diverges.
     """
-    x = _real_points(points, "expansion points")
+    x = _real_points(points, "expansion points").ravel()
     if x.size == 0:
         raise ValueError("need at least one expansion point")
     lo, hi = problem.domain
@@ -196,20 +199,12 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
     )
 
 
-def _real_points(points, what: str) -> np.ndarray:
-    """``points`` as a flat float64 array; complex points raise, where numpy would only warn."""
-    x = np.asarray(points).ravel()
-    if np.iscomplexobj(x):
-        raise ValueError(f"{what} must be real, got complex points {x[:3].tolist()}")
-    return x.astype(np.float64, copy=False)
-
-
 def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> None:
     """Expand at one block of points, writing ``C_i`` of component ``c`` into ``rows[c][i]``."""
     m = problem.components
     seed_order = _SPATIAL_ORDER * max_order
     batch = BatchAlgebra(x.size)
-    seed = Jet.variable(batch, x, seed_order)
+    identity = _identity(batch, x, seed_order - _SPATIAL_ORDER)
 
     # Per component: the newest coefficient, C_i as a jet of order W_i or
     # more, a number or ZERO.  Only its value row is kept of older orders,
@@ -235,7 +230,7 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
     u_x = [spatial(c, 1) for c in range(m)]
     u_xx = [spatial(c, 2) for c in range(m)]
     t_node = LazySeries(tape, lambda k: 1.0 if k == 1 else ZERO)
-    x_node = LazySeries(tape, lambda k: seed.truncated(seed_order - _SPATIAL_ORDER) if k == 0 else ZERO)
+    x_node = LazySeries(tape, lambda k: identity if k == 0 else ZERO)
 
     f = problem.rhs(u, u_x, u_xx, t_node, x_node)
     if len(f) != m:
@@ -249,17 +244,23 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
     for i in range(1, max_order + 1):
         new = []
         for c in range(m):
-            new.append(f[c].coeff(i - 1) * (1.0 / i))
+            new.append(flat(f[c].coeff(i - 1) * (1.0 / i)))
             _store(new[c], rows[c][i], i, c)
         newest[:] = new
 
 
+def _identity(batch: BatchAlgebra, x: np.ndarray, order: int) -> TruncatedSeries:
+    """The identity at ``x`` as a series of ``order``, ``(x, 1.0, ZERO, ...,
+    ZERO)``: its lifts make one term per order, where zero rows make one per
+    term, and :func:`~pdetaylor.jets.flat` makes a jet of such a lift."""
+    return TruncatedSeries(batch, ((x, 1.0) + (ZERO,) * order)[: order + 1])
+
+
 def _initial_condition(problem: PdeProblem, batch: BatchAlgebra, x: np.ndarray, order: int) -> list:
-    """``C_0`` per component: the problem's ``ic`` on the identity at ``x`` as a
-    series ``(x, 1.0, ZERO, ..., ZERO)``, so its lifts skip the rows past 1,
-    and each series it returns as one flat jet of ``order``, number and
-    ``ZERO`` rows written out.  A ``ZERO`` or number component is kept."""
-    g = problem.ic(TruncatedSeries(batch, (x, 1.0) + (ZERO,) * (order - 1)))
+    """``C_0`` per component: the problem's ``ic`` on the identity at ``x`` of
+    ``order``, and each series it returns as one flat jet
+    (:func:`~pdetaylor.jets.flat`).  A ``ZERO`` or number component is kept."""
+    g = problem.ic(_identity(batch, x, order))
     if len(g) != problem.components:
         raise ValueError(
             f"initial condition returned {len(g)} components, expected {problem.components}"
@@ -278,7 +279,7 @@ def _initial_condition(problem: PdeProblem, batch: BatchAlgebra, x: np.ndarray, 
                 raise ValueError(
                     f"initial condition component {c} has jet order {gc.order}, expected {order}"
                 )
-            gc = Jet(batch, gc.coeffs)
+            gc = flat(gc)
         out.append(gc)
     return out
 

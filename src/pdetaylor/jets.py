@@ -16,8 +16,9 @@ so every jet operation, gives bit for bit the coefficients of a series over
 its array operations spans all ``m * N`` columns of a row; it is the only jet
 product, and ``a * b`` is the stack of one.  A series step forms and sums the
 jet products of one coefficient through :meth:`Jet._fold_products`: in stacks
-of up to ``_BLOCK // N`` pairs, one kernel call each, whose ``(P+1, m, N)``
-result is weighted and summed over its ``m`` products by one reduction.  So
+of up to ``_BLOCK // N`` pairs, each filled pair by pair into one preallocated
+``(P+1, m, N)`` array per operand side and multiplied by one kernel call,
+whose result is weighted and summed over its ``m`` products by one reduction.  So
 50-point jets make one kernel call and one sum for up to 40 products, where a
 call, a jet and an addition per product spent their time in Python dispatch,
 and a driver block of ``_BLOCK`` points still multiplies one pair at a time,
@@ -36,21 +37,29 @@ broadcast multiply and summing them with one reduction into a preallocated
 array, and evaluate each function on the constant row with NumPy.
 :class:`BatchAlgebra` names the batch by its size.
 
-A :class:`Jet` built from a sequence of rows, the one conversion of a series
-to a flat jet, writes a number across its row and the structural zero as
+:func:`flat` is the one conversion of a series of rows over a batch to a flat
+jet, ``Jet(batch, rows)``: a number fills its row and the structural zero is
 ``+0.0``.  :func:`seed_variable` builds the jet of the identity, ``[X, 1, 0,
 ..., 0]``; evaluating an expression on the seed yields the jet of that
-expression.  The expansion driver evaluates the initial condition on the
-identity as a series ``(X, 1.0, ZERO, ..., ZERO)``, whose lifts skip the
-structural zeros, and makes each result a jet this way.  :func:`derivative`
-extracts the jet of ``f^(m)``, which is ``m`` orders shorter than its input.
+expression.  The expansion driver uses the identity as a series ``(X, 1.0,
+ZERO, ..., ZERO)`` instead, for the initial condition and for its ``x`` node,
+so that a lift of it visits only the rows that are not ``ZERO``: one term per
+order.  The driver converts each series that the initial condition returns
+and each new coefficient, a lift converts its result when its constant term
+is such a series, and every jet operator, ``+``, ``-``, ``*`` and ``/`` on
+either side, converts one that it meets, so ``x`` works wherever a jet does;
+the left factor of a product stays the left one, since the kernel sums each
+row in the order of its rows.
+:func:`derivative` extracts the jet of ``f^(m)``, which is ``m`` orders
+shorter than its input.
 
 Two jets over one batch combine at the lower of their orders: row ``r`` of a
 sum, product, quotient or lift reads only operand rows ``<= r`` (Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13), so each row of
 the result is the one of first truncating both.  :meth:`Jet._check_compatible`
-checks the batch and returns that row count, and every operator, stacked
-product and sum reads its operands' first rows as views.  The expansion
+checks the batch and returns that row count, for a series of rows that a
+jet converts too, and every operator, stacked product and sum reads its
+operands' first rows as views.  The expansion
 driver sets its working order only where it reads a new coefficient, and
 the older, longer jets that a lazy node keeps meet it there as they are.
 
@@ -100,9 +109,10 @@ class Jet(TruncatedSeries):
     ``coeffs[k]`` is the row of order ``k``.  From a sequence of rows, a
     number fills its row and :data:`~pdetaylor.series.ZERO` is ``+0.0``.
     Jets are immutable, so :meth:`truncated` may return a view of the same
-    array.  Operators take jets over the same batch, or plain numbers, and
-    two jets combine at the lower of their orders, reading the first rows of
-    the longer one as a view.
+    array.  Operators take jets over the same batch, series of rows over it,
+    which :func:`flat` converts, or plain numbers, on either side, and two
+    jets combine at the lower of their orders, reading the first rows of the
+    longer one as a view.
     """
 
     __slots__ = ()
@@ -139,16 +149,25 @@ class Jet(TruncatedSeries):
             )
         return min(len(self.coeffs), len(other.coeffs))
 
+    def _rows(self, other):
+        """This jet's rows and ``other``'s, at the lower of their orders, when
+        ``other`` is a jet or a series of rows over this batch, which
+        :func:`flat` converts; None when it is not a series."""
+        if not isinstance(other, TruncatedSeries):
+            return None
+        n = self._check_compatible(other)
+        return self.coeffs[:n], flat(other).coeffs[:n]
+
     def __add__(self, other):
         s = _as_scalar(other)
         if s is not None:
             c = self.coeffs.copy()
             c[0] += s
             return Jet(self.algebra, c)
-        if not isinstance(other, Jet):
+        rows = self._rows(other)
+        if rows is None:
             return NotImplemented
-        n = self._check_compatible(other)
-        return Jet(self.algebra, self.coeffs[:n] + other.coeffs[:n])
+        return Jet(self.algebra, rows[0] + rows[1])
 
     __radd__ = __add__
 
@@ -156,21 +175,41 @@ class Jet(TruncatedSeries):
         s = _as_scalar(other)
         if s is not None:
             return self + -s
-        if not isinstance(other, Jet):
+        rows = self._rows(other)
+        if rows is None:
             return NotImplemented
-        n = self._check_compatible(other)
-        return Jet(self.algebra, self.coeffs[:n] - other.coeffs[:n])
+        return Jet(self.algebra, rows[0] - rows[1])
+
+    def __rsub__(self, other):
+        rows = self._rows(other)
+        if rows is None:
+            return TruncatedSeries.__rsub__(self, other)
+        return Jet(self.algebra, rows[1] - rows[0])
 
     def __mul__(self, other):
         s = _as_scalar(other)
         if s is not None:
             return Jet(self.algebra, self.coeffs * s)
-        if not isinstance(other, Jet):
+        rows = self._rows(other)
+        if rows is None:
             return NotImplemented
-        n = self._check_compatible(other)
-        return Jet(self.algebra, _convolve(self.coeffs[:n], other.coeffs[:n]))
+        return Jet(self.algebra, _convolve(*rows))
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        # the kernel sums a row's terms in order of the left factor's rows
+        rows = self._rows(other)
+        if rows is None:
+            return self.__mul__(other)
+        return Jet(self.algebra, _convolve(rows[1], rows[0]))
+
+    def __truediv__(self, other):
+        return TruncatedSeries.__truediv__(self, flat(other))
+
+    def __rtruediv__(self, other):
+        if isinstance(other, TruncatedSeries):
+            self._check_compatible(other)
+            return flat(other) / self
+        return TruncatedSeries.__rtruediv__(self, other)
 
     @staticmethod
     def _fold_products(acc, pairs, sub):
@@ -178,29 +217,35 @@ class Jet(TruncatedSeries):
         ``-`` with ``sub``; a ``w`` of None weighs nothing.
 
         Every pair and a jet ``acc`` are checked before any is multiplied, and
-        every operand is read at the lowest order among them.  The products are
-        formed in stacks of ``_BLOCK // N`` pairs, one kernel call each, and a
-        stack is weighted and summed into ``acc`` in its own array with one
-        reduction (:func:`~pdetaylor.series._sum_terms`) before the next is
-        formed, so a block of ``_BLOCK`` points holds one product at a time.
+        every operand is read at the lowest order among them, which sizes the
+        stacks.  The products are formed in stacks of ``_BLOCK // N`` pairs:
+        each pair's rows are copied into one preallocated ``(n, m, N)`` array
+        per operand side, and one kernel call multiplies the stack.  A stack is
+        weighted and summed into ``acc`` in its own array with one reduction
+        (:func:`~pdetaylor.series._sum_terms`) before the next is formed, so a
+        block of ``_BLOCK`` points holds one product at a time and, one pair
+        per stack, copies no operand.
         """
         first = pairs[0][1]
+        size = first.algebra.size
         n = len(first.coeffs)
         for _, x, y in pairs:
             n = min(n, first._check_compatible(x), x._check_compatible(y))
         if isinstance(acc, TruncatedSeries):
             n = min(n, first._check_compatible(acc))
-            acc = acc.coeffs[:n]
-        per_stack = max(1, _BLOCK // first.algebra.size)
+            acc = flat(acc).coeffs[:n]
+        per_stack = max(1, _BLOCK // size)
+        m = min(per_stack, len(pairs))
+        xs, ys = (np.empty((n, m, size)), np.empty((n, m, size))) if m > 1 else (None, None)
         for start in range(0, len(pairs), per_stack):
             stack = pairs[start : start + per_stack]
-            if len(stack) == 1:  # a full block copies no operand
+            if len(stack) == 1:
                 c = _convolve(stack[0][1].coeffs[:n], stack[0][2].coeffs[:n])[:, None]
             else:
-                c = _convolve(
-                    np.stack([x.coeffs[:n] for _, x, _ in stack], axis=1),
-                    np.stack([y.coeffs[:n] for _, _, y in stack], axis=1),
-                )
+                for p, (_, x, y) in enumerate(stack):
+                    xs[:, p] = x.coeffs[:n]
+                    ys[:, p] = y.coeffs[:n]
+                c = _convolve(xs[:, : len(stack)], ys[:, : len(stack)])
             w = None if stack[0][0] is None else [w for w, _, _ in stack]
             acc = _sum_terms(acc, c, w, sub, 1)
         return Jet(first.algebra, acc)
@@ -221,9 +266,32 @@ def _convolve(a, b):
     return c
 
 
+def flat(series):
+    """The one conversion of a series to a flat jet.
+
+    A series of rows over a batch of points, such as the identity ``(X, 1.0,
+    ZERO, ..., ZERO)`` or a lift of it, becomes one :class:`Jet`: a number
+    fills its row and :data:`~pdetaylor.series.ZERO` is ``+0.0``.  A jet, a
+    series over other coefficients, a number and ``ZERO`` are returned as
+    they are.
+    """
+    if type(series) is TruncatedSeries and isinstance(series.algebra, BatchAlgebra):
+        return Jet(series.algebra, series.coeffs)
+    return series
+
+
+def _real_points(points, what: str) -> np.ndarray:
+    """``points`` as a float64 array of their shape; complex points raise, where
+    numpy would only warn and drop the imaginary part."""
+    x = np.asarray(points)
+    if np.iscomplexobj(x):
+        raise ValueError(f"{what} must be real, got complex points {x.ravel()[:3].tolist()}")
+    return x.astype(np.float64, copy=False)
+
+
 def seed_variable(points, order: int) -> Jet:
     """Jet of the identity at the given points: ``[X, 1, 0, ..., 0]``."""
-    x = np.asarray(points, dtype=np.float64).ravel()
+    x = _real_points(points, "seed points").ravel()
     if x.size == 0:
         raise ValueError("need at least one point")
     return Jet.variable(BatchAlgebra(x.size), x, order)

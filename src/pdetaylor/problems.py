@@ -37,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from .jets import _real_points
 from .series import ZERO, TruncatedSeries, cos, exp, sech, sin
 
 PI = math.pi
@@ -95,7 +96,7 @@ class PdeProblem:
     def exact(self, t: float, x) -> list[np.ndarray]:
         if self.exact_time_derivative is None:
             raise NoExactOracleError(f"problem {self.name!r} has no closed-form solution")
-        return self.exact_time_derivative(0, t, np.asarray(x, dtype=np.float64))
+        return self.exact_time_derivative(0, t, _real_points(x, "exact solution points"))
 
     def exact_derivative(self, order: int, t: float, x) -> list[np.ndarray]:
         """Closed-form ``d^order U / dt^order`` at time ``t``, per component."""
@@ -103,7 +104,7 @@ class PdeProblem:
             raise NoExactOracleError(f"problem {self.name!r} has no closed-form derivatives")
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        return self.exact_time_derivative(order, t, np.asarray(x, dtype=np.float64))
+        return self.exact_time_derivative(order, t, _real_points(x, "exact solution points"))
 
 
 def _merge_params(defaults: dict[str, float], overrides: dict[str, float] | None, name: str):

@@ -48,7 +48,13 @@ on, so the shared steps skip its terms; one that is the same at every point may
 be a plain number (activity analysis; Hascoet & Pascual, ACM TOMS 39(3), 2013).
 Each step sums the terms ``x_j * y_{k-j}`` of its coefficient in the order of
 ``j`` and leaves out every one with a ``ZERO`` factor before multiplying, since
-``acc + ZERO`` is ``acc`` and ``ZERO + t`` is ``t``.  Where the terms are
+``acc + ZERO`` is ``acc`` and ``ZERO + t`` is ``t``.  It does not look at
+those terms either: a sequence of coefficients that holds ``ZERO`` keeps the
+indices of the others, an eager series as a tuple made at construction and a
+lazy history as a list it extends as it grows, and a step walks the shorter
+of its two factors' indices, checking only the other factor, so a lift of the
+identity ``(x, 1.0, ZERO, ...)`` visits one term per order.  A dense sequence
+keeps no index and is walked by ``range``.  Where the terms are
 arrays it forms them as one array: the rows of flat jets with one broadcast
 multiply, and each run of jet pairs in stacked kernel calls, through the
 series class's ``_fold_products``.  It sums such an array with one
@@ -59,8 +65,11 @@ order as one term at a time, so neither changes a bit, and nor does negating as
 ``* -1.0`` or subtracting a number ``s`` as ``+ -s`` (IEEE 754 exact).
 A :class:`TruncatedSeries` may hold ``ZERO`` too, and its operations skip those
 terms the same way: the expansion driver hands a problem's initial condition
-the identity with every coefficient past order 1 ``ZERO``, so a lift of it
-makes one product per order where zero rows would make one per term.  A
+the identity with every coefficient past order 1 ``ZERO``, and its ``x`` node
+reads the same identity, so a lift of it makes one product per order where
+zero rows would make one per term.  Such a lift of a constant term that is a
+series of rows over a batch is made a flat jet once, by
+:func:`pdetaylor.jets.flat`, which the jets module builds on this one.  A
 skipped term would have added ``0.0 * f``, so an exact zero may keep the sign
 ``-0.0`` where zero rows give ``+0.0``, and a non-finite ``f`` reaches no
 result; every other value is the same.  A constant term that is ``ZERO``
@@ -124,6 +133,32 @@ class _StructuralZero:
 ZERO = _StructuralZero()
 
 
+class _SparseCoeffs(tuple):
+    """The coefficients of an eager series that holds :data:`ZERO`; the series
+    sets ``nonzero_at``, the indices of the others in order, for :func:`_terms`."""
+
+
+class _History(list):
+    """The coefficients of a lazy node as they are computed.  ``nonzero_at``
+    lists the indices of those that are not :data:`ZERO`, in order, from the
+    first ``ZERO`` on; it is None while there is none, so a dense history
+    keeps no index and :func:`_terms` walks it by ``range``."""
+
+    __slots__ = ("nonzero_at",)
+
+    def __init__(self):
+        super().__init__()
+        self.nonzero_at = None
+
+    def append(self, c):
+        if c is ZERO:
+            if self.nonzero_at is None:
+                self.nonzero_at = list(range(len(self)))
+        elif self.nonzero_at is not None:
+            self.nonzero_at.append(len(self))
+        super().append(c)
+
+
 def _real(c):
     """``c`` with the structural zero as ``0.0``, which numpy evaluates."""
     return 0.0 if c is ZERO else c
@@ -151,7 +186,8 @@ class TruncatedSeries:
     """Coefficients of a power series in one infinitesimal, truncated at a fixed order.
 
     ``coeffs`` is a tuple of ``order + 1`` algebra elements, constant term
-    first (:class:`~pdetaylor.jets.Jet` holds them as the rows of one array).
+    first (:class:`~pdetaylor.jets.Jet` holds them as the rows of one array);
+    one that holds :data:`ZERO` also keeps the indices of the others.
     Instances are immutable; every operation returns a new series of the same
     kind and algebra, and of the same order (two jets: the lower of theirs).
     """
@@ -162,6 +198,10 @@ class TruncatedSeries:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least its constant term")
+        nonzero_at = tuple(j for j, c in enumerate(coeffs) if c is not ZERO)
+        if len(nonzero_at) < len(coeffs):
+            coeffs = _SparseCoeffs(coeffs)
+            coeffs.nonzero_at = nonzero_at
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -356,17 +396,29 @@ def _float_rows(coeffs) -> bool:
     )
 
 
+def _flat(series):
+    """A lift of a series constant term as :func:`pdetaylor.jets.flat` makes it:
+    one flat jet when its rows are over a batch of points, such as the lift of
+    the expansion driver's ``x`` node, and as it is otherwise."""
+    from .jets import flat  # jets builds on this module
+
+    return flat(series)
+
+
 def _exp0(a):
-    return exp(a) if isinstance(a, TruncatedSeries) else np.exp(a)
+    return _flat(exp(a)) if isinstance(a, TruncatedSeries) else np.exp(a)
 
 
 def _sin_cos0(a):
-    return sin_cos(a) if isinstance(a, TruncatedSeries) else (np.sin(a), np.cos(a))
+    if isinstance(a, TruncatedSeries):
+        s, c = sin_cos(a)
+        return _flat(s), _flat(c)
+    return np.sin(a), np.cos(a)
 
 
 def _log0(a):
     if isinstance(a, TruncatedSeries):
-        return log(a)
+        return _flat(log(a))
     if np.any(a <= 0.0):
         raise LiftDomainError("log requires every constant-term entry positive")
     return np.log(a)
@@ -374,10 +426,28 @@ def _log0(a):
 
 def _pow0(a, e: float):
     if isinstance(a, TruncatedSeries):
-        return power(a, e)
+        return _flat(power(a, e))
     if not e.is_integer() and np.any(a < 0.0):
         raise LiftDomainError("non-integer power of a negative entry")
     return np.power(a, e)
+
+
+def _terms(x, y, k, lo, hi):
+    """The indices ``j`` in ``lo <= j < hi``, ascending, of the terms ``x_j *
+    y_{k-j}`` that a step visits.
+
+    A sequence that keeps ``nonzero_at`` (an eager series that holds ZERO, a
+    lazy history that has met one) is walked by it, and of two such the
+    shorter, so a step visits no term whose factor there is ZERO; ``y``'s
+    indices ``i`` are walked down, as ``j = k - i``.  A sequence without them
+    is dense, and two dense ones are walked by ``range``.
+    """
+    xs, ys = getattr(x, "nonzero_at", None), getattr(y, "nonzero_at", None)
+    if ys is not None and (xs is None or len(ys) < len(xs)):
+        return [k - i for i in reversed(ys) if k - hi < i <= k - lo]
+    if xs is not None:
+        return [j for j in xs if lo <= j < hi]
+    return range(lo, hi)
 
 
 def _fold(acc, x, y, k, lo, hi, w=None, sub=False):
@@ -386,12 +456,14 @@ def _fold(acc, x, y, k, lo, hi, w=None, sub=False):
     to its weight, and None weighs nothing.
 
     Terms with a ZERO factor are left out: such a term is ZERO, which a sum
-    drops, so leaving it out changes no bit.  When ``x`` and ``y`` are the
-    ``(P+1, N)`` arrays of flat jets, all the terms are formed by one broadcast
-    multiply and summed by :func:`_sum_terms`.  Otherwise each run of
-    consecutive terms whose two factors are series of one class is folded by
-    that class's ``_fold_products``, which a flat jet answers with stacked
-    kernel calls and one sum per stack, and a run of any other terms by
+    drops, so leaving it out changes no bit.  :func:`_terms` visits only the
+    terms whose factor in an indexed sequence is not ZERO, and the other
+    factor is checked here.  When ``x`` and ``y`` are the ``(P+1, N)`` arrays
+    of flat jets, all the terms are formed by one broadcast multiply and
+    summed by :func:`_sum_terms`.  Otherwise each run of consecutive terms
+    whose two factors are series of one class is folded by that class's
+    ``_fold_products``, which a flat jet answers with stacked kernel calls and
+    one sum per stack, and a run of any other terms by
     :meth:`TruncatedSeries._fold_products`, one product at a time.
     """
     if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
@@ -400,7 +472,7 @@ def _fold(acc, x, y, k, lo, hi, w=None, sub=False):
         terms = x[lo:hi] * y[k - hi + 1 : k - lo + 1][::-1]
         return _sum_terms(acc, terms, None if w is None else w(np.arange(lo, hi)), sub, 0)
     run, kind = [], None  # consecutive (w_j, x_j, y_{k-j}) that kind folds
-    for j in range(lo, hi):
+    for j in _terms(x, y, k, lo, hi):
         xj, yj = x[j], y[k - j]
         if xj is ZERO or yj is ZERO:
             continue
@@ -571,12 +643,12 @@ class LazySeries:
             )
         return self._newest
 
-    def _kept(self) -> list:
+    def _kept(self) -> "_History":
         """The coefficient history, kept from now on because a later step reads it."""
         if self._history is None:
             if self._count:
                 raise RuntimeError("a node's history must be requested before evaluation starts")
-            self._history = []
+            self._history = _History()
         return self._history
 
     def _operand(self, other):
@@ -694,7 +766,7 @@ def sin_cos(series):
     """Sine and cosine together; their recurrences are coupled."""
     if isinstance(series, LazySeries):
         a = series._kept()
-        s, c = [], []
+        s, c = _History(), _History()
 
         def pair(k):
             if k == len(s):

@@ -452,6 +452,21 @@ def test_order_out_of_range(tmp_path):
         assert cli.main(["derive", "--problem", "heat", "--order", bad, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["derive", "--problem", "heat", "--order", "0"], "error: --order must be in 1..20, got 0\n"),
+        (["taylor", "--problem", "heat", "--t1", "1.5"], "error: t1=1.5 outside [0, 1] for problem heat\n"),
+    ],
+    ids=["order", "horizon"],
+)
+def test_usage_error_that_is_not_about_the_problem_prints_one_line(argv, message, tmp_path, capsys):
+    # the list of problems follows only an unknown problem or one without
+    # the closed form a command needs
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_horizon_beyond_problem_end(tmp_path):
     assert cli.main(["taylor", "--problem", "heat", "--t1", "1.5", "--out", str(tmp_path)]) == 2
     assert cli.main(["taylor", "--problem", "heat", "--t1", "-0.1", "--out", str(tmp_path)]) == 2

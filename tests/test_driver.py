@@ -19,6 +19,7 @@ from pdetaylor import (
     jets,
     sample_points,
     seed_variable,
+    series,
 )
 from pdetaylor.jets import BatchAlgebra, Jet
 from pdetaylor.series import ZERO, LazySeries, RealAlgebra, TruncatedSeries, sin
@@ -508,6 +509,72 @@ def test_integer_power_costs_the_jet_products_of_repeated_products(jet_products)
     assert counts["power"] == counts["products"]
 
 
+@pytest.fixture
+def visited_terms(monkeypatch):
+    """One entry per step's walk over the terms ``x_j * y_{k-j}`` made in the
+    test: the terms it visits and, of those, the ones whose factors are both
+    not ZERO, which the step sums.
+
+    Every step that forms its terms one by one walks them through the one
+    ``series._terms``, which is hooked here.
+    """
+    walks = []
+    terms = series._terms
+
+    def recording(x, y, k, lo, hi):
+        js = terms(x, y, k, lo, hi)
+        walks.append((len(js), sum(x[j] is not ZERO and y[k - j] is not ZERO for j in js)))
+        return js
+
+    monkeypatch.setattr(series, "_terms", recording)
+    return walks
+
+
+def test_steps_visit_only_the_terms_they_sum(visited_terms):
+    # heat's initial condition sin(seed * pi) on the identity (x, 1.0, ZERO,
+    # ...) at jet order 40 has one term per order for sine and one for cosine:
+    # walking every index of each step visited 1,640 terms to sum these 80
+    heat = get_problem("heat")
+    x = np.linspace(*heat.domain, 52)[1:-1]
+    compute_expansion(heat, x, 20)
+    assert sum(v for v, _ in visited_terms) == sum(s for _, s in visited_terms) == 80
+
+    # diffusion's forcing lifts x, the same identity at the working order
+    # W_1 = 38 of K = 20, which costs one term per order for each of sine
+    # and cosine where the dense seed jet took 741 each
+    diffusion = get_problem("diffusion")
+    visited_terms.clear()
+    forcing = dataclasses.replace(
+        diffusion, ic=lambda seed: [0.0], rhs=lambda u, u_x, u_xx, t, x_node: [sin(x_node * PI)]
+    )
+    expansion = compute_expansion(forcing, x, 20)
+    assert sum(v for v, _ in visited_terms) == sum(s for _, s in visited_terms) == 2 * 38
+    np.testing.assert_allclose(expansion.coeffs[0][1], np.sin(PI * x), rtol=1e-15, atol=0)
+
+    # and the whole of diffusion visits no term that it does not sum
+    visited_terms.clear()
+    compute_expansion(diffusion, x, 20)
+    assert all(visited == summed for visited, summed in visited_terms)
+
+
+def test_a_lift_of_x_is_one_flat_jet():
+    # the lift runs on the identity's rows and is converted once, so the
+    # forcing's products and sums with U's jets do not convert it again
+    history = []
+
+    def rhs(u, u_x, u_xx, t, x):
+        lift = sin(x * PI)
+        history.append(lift._kept())
+        return [u_xx[0] - lift]
+
+    x = np.array([-0.5, 0.25])
+    compute_expansion(dataclasses.replace(get_problem("diffusion"), rhs=rhs), x, 3)
+    (lifts,) = history
+    assert type(lifts[0]) is Jet and lifts[0].order == 4  # W_1 of K = 3
+    np.testing.assert_array_equal(lifts[0].coeffs[0], np.sin(PI * x))
+    assert all(c is ZERO for c in lifts[1:])
+
+
 @pytest.mark.parametrize(
     "rhs, expected, rtol",
     [
@@ -572,6 +639,45 @@ def test_divergence_through_x_and_t_is_reported_where_it_enters():
     with pytest.raises(DivergenceError) as err:
         compute_expansion(toy(lambda node, t, x: node * t), x, 5)
     assert (err.value.order, err.value.component) == (4, 0)
+
+
+def _binomial(a, i):
+    """The generalised binomial coefficient ``a choose i``."""
+    return math.prod(a - j for j in range(i)) / math.factorial(i)
+
+
+# U(0) = 3 as a jet (the toy's seed * 0.0 + 3.0): each rhs meets x, the
+# identity (x, 1.0, ZERO, ...), with a jet at order 0, and x t meets u_1, a
+# newer jet of lower order, at order 1; the closed form of U's C_i, i >= 1,
+# follows from solving the ODE in t at every point
+@pytest.mark.parametrize(
+    "rhs, closed_form",
+    [
+        (lambda u, t, x: x * u, lambda x, i: 3.0 * x**i / math.factorial(i)),
+        (lambda u, t, x: x / u, lambda x, i: 3.0 * _binomial(0.5, i) * (2.0 * x / 9.0) ** i),
+        (lambda u, t, x: u / (x + 2.0), lambda x, i: 3.0 / (x + 2.0) ** i / math.factorial(i)),
+        (lambda u, t, x: exp_(x) * u, lambda x, i: 3.0 * np.exp(i * x) / math.factorial(i)),
+        (lambda u, t, x: exp_(x - u), lambda x, i: (-1.0) ** (i + 1) * np.exp(i * (x - 3.0)) / i),
+        (lambda u, t, x: x + u, lambda x, i: (3.0 + x) / math.factorial(i)),
+        (lambda u, t, x: u - x, lambda x, i: (3.0 - x) / math.factorial(i)),
+        (lambda u, t, x: x - u, lambda x, i: (3.0 - x) * (-1.0) ** i / math.factorial(i)),
+        (lambda u, t, x: x * t - u,
+         lambda x, i: (3.0 + x) * (-1.0) ** i / math.factorial(i) + (x if i == 1 else 0.0)),
+    ],
+    ids=["product", "quotient-by-jet", "quotient-of-jet", "lift", "lift-of-difference", "sum",
+         "difference", "reflected-difference", "times-t"],
+)
+def test_x_in_rhs_meets_a_jet_at_every_operator(rhs, closed_form):
+    # U_t = x U gives 3 exp(x t), x / U gives sqrt(9 + 2 x t), U / (x + 2)
+    # gives 3 exp(t / (x + 2)), exp(x) U gives 3 exp(t e^x), exp(x - U) gives
+    # log(e^3 + t e^x), U_t = x + U, U - x and x - U are linear, and
+    # U_t = x t - U gives x (t - 1) + (3 + x) e^{-t}
+    x = np.array([-0.7, -0.2, 0.4, 0.9])
+    prob = _toy_problem(3.0, lambda u, u_x, u_xx, t, x_node: [rhs(u[0], t, x_node)])
+    coeffs = compute_expansion(prob, x, 6).coeffs[0]
+    np.testing.assert_array_equal(coeffs[0], 3.0)
+    for i in range(1, 7):
+        np.testing.assert_allclose(coeffs[i], closed_form(x, i), rtol=1e-13, atol=0)
 
 
 def test_schrodinger_parity_in_time_gives_exact_zero_coefficients():

@@ -2,6 +2,7 @@
 finite-difference oracle on every problem's initial profile."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pdetaylor import (
     TruncatedSeries,
     derivative,
     get_problem,
+    jets,
     seed_variable,
 )
 from pdetaylor.jets import Jet
@@ -277,6 +279,30 @@ def test_jet_writes_number_and_zero_rows(k):
 def test_jet_input_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                         ids=["add", "sub", "mul", "div"])
+def test_series_of_rows_meets_a_jet_as_its_flat_jet(op):
+    # the identity with ZERO rows, as the driver's x node holds it, on either
+    # side of a jet of lower order: the jet operator converts it, and the
+    # result is the dense seed's, bit for bit
+    x = np.array([0.3, -0.4, 1.2])
+    rows = TruncatedSeries(BatchAlgebra(3), (x, 1.0) + (ZERO,) * 4)
+    jet = exp(seed_variable(x, 3) * 0.5)
+    for a, b in ((rows, jet), (jet, rows)):
+        got = op(a, b)
+        want = op(*(seed_variable(x, 5) if s is rows else s for s in (a, b)))
+        assert type(got) is Jet and got.order == 3
+        np.testing.assert_array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+    assert jets.flat(rows).coeffs.tobytes() == seed_variable(x, 5).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("points", [np.array([0.3 + 0.2j]), [0.5, 0.3 + 0j]], ids=["complex", "zero-imaginary"])
+def test_seed_variable_rejects_complex_points(points):
+    # a cast to float64 would drop the imaginary part with only a warning
+    with pytest.raises(ValueError, match=r"seed points must be real, got complex points .*\(0\.3\+"):
+        seed_variable(points, 2)
 
 
 def test_seed_variable_rejects_zero_order():

@@ -246,6 +246,23 @@ def test_allen_cahn_initial_rate_matches_hand_formula():
     np.testing.assert_allclose(c1, want, rtol=1e-13)
 
 
+@pytest.mark.parametrize("points", [np.array([0.3 + 0.2j]), [0.5, 0.3 + 0j]], ids=["complex", "zero-imaginary"])
+def test_exact_solution_rejects_complex_points(points):
+    # a cast to float64 would drop the imaginary part with only a warning and
+    # return sin(0.3 pi) for heat at 0.3 + 0.2i
+    heat = get_problem("heat")
+    for call in (lambda: heat.exact(0.0, points), lambda: heat.exact_derivative(2, 0.0, points)):
+        with pytest.raises(ValueError, match=r"exact solution points must be real, got complex points"):
+            call()
+
+
+def test_exact_solution_keeps_the_shape_of_its_points():
+    heat = get_problem("heat")
+    (u,) = heat.exact(0.0, [[0.25], [0.5]])
+    assert u.shape == (2, 1)
+    np.testing.assert_array_equal(u[:, 0], np.sin(PI * np.array([0.25, 0.5])))
+
+
 def test_exact_derivative_rejects_negative_order():
     with pytest.raises(ValueError):
         get_problem("heat").exact_derivative(-1, 0.0, np.array([0.5]))

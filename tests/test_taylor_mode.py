@@ -133,6 +133,27 @@ def test_coefficients_bit_identical_to_per_order_reevaluation(problem, order):
             assert_equal_but_for_zero_signs(got, want)
 
 
+def _x_meets_jets_rhs(u, u_x, u_xx, t, x):
+    # x is the identity (x, 1.0, ZERO, ...) at order 0: a series of rows that
+    # each jet operator converts, on either side, and whose lifts are jets
+    v = u[0]
+    return [
+        ((x * x) * v - v * x + v / (x + 2.0) - (x + 1.0) / v + exp(x * 0.5) * u_x[0]
+         - (x - v) * t + sin(x * v)) * 0.1
+    ]
+
+
+def test_x_meeting_jets_is_bit_identical_to_the_dense_seed():
+    # the reference reads x as the dense seed jet; a product sums each row in
+    # order of its left factor, so x on the left must stay the left factor
+    problem, order = _toy("x_meets_jets", 1, _x_meets_jets_rhs), 10
+    x = _points(problem)
+    got = compute_expansion(problem, x, order).coeffs[0]
+    want = eager_coefficients(problem, x, order)[0]
+    for i in range(order + 1):
+        assert_equal_but_for_zero_signs(got[i], want[i])
+
+
 # the problems whose steps reach the stacked jet products or the lifts: four
 # built-in ones at the top order, and the toy with log, powers and quotients
 WIDTH_CASES = [(get_problem(name), 20) for name in ("diffusion", "burgers", "allen_cahn", "schrodinger")] + [
