@@ -13,7 +13,11 @@ method-of-lines oracle: fourth-order centred finite differences in space on a
 fine grid, classical Runge-Kutta in time with a conservatively small step,
 cubic-spline interpolation onto the query points.  It is built exclusively on
 the plain-array evaluators of a problem, never on the series machinery it is
-used to check, and is only trusted over short horizons (t <= 0.1).  scipy,
+used to check, and is only trusted over short horizons (t <= 0.1).  At each
+Runge-Kutta stage it differentiates only what ``rhs_numpy`` reads: a stencil
+row is computed the first time it is read, so heat, diffusion, wave,
+allen_cahn and Schrodinger, which read no ``U_x``, correlate one stencil per
+component they read, and burgers two.  scipy,
 for the spline, is imported on the first interpolation, so a run that never
 calls :func:`reference_solve` loads numpy but no part of scipy.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,7 +353,12 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
     lowered further whenever the explicit stability bound demands it, and a
     cubic spline back onto the query points.  ``t1`` must lie in [0, 0.1],
     and the points must be at least one, each real and inside the closed
-    domain: the spline would extrapolate past it.
+    domain: the spline would extrapolate past it.  ``rhs_numpy`` receives
+    ``U_x`` and ``U_xx`` as read-only sequences whose rows are correlated
+    and scaled the first time it reads them, at most once per stage; the
+    rows it returns are copied into the stage slope.  ``ic_numpy`` and
+    ``rhs_numpy`` must each return ``problem.components`` rows, or this
+    raises ``ValueError``.
     """
     x_query = _real_points(points, "reference query points").ravel()
     if not 0.0 <= t1 <= 0.1:
@@ -364,7 +374,11 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
     else:
         grid = np.linspace(lo, hi, _CELLS + 1)
 
-    state = np.stack(problem.ic_numpy(grid))
+    g = problem.ic_numpy(grid)
+    m = problem.components
+    if len(g) != m:
+        raise ValueError(f"ic_numpy returned {len(g)} components, expected {m}")
+    state = np.stack(g)
     if t1 == 0.0:
         return _interpolate(problem, grid, state, x_query, periodic, hi)
 
@@ -373,13 +387,10 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
     dt = t1 / n_steps
 
     # The state and the Runge-Kutta stage argument each live inside an array
-    # with two ghost cells per end.  Each stencil is one ``np.correlate`` per
-    # component row with the integer fourth-order weights, scaled once after
-    # the sum.  The integer weights sum to exactly zero, so a constant row has
-    # no derivative; weights prescaled by 1/(12 h^2) round to values that do
-    # not, and that bias, added at every step, took the heat closed-form error
-    # at t1 = 0.01 from 1e-14 to 2e-12.
-    padded = np.empty((state.shape[0], state.shape[1] + 4))
+    # with two ghost cells per end.  Each stencil row is computed by a
+    # :class:`_StencilRows` the first time ``rhs_numpy`` reads it, so a
+    # problem that reads no ``u_x`` pays for none.
+    padded = np.empty((m, state.shape[1] + 4))
     padded[:, 2:-2] = state
     state = padded[:, 2:-2]
     stage_padded = np.empty_like(padded)
@@ -401,9 +412,13 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
         else:
             np.negative(s[:, 2:0:-1], out=ue[:, :2])
             np.negative(s[:, -2:-4:-1], out=ue[:, -2:])
-        ux = [np.correlate(row, first, "valid") * first_scale for row in ue]
-        uxx = [np.correlate(row, second, "valid") * second_scale for row in ue]
-        for c, row in enumerate(problem.rhs_numpy(list(s), ux, uxx, t, grid)):
+        ux = _StencilRows(ue, first, first_scale)
+        uxx = _StencilRows(ue, second, second_scale)
+        f = problem.rhs_numpy(list(s), ux, uxx, t, grid)
+        if len(f) != m:
+            raise ValueError(f"rhs_numpy returned {len(f)} components, expected {m}")
+        # a copy: a row may be one of the arguments, a view of the stage
+        for c, row in enumerate(f):
             out[c] = row
         if not periodic:
             out[:, ::last] = 0.0
@@ -433,6 +448,38 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
     if not np.isfinite(state).all():
         raise OracleFailure("reference solve finished with non-finite values")
     return _interpolate(problem, grid, state, x_query, periodic, hi)
+
+
+class _StencilRows(Sequence):
+    """One finite-difference stencil of each row of a padded stage argument,
+    as a read-only sequence of rows.
+
+    Row ``c`` is one ``np.correlate`` of padded row ``c`` with the integer
+    fourth-order weights, scaled in place after the sum, computed the first
+    time it is read and kept for the stage.  The integer weights sum to
+    exactly zero, so a constant row has no derivative; weights prescaled by
+    1/(12 h^2) round to values that do not, and that bias, added at every
+    step, took the heat closed-form error at t1 = 0.01 from 1e-14 to 2e-12.
+    """
+
+    __slots__ = ("_padded", "_weights", "_scale", "_rows")
+
+    def __init__(self, padded: np.ndarray, weights: np.ndarray, scale: float):
+        self._padded, self._weights, self._scale = padded, weights, scale
+        self._rows = [None] * len(padded)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, c):
+        if isinstance(c, slice):
+            return [self[i] for i in range(*c.indices(len(self._rows)))]
+        row = self._rows[c]
+        if row is None:
+            row = np.correlate(self._padded[c], self._weights, "valid")
+            row *= self._scale
+            self._rows[c] = row
+        return row
 
 
 def _stable_step(problem: PdeProblem, h: float) -> float:

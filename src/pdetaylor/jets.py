@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedSeries, _as_scalar, _real, _sum_terms
+from .series import ZERO, TruncatedSeries, _as_scalar, _sum_terms
 
 
 # The width of one array operation on jets, in points times stacked pairs.
@@ -103,6 +103,16 @@ class BatchAlgebra:
     size: int
 
 
+def _row_shape(r) -> tuple:
+    """``np.shape(r)``, read without a call into numpy for the rows a series
+    holds: an array, a float or ``ZERO``."""
+    if isinstance(r, np.ndarray):
+        return r.shape
+    if r is ZERO or isinstance(r, float):
+        return ()
+    return np.shape(r)
+
+
 class Jet(TruncatedSeries):
     """A jet stored flat: ``coeffs`` is one ``(P+1, N)`` float64 array.
 
@@ -120,13 +130,18 @@ class Jet(TruncatedSeries):
     def __init__(self, algebra: BatchAlgebra, coeffs):
         n = algebra.size
         if not isinstance(coeffs, np.ndarray):
-            # rows of n values or numbers, ZERO as +0.0; a row of any other
-            # shape leaves an unwritten array of that shape for the check
-            rows = [_real(r) for r in coeffs]
-            bad = [np.shape(r) for r in rows if np.shape(r) not in ((), (n,))]
-            coeffs = np.empty((len(rows),) + (bad[0] if bad else (n,)))
-            for k, r in enumerate(() if bad else rows):
-                coeffs[k] = r
+            # rows of n values or numbers, each ZERO left at the array's +0.0;
+            # a row of any other shape leaves an unwritten array of that shape
+            # for the check
+            rows = list(coeffs)
+            bad = [s for s in map(_row_shape, rows) if s not in ((), (n,))]
+            if bad:
+                coeffs = np.empty((len(rows),) + bad[0])
+            else:
+                coeffs = np.zeros((len(rows), n))
+                for k, r in enumerate(rows):
+                    if r is not ZERO:
+                        coeffs[k] = r
         coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
         if coeffs.ndim != 2 or coeffs.shape[0] == 0 or coeffs.shape[1] != n:
             raise ValueError(f"a jet over {n} points needs a (P+1, {n}) array, got shape {coeffs.shape}")

@@ -10,7 +10,9 @@ harness need:
   multiplying it,
 * ``rhs``         right-hand side evaluated on lazy series-of-jets arguments,
 * ``ic_numpy``    the same initial condition on plain arrays,
-* ``rhs_numpy``   the same right-hand side on plain arrays,
+* ``rhs_numpy``   the same right-hand side on plain arrays: ``u`` is a list
+  of rows, and ``u_x`` and ``u_xx`` are read-only sequences of one row per
+  component, each row computed the first time it is read,
 * closed-form ``exact_time_derivative`` where one exists; its order 0 is the
   solution itself.
 
@@ -70,7 +72,14 @@ class PdeProblem:
     whatever the data (wave's and Schrodinger's second); anything else is a
     ``ValueError`` that names the component.  ``ic_numpy`` returns arrays
     throughout.  ``rhs`` receives ``U``, ``U_x`` and ``U_xx`` and no
-    higher spatial derivative.  ``exact_time_derivative(i, t,
+    higher spatial derivative.  ``rhs_numpy`` receives ``U`` as a list of
+    rows and ``U_x`` and ``U_xx`` as read-only sequences of one row per
+    component, each row computed the first time it is read and then kept,
+    so an equation that reads no ``U_x`` pays for none; they answer ``len``,
+    indexing, slices and iteration as a list does.  It returns one array
+    per component, and may return an argument row itself.  Both numpy
+    evaluators return ``components`` rows, or the reference solver raises
+    ``ValueError``.  ``exact_time_derivative(i, t,
     x)``, where given, is the closed-form ``d^i U / dt^i``; :meth:`exact` is its
     order 0.
     """

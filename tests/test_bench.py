@@ -469,6 +469,95 @@ def test_reference_raises_on_blow_up():
         reference_solve(prob, np.array([0.0]), 0.01)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"rhs_numpy": lambda u, u_x, u_xx, t, x: []}, "rhs_numpy returned 0 components, expected 1"),
+        ({"rhs_numpy": lambda u, u_x, u_xx, t, x: [u[0], u[0]]}, "rhs_numpy returned 2 components, expected 1"),
+        ({"ic_numpy": lambda x: [np.sin(PI * x), np.zeros_like(x)]}, "ic_numpy returned 2 components, expected 1"),
+    ],
+    ids=["rhs-none", "rhs-two", "ic-two"],
+)
+def test_reference_checks_component_counts(change, message):
+    # too few rows would leave stage slopes unwritten, too many would index
+    # past them, and a second initial component would be dropped unsolved
+    prob = dataclasses.replace(get_problem("heat"), **change)
+    with pytest.raises(ValueError, match=message):
+        reference_solve(prob, np.array([0.4]), 1e-6)
+
+
+@pytest.mark.parametrize(
+    "name, per_stage",
+    [("heat", 1), ("diffusion", 1), ("wave", 1), ("burgers", 2), ("allen_cahn", 1), ("schrodinger", 2)],
+)
+def test_reference_correlates_only_the_rows_rhs_numpy_reads(monkeypatch, name, per_stage):
+    # wave reads u_xx[0] of its two components, schrodinger u_xx of both, and
+    # only burgers reads u_x
+    problem = get_problem(name)
+    stages, correlations = [], []
+
+    def rhs_numpy(u, u_x, u_xx, t, x):
+        stages.append(t)
+        return problem.rhs_numpy(u, u_x, u_xx, t, x)
+
+    def correlate(*args, **kwargs):
+        correlations.append(args)
+        return real_correlate(*args, **kwargs)
+
+    real_correlate = np.correlate
+    monkeypatch.setattr(np, "correlate", correlate)
+    lo, hi = problem.domain
+    reference_solve(dataclasses.replace(problem, rhs_numpy=rhs_numpy), np.array([(lo + hi) / 2]), 2e-6)
+    assert stages and len(correlations) == per_stage * len(stages)
+
+
+def test_reference_stencil_rows_answer_as_a_list_does():
+    # burgers through len, a negative index, iteration and a slice: the same
+    # rows, each correlated once per stage, and the same bits
+    burgers = get_problem("burgers")
+    nu = burgers.params["viscosity"]
+
+    def through_the_sequence(u, u_x, u_xx, t, x):
+        assert len(u_x) == len(u_xx) == 1
+        assert u_xx[-1] is u_xx[0] and u_x[0:1][0] is next(iter(u_x)) is u_x[0]
+        assert list(u_xx) == [u_xx[0]] and u_xx[1:] == []
+        with pytest.raises(IndexError):
+            u_x[1]
+        (ux,) = u_x
+        return [nu * u_xx[-1] - u[0] * ux]
+
+    pts = np.linspace(-0.9, 0.9, 7)
+    want = reference_solve(burgers, pts, 1e-4)
+    got = reference_solve(dataclasses.replace(burgers, rhs_numpy=through_the_sequence), pts, 1e-4)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "returned, copied, exact",
+    [
+        (lambda u, u_xx: u[0], lambda u, u_xx: u[0] * 1.0, lambda t, x: np.exp(t) * np.sin(PI * x)),
+        (lambda u, u_xx: u_xx[0], lambda u, u_xx: u_xx[0] * 1.0,
+         lambda t, x: np.exp(-PI * PI * t) * np.sin(PI * x)),
+    ],
+    ids=["state-row", "stencil-row"],
+)
+def test_reference_copies_a_returned_argument_row(returned, copied, exact):
+    # u[0] is a view of the stage argument, which the next stage overwrites:
+    # returning it, or a stencil row, gives the bits of returning a fresh array
+    pts = np.linspace(0.1, 0.9, 5)
+    got, want = (
+        reference_solve(
+            dataclasses.replace(get_problem("heat"), diffusivity=1.0,
+                                rhs_numpy=lambda u, u_x, u_xx, t, x, f=f: [f(u, u_xx)]),
+            pts, 1e-4,
+        )[0]
+        for f in (returned, copied)
+    )
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.max(np.abs(got - exact(1e-4, pts))) < 1e-9
+
+
 def test_taylor_and_reference_disagree_only_at_the_periodic_seam():
     # The x^2*cos(pi*x) profile is continuous but not C^1 across the periodic
     # boundary, so the periodic evolution develops a thin layer there that a

@@ -258,6 +258,15 @@ def test_jet_writes_number_and_zero_rows(k):
     np.testing.assert_array_equal(Jet.constant(batch, 1.0, k + 1).coeffs.view(np.uint64), dense.view(np.uint64))
 
 
+def test_jet_rows_keep_their_zero_signs():
+    # only ZERO is left at the array's +0.0: a number or array row of -0.0
+    # is written as it is
+    batch = BatchAlgebra(2)
+    got = Jet(batch, [-0.0, ZERO, np.array([-0.0, 0.0]), 0.0, np.float64(-0.0), -0])
+    want = np.array([[-0.0, -0.0], [0.0, 0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(got.coeffs.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -272,9 +281,11 @@ def test_jet_writes_number_and_zero_rows(k):
         (lambda: seed_variable(np.array([]), 3), ValueError, "at least one point"),
         (lambda: derivative(TruncatedSeries(BatchAlgebra(1), [np.ones(1), np.zeros(1)])), TypeError,
          "derivative needs a Jet, got TruncatedSeries"),
+        (lambda: Jet(BatchAlgebra(2), [1.0, [0.0, 1.0, 2.0]]), ValueError,
+         r"jet over 2 points needs a \(P\+1, 2\) array, got shape \(2, 3\)$"),
     ],
     ids=["array-shape", "one-axis", "no-rows", "row-length", "row-axes", "empty-rows", "no-points",
-         "not-a-jet"],
+         "not-a-jet", "list-row-length"],
 )
 def test_jet_input_errors(call, error, message):
     with pytest.raises(error, match=message):
