@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import DivergenceError, compute_expansion
-from .jets import _real_points
+from .jets import _as_int, _real_points
 from .problems import NoExactOracleError, PdeProblem
 
 
@@ -116,9 +116,12 @@ def sample_points(problem: PdeProblem, count: int, tau: float | None, seed: int)
 
 def _sample(problem: PdeProblem, count: int, tau: float | None, seed: int):
     """:func:`sample_points` and the threshold it applied."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if seed < 0:  # numpy's own error would not name the seed
+    # numpy's own errors would not name the argument, and would take True as 1
+    if _as_int(count) is None or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    if _as_int(seed) is None:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if tau is not None and not tau >= 0:  # also rejects NaN
         raise ValueError(f"exclusion threshold must be >= 0, got {tau}")

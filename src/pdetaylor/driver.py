@@ -85,12 +85,11 @@ exact in float64 up to ``22!``, and the stored ``C_i`` do not include it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import _BLOCK, BatchAlgebra, Jet, _real_points, derivative, flat
+from .jets import _BLOCK, BatchAlgebra, Jet, _as_int, _real_points, derivative, flat
 from .problems import PdeProblem
 from .series import ZERO, LazySeries, SeriesTape, TruncatedSeries, _as_scalar, _real
 
@@ -167,11 +166,8 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
     lo, hi = problem.domain
     if not bool(np.all((x > lo) & (x < hi))):
         raise ValueError(f"expansion points must lie strictly inside ({lo}, {hi})")
-    try:
-        max_order = 0 if isinstance(max_order, bool) else operator.index(max_order)
-    except TypeError:
-        max_order = 0
-    if not 1 <= max_order <= MAX_ORDER:
+    max_order = _as_int(max_order)
+    if max_order is None or not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be an integer in 1..{MAX_ORDER}")
 
     m = problem.components

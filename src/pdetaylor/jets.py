@@ -46,10 +46,11 @@ ZERO, ..., ZERO)`` instead, for the initial condition and for its ``x`` node,
 so that a lift of it visits only the rows that are not ``ZERO``: one term per
 order.  The driver converts each series that the initial condition returns
 and each new coefficient, a lift converts its result when its constant term
-is such a series, and every jet operator, ``+``, ``-``, ``*`` and ``/`` on
-either side, converts one that it meets, so ``x`` works wherever a jet does;
-the left factor of a product stays the left one, since the kernel sums each
-row in the order of its rows.
+is such a series, every jet operator, ``+``, ``-`` and ``*`` on either side,
+converts one that it meets, and a quotient, which jets inherit from
+:class:`~pdetaylor.series.TruncatedSeries`, converts both of its operands, so
+``x`` works wherever a jet does; the left factor of a product stays the left
+one, since the kernel sums each row in the order of its rows.
 :func:`derivative` extracts the jet of ``f^(m)``, which is ``m`` orders
 shorter than its input.
 
@@ -217,15 +218,6 @@ class Jet(TruncatedSeries):
             return self.__mul__(other)
         return Jet(self.algebra, _convolve(rows[1], rows[0]))
 
-    def __truediv__(self, other):
-        return TruncatedSeries.__truediv__(self, flat(other))
-
-    def __rtruediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
-            return flat(other) / self
-        return TruncatedSeries.__rtruediv__(self, other)
-
     @staticmethod
     def _fold_products(acc, pairs, sub):
         """``acc + w * x * y`` for each ``(w, x, y)`` of jet pairs, in order, or
@@ -304,6 +296,17 @@ def _real_points(points, what: str) -> np.ndarray:
     return x.astype(np.float64, copy=False)
 
 
+def _as_int(value):
+    """``value`` as an int when it is an integer, read by ``operator.index``,
+    else None: a bool is not one here, so ``True`` is not the integer 1."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def seed_variable(points, order: int) -> Jet:
     """Jet of the identity at the given points: ``[X, 1, 0, ..., 0]``."""
     x = _real_points(points, "seed points").ravel()
@@ -320,11 +323,8 @@ def derivative(jet: Jet, m: int = 1) -> Jet:
     """
     if not isinstance(jet, Jet):
         raise TypeError(f"derivative needs a Jet, got {type(jet).__name__}")
-    try:
-        m = -1 if isinstance(m, bool) else operator.index(m)
-    except TypeError:
-        m = -1
-    if m < 0:
+    m = _as_int(m)
+    if m is None or m < 0:
         raise ValueError("derivative order must be a non-negative integer")
     if m > jet.order:
         raise InsufficientJetOrderError(

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import _real_points
+from .jets import _as_int, _real_points
 from .series import ZERO, TruncatedSeries, cos, exp, sech, sin
 
 PI = math.pi
@@ -111,9 +111,10 @@ class PdeProblem:
         """Closed-form ``d^order U / dt^order`` at time ``t``, per component."""
         if self.exact_time_derivative is None:
             raise NoExactOracleError(f"problem {self.name!r} has no closed-form derivatives")
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        return self.exact_time_derivative(order, t, _real_points(x, "exact solution points"))
+        k = _as_int(order)
+        if k is None or k < 0:
+            raise ValueError(f"derivative order must be a non-negative integer, got {order!r}")
+        return self.exact_time_derivative(k, t, _real_points(x, "exact solution points"))
 
 
 def _merge_params(defaults: dict[str, float], overrides: dict[str, float] | None, name: str):

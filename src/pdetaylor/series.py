@@ -22,10 +22,13 @@ operations: :class:`RealAlgebra` for floats, and the batch and spatial-jet
 algebras of :mod:`pdetaylor.jets`.  Two series of different orders raise
 :class:`OrderMismatchError`, except flat jets, which combine at the lower
 order: the check returns the number of coefficients two operands combine
-at, and every binary operation reads that many.  Because a jet is itself a
-truncated series, series can nest: a series in the time infinitesimal whose
-coefficients are jets in a space increment, whose coefficients are batches
-of reals.
+at, and every binary operation reads that many.  A quotient divides each
+series of rows over a batch of points as its flat jet, so it is a jet when
+one is on either side, and two series of rows of different orders divide at
+the lower order, where ``+``, ``-`` and ``*`` raise.  Because a jet is
+itself a truncated series, series can nest: a series in the time
+infinitesimal whose coefficients are jets in a space increment, whose
+coefficients are batches of reals.
 
 Analytic functions (exp, sin, cos, ln, constant powers) extend to series
 through the usual Taylor-composition recurrences, and reciprocal and sech are
@@ -69,7 +72,8 @@ the identity with every coefficient past order 1 ``ZERO``, and its ``x`` node
 reads the same identity, so a lift of it makes one product per order where
 zero rows would make one per term.  Such a lift of a constant term that is a
 series of rows over a batch is made a flat jet once, by
-:func:`pdetaylor.jets.flat`, which the jets module builds on this one.  A
+:func:`pdetaylor.jets.flat`, which the jets module builds on this one, and so
+is each operand of a quotient over a batch, which divides dense rows.  A
 skipped term would have added ``0.0 * f``, so an exact zero may keep the sign
 ``-0.0`` where zero rows give ``+0.0``, and a non-finite ``f`` reaches no
 result; every other value is the same.  A constant term that is ``ZERO``
@@ -324,18 +328,14 @@ class TruncatedSeries:
             return self._new([c / s for c in self.coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = self._check_compatible(other)
-        a, b = self.coeffs, other.coeffs
-        q = self._buffer()[:n]
-        if type(b) is tuple and _float_rows(b) and not any(r is ZERO for r in a):
-            # float rows, stacked once so that every step multiplies whole
-            # arrays; a numerator row is read in place, and only ZERO cannot
-            # be a quotient row of an array
-            b = np.stack(b)
-            q = np.empty_like(b)
+        # a series of rows over a batch divides as its flat jet, so a quotient
+        # with one on either side is a jet, at the lower of the two orders
+        num, den = _flat(self), _flat(other)
+        n = num._check_compatible(den)
+        a, b, q = num.coeffs, den.coeffs, num._buffer()[:n]
         for k in range(n):
             q[k] = _div_step(a[k], b, q, k)
-        return self._new(q)
+        return num._new(q)
 
     def __rtruediv__(self, other):
         s = _as_scalar(other)
@@ -387,19 +387,10 @@ def _is_invertible(a) -> bool:
     return bool(np.all(_real(a) != 0.0))
 
 
-def _float_rows(coeffs) -> bool:
-    """Whether every coefficient is a float64 array of one shape and at least
-    one axis, as a jet's rows are (a 0-d row would be summed as a number)."""
-    shape = getattr(coeffs[0], "shape", ())
-    return len(shape) >= 1 and all(
-        isinstance(c, np.ndarray) and c.dtype == np.float64 and c.shape == shape for c in coeffs
-    )
-
-
 def _flat(series):
-    """A lift of a series constant term as :func:`pdetaylor.jets.flat` makes it:
-    one flat jet when its rows are over a batch of points, such as the lift of
-    the expansion driver's ``x`` node, and as it is otherwise."""
+    """A series as :func:`pdetaylor.jets.flat` makes it: one flat jet when its
+    rows are over a batch of points, such as the expansion driver's ``x`` node
+    or a lift of it, and as it is otherwise."""
     from .jets import flat  # jets builds on this module
 
     return flat(series)

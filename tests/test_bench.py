@@ -108,11 +108,27 @@ def test_sampling_threshold_validation():
         sample_points(prob, 5, tau=1.0, seed=0)  # nothing exceeds the peak
     with pytest.raises(ValueError):
         sample_points(prob, 0, tau=0.1, seed=0)
+    # numpy would raise its own TypeError for a fractional count, and read
+    # True as a count of 1
+    for count in (2.5, True, "5"):
+        with pytest.raises(ValueError, match=r"^count must be an integer >= 1, got "):
+            sample_points(prob, count, tau=0.1, seed=0)
+    assert sample_points(prob, np.int64(5), tau=0.1, seed=0).shape == (5,)
 
 
 def test_negative_seed_is_rejected_by_name():
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         sample_points(get_problem("heat"), 5, tau=0.1, seed=-1)
+    # numpy would reject 1.5 without naming the seed, and sample True as seed 1
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer, got {seed!r}$"):
+            sample_points(get_problem("heat"), 5, tau=0.1, seed=seed)
+        with pytest.raises(ValueError, match=rf"^seed must be an integer, got {seed!r}$"):
+            run_benchmark(get_problem("heat"), max_order=2, num_points=5, seed=seed)
+    np.testing.assert_array_equal(
+        sample_points(get_problem("heat"), 5, tau=0.1, seed=np.int64(3)),
+        sample_points(get_problem("heat"), 5, tau=0.1, seed=3),
+    )
 
 
 def test_sampling_error_when_threshold_leaves_no_room():

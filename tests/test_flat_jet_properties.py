@@ -7,12 +7,12 @@ computed once on jets and once on a :class:`TruncatedSeries` over
 series recurrence steps row by row, and the results are compared as uint64
 bit patterns.  Orders reach 42 (the working jet order of a K=21 expansion)
 and batches 70 points; rows are random and finite, with exact and negative
-zeros mixed in.  A quotient of float rows stacks them as a flat jet does,
-so the reference series is kept from doing so and divides term by term.  A
-series step forms the terms of one coefficient as one array where it can, the
-rows of a flat jet or a stack of jet products, and sums it with one
-reduction; its coefficient is compared with the same terms formed row by row
-and added one at a time, in order.
+zeros mixed in.  A quotient converts a series of rows to its flat jet, so
+the reference quotients run the division step over the rows as a tuple, term
+by term.  A series step forms the terms of one coefficient as one array where
+it can, the rows of a flat jet or a stack of jet products, and sums it with
+one reduction; its coefficient is compared with the same terms formed row by
+row and added one at a time, in order.
 """
 
 from unittest import mock
@@ -23,7 +23,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdetaylor import BatchAlgebra, TruncatedSeries, derivative, exp, jets, log, power, seed_variable, sin_cos
-from pdetaylor import series as series_module
 from pdetaylor.jets import Jet
 from pdetaylor.series import ZERO, RealAlgebra, _div_step, _fold, _index, _mul_step, _weighted_sum
 
@@ -59,6 +58,24 @@ OPERATIONS = {
     "power_frac": lambda a, b, s: power(b, 1.5),
 }
 POSITIVE = {"log", "power_frac"}
+
+
+def _quotient_by_terms(a, b):
+    """The rows ``a / b`` as a row-by-row series: the division step over the
+    rows ``a`` and ``b`` as tuples, one term at a time."""
+    q = [None] * len(a)
+    for k in range(len(a)):
+        q[k] = _div_step(a[k], b, q, k)
+    return TruncatedSeries(BatchAlgebra(len(b[0])), q)
+
+
+# a quotient divides a row-by-row series as its flat jet, so the reference
+# quotients run the division step on the rows instead; ``s / b`` divides
+# the constant ``s``, whose zero rows are ``0.0 * s``
+REFERENCES = {
+    "div": lambda a, b, s: _quotient_by_terms(a.coeffs, b.coeffs),
+    "rdiv": lambda a, b, s: _quotient_by_terms((s,) + (0.0 * s,) * b.order, b.coeffs),
+}
 
 
 def _rows(seed, order, size, invertible=False):
@@ -106,10 +123,7 @@ def test_flat_jet_matches_row_by_row_series(name, order, size, seed, s):
     op = OPERATIONS[name]
     with np.errstate(over="ignore", invalid="ignore"):
         got = _as_tuple(op(jet_a, jet_b, s))
-        # the reference quotient, in div, rdiv and the negative power, runs the
-        # per-term steps rather than stacking its rows into the flat path
-        with mock.patch.object(series_module, "_float_rows", return_value=False):
-            want = _as_tuple(op(ref_a, ref_b, s))
+        want = _as_tuple(REFERENCES.get(name, op)(ref_a, ref_b, s))
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert isinstance(g, Jet) and g.coeffs.flags.c_contiguous
@@ -118,7 +132,8 @@ def test_flat_jet_matches_row_by_row_series(name, order, size, seed, s):
 
 
 def test_quotient_of_zero_dimensional_rows():
-    # 0-d rows are numbers to the steps, not rows to stack
+    # 0-d rows are numbers to the steps, and a series over RealAlgebra is no
+    # batch of rows to divide as a jet
     a = TruncatedSeries(RealAlgebra(), [np.array(2.0), np.array(1.0)])
     assert (a / a).coeffs == (1.0, 0.0)
     assert (1.0 / a).coeffs == (0.5, -0.25)

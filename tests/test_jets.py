@@ -19,7 +19,7 @@ from pdetaylor import (
     seed_variable,
 )
 from pdetaylor.jets import Jet
-from pdetaylor.series import ZERO, LiftDomainError, exp, log, power, reciprocal, sin
+from pdetaylor.series import ZERO, LiftDomainError, OrderMismatchError, exp, log, power, reciprocal, sin
 
 from conftest import factorial, ic_jets, mp_derivative, mp_initial_profiles
 
@@ -296,17 +296,27 @@ def test_jet_input_errors(call, error, message):
                          ids=["add", "sub", "mul", "div"])
 def test_series_of_rows_meets_a_jet_as_its_flat_jet(op):
     # the identity with ZERO rows, as the driver's x node holds it, on either
-    # side of a jet of lower order: the jet operator converts it, and the
-    # result is the dense seed's, bit for bit
+    # side of a jet of lower order: the operator converts it, and the result
+    # is the dense seed's, bit for bit
     x = np.array([0.3, -0.4, 1.2])
+    seed = seed_variable(x, 5)
     rows = TruncatedSeries(BatchAlgebra(3), (x, 1.0) + (ZERO,) * 4)
     jet = exp(seed_variable(x, 3) * 0.5)
-    for a, b in ((rows, jet), (jet, rows)):
+    cases = [(rows, jet, seed, jet), (jet, rows, jet, seed)]
+    # two dense series of rows of different orders: a quotient divides them
+    # as their flat jets, where the other operators raise
+    dense_a, dense_b = (TruncatedSeries(BatchAlgebra(3), tuple(j.coeffs)) for j in (seed, jet))
+    if op is operator.truediv:
+        cases.append((dense_a, dense_b, seed, jet))
+    else:
+        with pytest.raises(OrderMismatchError):
+            op(dense_a, dense_b)
+    for a, b, jet_a, jet_b in cases:
         got = op(a, b)
-        want = op(*(seed_variable(x, 5) if s is rows else s for s in (a, b)))
+        want = op(jet_a, jet_b)
         assert type(got) is Jet and got.order == 3
         np.testing.assert_array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
-    assert jets.flat(rows).coeffs.tobytes() == seed_variable(x, 5).coeffs.tobytes()
+    assert jets.flat(rows).coeffs.tobytes() == seed.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("points", [np.array([0.3 + 0.2j]), [0.5, 0.3 + 0j]], ids=["complex", "zero-imaginary"])

@@ -266,3 +266,14 @@ def test_exact_solution_keeps_the_shape_of_its_points():
 def test_exact_derivative_rejects_negative_order():
     with pytest.raises(ValueError):
         get_problem("heat").exact_derivative(-1, 0.0, np.array([0.5]))
+    # a fractional order once gave heat a complex derivative and wave zeros,
+    # and True counted as order 1
+    for name in ("heat", "wave"):
+        for order in (1.5, True, np.bool_(True), "1"):
+            with pytest.raises(ValueError, match=r"derivative order must be a non-negative integer, got "):
+                get_problem(name).exact_derivative(order, 0.0, np.array([0.3]))
+    for order in (np.int64(2), np.uint8(2)):
+        np.testing.assert_array_equal(
+            get_problem("heat").exact_derivative(order, 0.0, np.array([0.3]))[0],
+            get_problem("heat").exact_derivative(2, 0.0, np.array([0.3]))[0],
+        )
