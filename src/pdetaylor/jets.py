@@ -27,7 +27,8 @@ products; a lone term, such as a jet times a number, is added by one ``+``.  A
 coefficient that does not vary in space is not a jet at all: it is the
 structural zero of :mod:`pdetaylor.series` when it is zero whatever the data,
 such as Schrodinger's parity zeros, or a plain number, such as those of
-diffusion's ``exp(-t)``, and a jet times a number is one scaling.
+diffusion's ``exp(-t)``, and a jet times or over a number is one scaling or
+one division of its array.
 
 A jet is a :class:`~pdetaylor.series.TruncatedSeries` over
 :class:`BatchAlgebra`, so the quotient and the analytic lifts of

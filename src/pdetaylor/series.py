@@ -325,7 +325,9 @@ class TruncatedSeries:
     def __truediv__(self, other):
         s = _number_divisor(other)
         if s is not None:
-            return self._new([c / s for c in self.coeffs])
+            # a jet's rows are one array, divided at once
+            c = self.coeffs
+            return self._new(c / s if isinstance(c, np.ndarray) else [a / s for a in c])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         # a series of rows over a batch divides as its flat jet, so a quotient

@@ -23,7 +23,7 @@ from pdetaylor import (
     sample_points,
     write_report_csv,
 )
-from pdetaylor.bench import _CELLS, _DT_MAX, default_exclusion
+from pdetaylor.bench import _CELLS, _DT_MAX, _interpolate, _stable_step, default_exclusion
 from pdetaylor.series import sin as series_sin
 
 PI = math.pi
@@ -114,6 +114,10 @@ def test_sampling_threshold_validation():
         with pytest.raises(ValueError, match=r"^count must be an integer >= 1, got "):
             sample_points(prob, count, tau=0.1, seed=0)
     assert sample_points(prob, np.int64(5), tau=0.1, seed=0).shape == (5,)
+    # run_benchmark takes the count as num_points, and says so
+    for count in (0, 2.5, True):
+        with pytest.raises(ValueError, match=rf"^num_points must be an integer >= 1, got {count!r}$"):
+            run_benchmark(prob, max_order=2, num_points=count)
 
 
 def test_negative_seed_is_rejected_by_name():
@@ -525,6 +529,123 @@ def test_reference_correlates_only_the_rows_rhs_numpy_reads(monkeypatch, name, p
     lo, hi = problem.domain
     reference_solve(dataclasses.replace(problem, rhs_numpy=rhs_numpy), np.array([(lo + hi) / 2]), 2e-6)
     assert stages and len(correlations) == per_stage * len(stages)
+
+
+def _reference_stage_by_stage(problem, points, t1):
+    """``reference_solve`` written out plainly: every stage builds its rows,
+    ghost cells and eager stencil lists anew, from a writeable grid."""
+    lo, hi = problem.domain
+    periodic = problem.boundary == "periodic"
+    h = (hi - lo) / _CELLS
+    grid = lo + h * np.arange(_CELLS) if periodic else np.linspace(lo, hi, _CELLS + 1)
+    state = np.stack(problem.ic_numpy(grid))
+    dt = _stable_step(problem, h)
+    n_steps = max(1, math.ceil(t1 / dt))
+    dt = t1 / n_steps
+    first = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
+    second = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+
+    def stencil(ue, weights, scale):
+        rows = [np.correlate(row, weights, "valid") for row in ue]
+        for row in rows:
+            row *= scale
+        return rows
+
+    def deriv(t, s):
+        ue = np.empty((len(s), s.shape[1] + 4))
+        ue[:, 2:-2] = s
+        if periodic:
+            ue[:, :2] = s[:, -2:]
+            ue[:, -2:] = s[:, :2]
+        else:
+            np.negative(s[:, 2:0:-1], out=ue[:, :2])
+            np.negative(s[:, -2:-4:-1], out=ue[:, -2:])
+        ux = stencil(ue, first, 1 / (12 * h))
+        uxx = stencil(ue, second, 1 / (12 * h * h))
+        out = np.stack(problem.rhs_numpy(list(ue[:, 2:-2]), ux, uxx, t, grid))
+        if not periodic:
+            out[:, :: s.shape[1] - 1] = 0.0
+        return out
+
+    t = 0.0
+    for _ in range(n_steps):
+        k1 = deriv(t, state)
+        k2 = deriv(t + dt / 2, k1 * (dt / 2) + state)
+        k3 = deriv(t + dt / 2, k2 * (dt / 2) + state)
+        k4 = deriv(t + dt, k3 * dt + state)
+        state = state + (((k2 + k3) * 2 + k1) + k4) * (dt / 6)
+        t += dt
+    return _interpolate(problem, grid, state, np.asarray(points, dtype=float), periodic, hi)
+
+
+@pytest.mark.parametrize("name", ["heat", "diffusion", "wave", "burgers", "allen_cahn", "schrodinger"])
+def test_reference_stages_match_a_stage_by_stage_solve(name):
+    # the views, row lists and stencil caches bound once per solve change no
+    # bit: a stage that kept a row from the stage before would
+    problem = get_problem(name)
+    pts = sample_points(problem, 30, default_exclusion(problem), 0)
+    got = reference_solve(problem, pts, 2e-5)
+    want = _reference_stage_by_stage(problem, pts, 2e-5)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["burgers", "schrodinger"])
+def test_reference_stages_do_not_reach_each_other_through_their_arguments(name):
+    # an rhs_numpy that reads the sequences it was handed a stage before and
+    # rebinds the rows of its u gets the bits of the one it wraps
+    problem = get_problem(name)
+    before = []
+
+    def meddling(u, u_x, u_xx, t, x):
+        for seq in before:
+            list(seq)
+        f = problem.rhs_numpy(u, u_x, u_xx, t, x)
+        u[:] = [np.full_like(row, np.nan) for row in u]
+        before[:] = u, u_x, u_xx
+        return f
+
+    pts = sample_points(problem, 20, default_exclusion(problem), 1)
+    want = reference_solve(problem, pts, 2e-5)
+    got = reference_solve(dataclasses.replace(problem, rhs_numpy=meddling), pts, 2e-5)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def test_diffusion_forcing_is_computed_once_per_solve(monkeypatch):
+    # the reference solver's grid is read-only, so diffusion keeps its forcing
+    # profile there; a writeable grid is read again at every call
+    problem = get_problem("diffusion")
+    stages, sines = [], []
+
+    def rhs_numpy(u, u_x, u_xx, t, x):
+        stages.append(t)
+        assert not x.flags.writeable
+        return problem.rhs_numpy(u, u_x, u_xx, t, x)
+
+    def spy(a, *args, **kwargs):
+        sines.append(np.size(a))
+        return real_sin(a, *args, **kwargs)
+
+    real_sin = np.sin
+    monkeypatch.setattr(np, "sin", spy)
+    solver = dataclasses.replace(problem, rhs_numpy=rhs_numpy)
+    for _ in range(2):
+        stages.clear()
+        sines.clear()
+        reference_solve(solver, np.array([0.3]), 2e-6)
+        # one sine for the initial condition, one for the forcing
+        assert len(stages) > 4 and sines == [_CELLS + 1] * 2
+
+    x = np.linspace(-1.0, 1.0, 9)
+    u, u_xx = [np.zeros(9)], [np.zeros(9)]
+    sines.clear()
+    fresh = [problem.rhs_numpy(u, u_xx, u_xx, 0.0, x)[0] for _ in range(2)]
+    x.flags.writeable = False
+    kept = [problem.rhs_numpy(u, u_xx, u_xx, 0.0, x)[0] for _ in range(2)]
+    assert sines == [9, 9, 9]
+    for row in fresh + kept:
+        np.testing.assert_array_equal(row.view(np.uint64), fresh[0].view(np.uint64))
 
 
 def test_reference_stencil_rows_answer_as_a_list_does():

@@ -19,7 +19,18 @@ from pdetaylor import (
     seed_variable,
 )
 from pdetaylor.jets import Jet
-from pdetaylor.series import ZERO, LiftDomainError, OrderMismatchError, exp, log, power, reciprocal, sin
+from pdetaylor.series import (
+    ZERO,
+    LazySeries,
+    LiftDomainError,
+    OrderMismatchError,
+    SeriesTape,
+    exp,
+    log,
+    power,
+    reciprocal,
+    sin,
+)
 
 from conftest import factorial, ic_jets, mp_derivative, mp_initial_profiles
 
@@ -317,6 +328,22 @@ def test_series_of_rows_meets_a_jet_as_its_flat_jet(op):
         assert type(got) is Jet and got.order == 3
         np.testing.assert_array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
     assert jets.flat(rows).coeffs.tobytes() == seed.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 40])
+@pytest.mark.parametrize("size", [1, 2048])
+def test_jet_divided_by_a_number_is_its_rows_divided(order, size):
+    # one array division: the same IEEE quotient per entry as dividing row by
+    # row, where multiplying by the reciprocal would round differently; a
+    # lazy node divides each jet coefficient the same way
+    rng = np.random.default_rng(order + size)
+    jet = Jet(BatchAlgebra(size), rng.standard_normal((order + 1, size)))
+    want = np.stack([row / 3.0 for row in jet.coeffs])
+    got = jet / 3.0
+    assert type(got) is Jet and "__truediv__" not in Jet.__dict__
+    np.testing.assert_array_equal(got.coeffs.view(np.uint64), want.view(np.uint64))
+    node = LazySeries(SeriesTape(), lambda k: jet) / 3.0
+    np.testing.assert_array_equal(node.coeff(0).coeffs.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("points", [np.array([0.3 + 0.2j]), [0.5, 0.3 + 0j]], ids=["complex", "zero-imaginary"])
