@@ -11,18 +11,17 @@ reported numbers are comparable across problems and orders.
 For problems with no closed form, :func:`reference_solve` provides a
 method-of-lines oracle: fourth-order centred finite differences in space on a
 fine grid, classical Runge-Kutta in time with a conservatively small step,
-cubic-spline interpolation onto the query points.  It is built exclusively on
-the plain-array evaluators of a problem, never on the series machinery it is
-used to check, and is only trusted over short horizons (t <= 0.1).  At each
-Runge-Kutta stage it differentiates only what ``rhs_numpy`` reads: a stencil
-row is computed the first time it is read, so heat, diffusion, wave,
-allen_cahn and Schrodinger, which read no ``U_x``, correlate one stencil per
-component they read, and burgers two.  What a stage reuses is bound once per
-solve: the row views, ghost cells and stencil sequences of the state and of
-the stage argument, so a stage fills the ghost cells, clears the two stencil
-sequences and does the arithmetic that changes.  scipy,
-for the spline, is imported on the first interpolation, so a run that never
-calls :func:`reference_solve` loads numpy but no part of scipy.
+six-point Lagrange interpolation onto the query points.  It is built
+exclusively on the plain-array evaluators of a problem, never on the series
+machinery it is used to check, and is only trusted over short horizons
+(t <= 0.1).  At each Runge-Kutta stage it differentiates only what
+``rhs_numpy`` reads: a stencil row is computed the first time it is read, so
+heat, diffusion, wave, allen_cahn and Schrodinger, which read no ``U_x``,
+correlate one stencil per component they read, and burgers two.  What a
+stage reuses is bound once per solve: the row views, ghost cells and stencil
+sequences of the state and of the stage argument, so a stage fills the ghost
+cells, clears the two stencil sequences and does the arithmetic that
+changes.  It needs numpy alone.
 """
 
 from __future__ import annotations
@@ -357,19 +356,20 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
     Fourth-order centred differences on 2048 grid intervals (periodic
     wrap-around or odd reflection through zero-valued Dirichlet endpoints),
     classical fourth-order Runge-Kutta stepping with a step of at most 1e-6,
-    lowered further whenever the explicit stability bound demands it, and a
-    cubic spline back onto the query points.  ``t1`` must lie in [0, 0.1],
-    and the points must be at least one, each real and inside the closed
-    domain: the spline would extrapolate past it.  ``rhs_numpy`` receives
-    ``U_x`` and ``U_xx`` as read-only sequences whose rows are correlated
-    and scaled the first time it reads them, at most once per stage; the
-    rows it returns are copied into the stage slope.  The two sequences of
-    each buffer (state and stage argument) are built once per solve and
-    cleared at every stage, and ``U`` is a fresh list of row views of that
-    buffer, so a row that ``rhs_numpy`` rebinds does not reach a later stage.
-    The grid it receives is read-only and the same at every stage.
-    ``ic_numpy`` and ``rhs_numpy`` must each return ``problem.components``
-    rows, or this raises ``ValueError``.
+    lowered further whenever the explicit stability bound demands it, and
+    six-point Lagrange interpolation back onto the query points, whose
+    nodes past an end are the ghost cells of the stencils.  ``t1`` must lie
+    in [0, 0.1], and the points must be at least one, each real and inside
+    the closed domain: past it the interpolant would extrapolate.
+    ``rhs_numpy`` receives ``U_x`` and ``U_xx`` as read-only sequences whose
+    rows are correlated and scaled the first time it reads them, at most
+    once per stage; the rows it returns are copied into the stage slope.
+    The two sequences of each buffer (state and stage argument) are built
+    once per solve and cleared at every stage, and ``U`` is a fresh list of
+    row views of that buffer, so a row that ``rhs_numpy`` rebinds does not
+    reach a later stage.  The grid it receives is read-only and the same at
+    every stage.  ``ic_numpy`` and ``rhs_numpy`` must each return
+    ``problem.components`` rows, or this raises ``ValueError``.
     """
     x_query = _real_points(points, "reference query points").ravel()
     if not 0.0 <= t1 <= 0.1:
@@ -391,7 +391,7 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
         raise ValueError(f"ic_numpy returned {len(g)} components, expected {m}")
     state = np.stack(g)
     if t1 == 0.0:
-        return _interpolate(problem, grid, state, x_query, periodic, hi)
+        return _interpolate(state, x_query, lo, h, periodic)
 
     dt = _stable_step(problem, h)
     n_steps = max(1, math.ceil(t1 / dt))
@@ -478,7 +478,7 @@ def reference_solve(problem: PdeProblem, points, t1: float) -> list[np.ndarray]:
             raise OracleFailure(f"reference solve went non-finite near t={t:.3e}")
     if not np.isfinite(state).all():
         raise OracleFailure("reference solve finished with non-finite values")
-    return _interpolate(problem, grid, state, x_query, periodic, hi)
+    return _interpolate(state, x_query, lo, h, periodic)
 
 
 class _StencilRows(Sequence):
@@ -530,16 +530,23 @@ def _stable_step(problem: PdeProblem, h: float) -> float:
     return dt
 
 
-def _interpolate(problem, grid, state, x_query, periodic, hi):
-    from scipy.interpolate import CubicSpline  # here, so that only the oracle pays its import
-
-    out = []
-    for c in range(problem.components):
-        if periodic:
-            xs = np.append(grid, hi)
-            ys = np.append(state[c], state[c][0])
-            spline = CubicSpline(xs, ys, bc_type="periodic")
-        else:
-            spline = CubicSpline(grid, state[c])
-        out.append(spline(x_query))
-    return out
+def _interpolate(state, x_query, lo, h, periodic):
+    """Each row of ``state`` on the solver's grid, read at ``x_query`` by the
+    degree-5 Lagrange polynomial through the six nodes around each point's
+    cell, at offsets -2..+3; ``x == hi`` reads the last cell.  Past an end
+    the nodes are the solver's own ghost cells: a periodic wrap, or an odd
+    reflection through the zero-valued Dirichlet ends.
+    """
+    if periodic:
+        padded = np.concatenate([state[:, -2:], state, state[:, :3]], axis=1)
+    else:
+        padded = np.concatenate([-state[:, 2:0:-1], state, -state[:, -2:-4:-1]], axis=1)
+    r = (x_query - lo) / h
+    cell = np.minimum(np.floor(r).astype(np.intp), _CELLS - 1)
+    s = r - cell
+    nodes = range(-2, 4)
+    weights = np.array([np.prod([(s - k) / (j - k) for k in nodes if k != j], axis=0)
+                        for j in nodes])
+    # padded column n + 2 holds grid node n
+    values = padded[:, cell + np.arange(6)[:, None]]
+    return list((values * weights).sum(axis=1))

@@ -170,3 +170,38 @@ def cole_hopf_burgers_coefficients(points, max_order: int, digits: int = 120) ->
                 q.append((b[k] - mp.fsum(a[j] * q[k - j] for j in range(1, k + 1))) / a[0])
             out[:, col] = [float(-2 * nu * qk) for qk in q]
     return out
+
+
+def cole_hopf_burgers_values(points, t: float, digits: int = 90, terms: int = 200) -> np.ndarray:
+    """Values of burgers at time ``t``, by the Fourier-Bessel form of Cole-Hopf.
+
+    With ``a = 1 / (2 pi nu)``, ``phi_0 = exp(-a cos(pi x))`` is
+    ``I_0(a) + 2 sum_n (-1)**n I_n(a) cos(n pi x)``; each mode of the heat
+    equation ``phi_t = nu phi_xx`` decays by ``exp(-nu n**2 pi**2 t)``, and
+    ``u = -2 nu phi_x / phi``.  The terms cancel over a range of about
+    ``e**(+-50)``, so the sum runs in ``digits``-digit mpmath; ``terms`` modes
+    leave a tail far below float64 at ``a = 50``.  ``pi`` and ``nu = 0.01 / pi``
+    are the float64 values the problem uses.  Returns an array of shape ``(N,)``.
+    """
+    pi_f = math.pi
+    out = np.empty(len(points))
+    with mp.workdps(digits):
+        pi, nu = mp.mpf(pi_f), mp.mpf(0.01 / pi_f)
+        a = 1 / (2 * pi * nu)
+        modes = [(-1) ** n * mp.besseli(n, a) * mp.exp(-nu * n**2 * pi**2 * t)
+                 for n in range(terms + 1)]
+        for col, x in enumerate(points):
+            x = mp.mpf(float(x))
+            phi = modes[0] + 2 * mp.fsum(modes[n] * mp.cos(n * pi * x) for n in range(1, terms + 1))
+            phi_x = -2 * pi * mp.fsum(n * modes[n] * mp.sin(n * pi * x) for n in range(1, terms + 1))
+            out[col] = float(-2 * nu * phi_x / phi)
+    return out
+
+
+@pytest.fixture(scope="session")
+def burgers_truth():
+    """The 40 burgers ``sample_points`` of seed 0 and their Cole-Hopf values at
+    t = 0.0025, 0.01 and 0.05, computed once per session (about 0.7 s each)."""
+    prob = get_problem("burgers")
+    x = sample_points(prob, 40, default_exclusion(prob), 0)
+    return x, {t: cole_hopf_burgers_values(x, t) for t in (0.0025, 0.01, 0.05)}

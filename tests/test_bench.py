@@ -382,7 +382,7 @@ def test_reference_contract_enforced():
         reference_solve(prob, pts, -0.01)
     with pytest.raises(ValueError, match="horizon"):
         reference_solve(prob, pts, math.nan)
-    # the spline must not extrapolate: every point finite and inside [lo, hi]
+    # every point finite and inside [lo, hi], where the interpolant has its nodes
     lo, hi = prob.domain
     for bad in ([], [hi + 1e-12], [lo - 0.5], [0.4, math.nan], [math.inf]):
         with pytest.raises(ValueError, match="inside"):
@@ -398,6 +398,68 @@ def test_reference_at_zero_returns_initial_profile():
     pts = np.linspace(0.1, 0.9, 9)
     got = reference_solve(prob, pts, 0.0)
     np.testing.assert_allclose(got[0], np.sin(PI * pts), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_interpolant_reproduces_a_quintic_on_interior_cells(periodic):
+    # six nodes fix a degree-5 polynomial, so only rounding is left: measured
+    # 1.3e-15 on both boundary kinds
+    lo, hi = -1.0, 1.0
+    h = (hi - lo) / _CELLS
+    grid = lo + h * np.arange(_CELLS) if periodic else np.linspace(lo, hi, _CELLS + 1)
+    coeffs = [0.3, -1.1, 0.7, 2.0, -0.4, 1.3]
+    state = np.stack([np.polyval(coeffs, grid), np.polyval(coeffs[::-1], grid)])
+    # cells 2 .. _CELLS - 4 read no ghost node
+    x = np.random.default_rng(0).uniform(lo + 2 * h, hi - 3 * h, 500)
+    got = _interpolate(state, x, lo, h, periodic)
+    for row, c in zip(got, (coeffs, coeffs[::-1])):
+        np.testing.assert_allclose(row, np.polyval(c, x), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_interpolant_reads_the_solver_ghost_cells_near_the_ends(periodic):
+    # sin(pi x) on [0, 1] is odd about both Dirichlet ends, and on [-1, 1] it
+    # is periodic, so each ghost rule extends it smoothly: the six-node error
+    # is then about (pi h)**6, near the ends as inside, and what is left is
+    # rounding: measured 2.9e-16 (Dirichlet) and 7.6e-16 (periodic)
+    lo, hi = (-1.0, 1.0) if periodic else (0.0, 1.0)
+    h = (hi - lo) / _CELLS
+    grid = lo + h * np.arange(_CELLS) if periodic else np.linspace(lo, hi, _CELLS + 1)
+    x = np.concatenate([np.linspace(lo, lo + 3 * h, 31), np.linspace(hi - 3 * h, hi, 31)])
+    got = _interpolate(np.sin(PI * grid)[None], x, lo, h, periodic)[0]
+    np.testing.assert_allclose(got, np.sin(PI * x), rtol=0, atol=4e-15)
+
+
+@pytest.mark.parametrize("name", ["heat", "burgers", "wave", "allen_cahn", "schrodinger"])
+def test_reference_at_zero_reads_the_ends_exactly(name):
+    # lo and hi fall on a node with weight exactly one; on a periodic domain
+    # hi is lo's node
+    problem = get_problem(name)
+    ends = np.array(problem.domain)
+    for got, want in zip(reference_solve(problem, ends, 0.0), problem.ic_numpy(ends)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["heat", "diffusion", "wave", "burgers", "schrodinger"])
+def test_reference_at_zero_matches_the_initial_profile(name):
+    # measured worst 3.9e-16 (heat, diffusion, burgers), 7.8e-16 (wave) and
+    # 8.0e-15 (schrodinger); a cubic spline read 1.5e-11 on schrodinger.
+    # allen_cahn is left out: x^2 cos(pi x) is not C^1 at its periodic seam,
+    # and any interpolant through the seam reads about 2.5e-4 there
+    problem = get_problem(name)
+    x = sample_points(problem, 200, default_exclusion(problem), 0)
+    for got, want in zip(reference_solve(problem, x, 0.0), problem.ic_numpy(x)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("t1", [0.0025, 0.01])
+def test_reference_matches_cole_hopf_burgers(burgers_truth, t1):
+    # the one check of the solver against truth on a nonlinear problem;
+    # measured 1.3e-14 at t1 = 0.0025 and 4.9e-14 at 0.01, twice below the
+    # bound, where a cubic-spline readout read 2.3e-13 and 2.8e-13
+    x, truth = burgers_truth
+    got = reference_solve(get_problem("burgers"), x, t1)[0]
+    assert np.max(np.abs(got - truth[t1])) < 1e-13
 
 
 def test_reference_matches_heat_closed_form(heat_reference_error):
@@ -423,7 +485,7 @@ def test_reference_matches_wave_closed_form_both_components():
 
 def test_reference_periodic_branch_against_closed_form():
     # same decay physics as the Dirichlet heat problem, but on a periodic
-    # domain, exercising the wrap-around stencils and the periodic spline
+    # domain, exercising the wrap-around stencils and the periodic interpolant
     prob = PdeProblem(
         name="heat_periodic",
         components=1,
@@ -575,7 +637,7 @@ def _reference_stage_by_stage(problem, points, t1):
         k4 = deriv(t + dt, k3 * dt + state)
         state = state + (((k2 + k3) * 2 + k1) + k4) * (dt / 6)
         t += dt
-    return _interpolate(problem, grid, state, np.asarray(points, dtype=float), periodic, hi)
+    return _interpolate(state, np.asarray(points, dtype=float), lo, h, periodic)
 
 
 @pytest.mark.parametrize("name", ["heat", "diffusion", "wave", "burgers", "allen_cahn", "schrodinger"])

@@ -91,6 +91,16 @@ def test_order_20_burgers_coefficients_match_cole_hopf():
     assert np.delete(rel, 2, axis=0).max() <= 5e-14
 
 
+def test_order_20_burgers_values_match_cole_hopf(burgers_truth):
+    # measured 2.2e-16 at t1 = 0.0025 and 0.01, and 7.8e-16 at 0.05: inside
+    # the radius the truncation is below rounding
+    x, truth = burgers_truth
+    expansion = compute_expansion(get_problem("burgers"), x, 20)
+    for t1, want in truth.items():
+        err = np.max(np.abs(expansion.evaluate(t1)[0] - want))
+        assert err <= 4e-15, f"t1 = {t1}: {err:.3g}"
+
+
 def test_derivatives_name_the_lowest_order_that_overflows():
     # C_10 of heat with alpha = 1e30 is finite, 10! * C_10 is not
     prob = get_problem("heat", {"alpha": 1e30})
