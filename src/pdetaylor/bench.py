@@ -22,6 +22,14 @@ stage reuses is bound once per solve: the row views, ghost cells and stencil
 sequences of the state and of the stage argument, so a stage fills the ghost
 cells, clears the two stencil sequences and does the arithmetic that
 changes.  It needs numpy alone.
+
+Sample points are numpy's ``default_rng(seed).uniform`` stream, bit for
+bit, computed without importing ``numpy.random``: :class:`_PCG64` seeds
+PCG64 (O'Neill, HMC-CS-2014-0905) the way ``SeedSequence`` does, steps its
+128-bit state in Python integers and maps the outputs to doubles with
+numpy's arithmetic.  NEP 19 keeps that raw stream stable across numpy
+versions and no ``Generator`` method is called, so the points, and the
+CLI's files, are the same on each one.
 """
 
 from __future__ import annotations
@@ -112,6 +120,9 @@ def sample_points(problem: PdeProblem, count: int, tau: float | None, seed: int)
     this is a plain uniform sample; ``tau = None`` is
     :func:`default_exclusion`).  Draws are capped at ten times ``count``;
     a threshold leaving too little of the domain raises :class:`SamplingError`.
+    Each round draws ``count`` points, the next values of
+    ``numpy.random.default_rng(seed).uniform(lo, hi)`` bit for bit on every
+    supported numpy, though ``numpy.random`` is never imported.
     """
     return _sample(problem, count, tau, seed)[0]
 
@@ -137,7 +148,7 @@ def _sample(problem: PdeProblem, count: int, tau: float | None, seed: int, count
             f"exclusion threshold {tau} is not below the largest initial amplitude {gmax}"
         )
     lo, hi = problem.domain
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
     if tau == 0.0:
         return rng.uniform(lo, hi, size=count), tau
     active = [m for m, peak in enumerate(peaks) if peak > 1e-12]  # not identically zero
@@ -160,6 +171,89 @@ def _sample(problem: PdeProblem, count: int, tau: float | None, seed: int, count
             f"lower the exclusion threshold (currently {tau})"
         )
     return np.concatenate(kept)[:count], tau
+
+
+# numpy's SeedSequence constants, for uint32 arithmetic, and PCG64's multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+class _PCG64:
+    """The draws of ``numpy.random.default_rng(seed).uniform``, without
+    importing ``numpy.random``.
+
+    ``SeedSequence(seed)`` hashes the seed's 32-bit words, least significant
+    first, into a pool of four and expands the pool into four 64-bit words:
+    the initial state and the increment of PCG64's 128-bit linear
+    congruential generator.  Each draw steps the state in Python integers
+    and reads its XSL-RR output, the xor of its two halves rotated right by
+    its top six bits; ``>> 11`` and ``* 2**-53`` make that a double ``u`` in
+    [0, 1), and the draw is ``lo + (hi - lo) * u``.  The outputs are
+    computed in numpy from the states' little-endian bytes.
+    """
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed: int):
+        # a Python int: the bit arithmetic below would overflow an np.int64
+        seed = int(seed)
+        entropy = [seed & _MASK32]
+        while seed := seed >> 32:
+            entropy.append(seed & _MASK32)
+        hash_const = _INIT_A
+
+        def hashmix(value):
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * _MULT_A & _MASK32
+            value = value * hash_const & _MASK32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+            return r ^ r >> 16
+
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+        for i_src in range(4):
+            for i_dst in range(4):
+                if i_src != i_dst:
+                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+        for word in entropy[4:]:
+            for i_dst in range(4):
+                pool[i_dst] = mix(pool[i_dst], hashmix(word))
+        # generate_state(4, np.uint64): eight 32-bit words, paired low word first
+        hash_const = _INIT_B
+        words = []
+        for i in range(8):
+            value = pool[i % 4] ^ hash_const
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * hash_const & _MASK32
+            words.append(value ^ value >> 16)
+        w = [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+        # PCG64's srandom, with the state seed w[0]:w[1] and the stream w[2]:w[3]
+        self._inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
+        self._state = ((self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc) & _MASK128
+
+    def uniform(self, lo: float, hi: float, size: int) -> np.ndarray:
+        """The next ``size`` draws, uniform between ``lo`` and ``hi``."""
+        # allocated first, so that a size beyond memory raises before the loop
+        out = np.empty(size)
+        s, inc = self._state, self._inc
+        states = b"".join([(s := (s * _PCG_MULT + inc) & _MASK128).to_bytes(16, "little")
+                           for _ in range(size)])
+        self._state = s
+        low, high = np.frombuffer(states, dtype="<u8").reshape(size, 2).T
+        xsl = low ^ high
+        rot = high >> 58
+        bits = (xsl >> rot) | (xsl << ((64 - rot) & 63))
+        np.multiply((bits >> 11).astype(np.float64), 2.0**-53, out=out)
+        out *= hi - lo
+        out += lo
+        return out
 
 
 @dataclass(frozen=True)

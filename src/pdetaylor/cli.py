@@ -22,7 +22,8 @@ Every run is deterministic given its options: identical invocations write
 byte-identical files.
 
 Exit codes: 0 success, 1 numerical failure (bound exceeded, divergence,
-sampling exhaustion, a lift outside its domain, too few jet orders), 2 usage
+sampling exhaustion, a lift outside its domain, too few jet orders) or an
+array too large for memory (such as an enormous ``--points``), 2 usage
 error, including an ``--out`` directory that cannot be created or written to
 (such as an existing file) and ``plotdata`` horizons that name one file.  An
 error prints one ``error:`` line; an unknown problem, or one without the
@@ -333,6 +334,10 @@ def main(argv=None) -> int:
         return 2
     except (DivergenceError, SamplingError, OracleFailure, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        # numpy names the array it could not allocate; Python's own says nothing
+        print(f"error: out of memory{f': {e}' if str(e) else ''}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"error: cannot write output: {e}", file=sys.stderr)

@@ -20,10 +20,13 @@ from pdetaylor import (
     nrmse,
     reference_solve,
     run_benchmark,
+    available_problems,
     sample_points,
     write_report_csv,
 )
-from pdetaylor.bench import _CELLS, _DT_MAX, _interpolate, _stable_step, default_exclusion
+from pdetaylor.bench import (
+    _CELLS, _DT_MAX, _PCG64, _interpolate, _stable_step, default_exclusion,
+)
 from pdetaylor.series import sin as series_sin
 
 PI = math.pi
@@ -87,6 +90,56 @@ def test_sampling_without_threshold_is_plain_uniform():
     got = sample_points(prob, 7, tau=0.0, seed=9)
     want = np.random.default_rng(9).uniform(-1.0, 1.0, 7)
     np.testing.assert_array_equal(got, want)
+
+
+# multi-word seeds up to seven 32-bit words, and numpy integer seeds
+_STREAM_SEEDS = [*range(256), 2**32, 2**64 - 1, 2**64 + 5, 2**128, 2**200 + 12345,
+                 np.int64(7), np.uint64(2**64 - 1)]
+
+
+def test_sampling_stream_is_numpys_default_rng_uniform_bit_for_bit():
+    # successive draws of sizes 1, 7 and 50 over each problem's domain, from
+    # one generator per seed; the tests may import numpy.random, the package not
+    domains = [get_problem(name).domain for name in available_problems()]
+    mismatched = []
+    for seed in _STREAM_SEEDS:
+        ours, numpys = _PCG64(seed), np.random.default_rng(seed)
+        for size in (1, 7, 50):
+            for lo, hi in domains:
+                got, want = ours.uniform(lo, hi, size), numpys.uniform(lo, hi, size)
+                if got.dtype != want.dtype or got.tobytes() != want.tobytes():
+                    mismatched.append((seed, size, (lo, hi)))
+    assert mismatched == []
+
+
+def _numpy_sample(problem, count, seed):
+    """``sample_points`` at the default threshold as it was drawn with
+    ``numpy.random.default_rng``, before the package computed the stream."""
+    lo, hi = problem.domain
+    peaks = [float(np.abs(g).max()) for g in problem.ic_numpy(np.linspace(lo, hi, 4097))]
+    tau = 0.1 * max(peaks)
+    active = [m for m, peak in enumerate(peaks) if peak > 1e-12]
+    rng = np.random.default_rng(seed)
+    kept, n_kept, total = [], 0, 0
+    while n_kept < count and total < 10 * count:
+        draw = rng.uniform(lo, hi, size=count)
+        total += count
+        g = problem.ic_numpy(draw)
+        mask = np.ones(count, dtype=bool)
+        for m in active:
+            mask &= np.abs(g[m]) > tau
+        kept.append(draw[mask])
+        n_kept += int(mask.sum())
+    return np.concatenate(kept)[:count]
+
+
+@pytest.mark.parametrize("name", available_problems())
+def test_sample_points_are_those_numpy_random_drew(name):
+    problem = get_problem(name)
+    for seed in (0, 1, 4243, 2**40 + 3):
+        for count in (1, 13, 100):
+            got = sample_points(problem, count, None, seed)
+            assert got.tobytes() == _numpy_sample(problem, count, seed).tobytes(), (seed, count)
 
 
 def test_sampling_ignores_identically_zero_components():

@@ -601,6 +601,18 @@ def test_out_pointing_at_a_file_is_a_usage_error(tmp_path):
     assert taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command", ["derive", "plotdata"])
+def test_points_beyond_memory_print_one_error_line(tmp_path, command):
+    # 10**17 doubles are 800 PB, past any address space, so the allocation
+    # fails at once whatever the kernel's overcommit policy
+    run = _run_warning_loud(
+        [command, "--problem", "heat", "--order", "2", "--points", str(10**17), "--out", str(tmp_path)]
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: out of memory: ") and run.stderr.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_argparse_level_errors_map_to_exit_codes(capsys):
     assert cli.main([]) == 2  # a subcommand is required
     assert cli.main(["derive", "--format", "xml"]) == 2
@@ -610,24 +622,34 @@ def test_argparse_level_errors_map_to_exit_codes(capsys):
 
 # -- start-up -------------------------------------------------------------------
 
-_NO_SCIPY_PROBE = """
+_IMPORT_PROBE = """
 import json, sys
 
 attempts = []
 
 
-class NoScipy:
-    # an import of scipy raises, and is recorded in case the error is caught
+class Refuse:
+    # an import of a refused package raises, and is recorded in case the
+    # error is caught
+    refused = ["scipy"]
+
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
+        if any(name == r or name.startswith(r + ".") for r in self.refused):
             attempts.append(name)
-            raise ImportError(f"scipy is not to be imported, got {name}")
+            raise ImportError(f"{name} is not to be imported")
         return None
 
 
-sys.meta_path.insert(0, NoScipy())
+refuse = Refuse()
+sys.meta_path.insert(0, refuse)
 
 import numpy as np
+
+# numpy 1.x imports numpy.random itself, and a finder never sees a module
+# that is loaded already; numpy 2.x loads it on first use
+refuse.refused.append("numpy.random")
+numpy_own = {m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"]}
+
 import pdetaylor, pdetaylor.cli
 from pdetaylor import cli, get_problem, reference_solve
 
@@ -635,23 +657,27 @@ out = sys.argv[1]
 codes = [
     cli.main(["taylor", "--problem", "burgers", "--order", "2", "--points", "5", "--out", out]),
     cli.main(["bench", "--problem", "heat", "--points", "5", "--out", out]),
+    cli.main(["derive", "--problem", "allen_cahn", "--order", "2", "--points", "5", "--out", out]),
 ]
 # burgers has Dirichlet ends, allen_cahn is periodic
 values = [v for name in ("burgers", "allen_cahn")
           for v in reference_solve(get_problem(name), np.linspace(-1.0, 1.0, 7), 1e-4)]
-print(json.dumps({"codes": codes, "scipy": attempts,
+random = sorted(m for m in sys.modules
+                if m.split(".")[:2] == ["numpy", "random"] and m not in numpy_own)
+print(json.dumps({"codes": codes, "refused": attempts, "numpy.random": random,
                   "finite": all(bool(np.isfinite(v).all()) for v in values)}))
 """
 
 
-def test_no_run_of_the_package_imports_scipy(tmp_path):
+def test_no_run_of_the_package_imports_scipy_or_numpy_random(tmp_path):
     # a fresh interpreter, so that nothing this suite imported is loaded
     src = str(Path(__file__).resolve().parents[1] / "src")
     run = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path)],
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     result = json.loads(run.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0]
-    assert result["scipy"] == []
+    assert result["codes"] == [0, 0, 0]
+    assert result["refused"] == []
+    assert result["numpy.random"] == []
     assert result["finite"]
