@@ -23,7 +23,8 @@ byte-identical files.
 
 Exit codes: 0 success, 1 numerical failure (bound exceeded, divergence,
 sampling exhaustion, a lift outside its domain, too few jet orders) or an
-array too large for memory (such as an enormous ``--points``), 2 usage
+array too large for memory (such as an enormous ``--points``; one above
+``2**59 - 1`` is refused before any allocation), 2 usage
 error, including an ``--out`` directory that cannot be created or written to
 (such as an existing file) and ``plotdata`` horizons that name one file.  An
 error prints one ``error:`` line; an unknown problem, or one without the
@@ -134,6 +135,14 @@ def _parse_param_items(items) -> dict[str, float]:
     return params
 
 
+# A larger --points is refused before any allocation.  An array's size in
+# bytes is an intp, so numpy can index no float64 array of twice as many
+# values; half that limit leaves room for plotdata's two grid ends and for
+# np.linspace, which refuses 64 values below it, where numpy raises ValueError
+# in place of MemoryError.
+_MAX_POINTS = np.iinfo(np.intp).max // 16
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> None:
     """Fill each option that no flag set from the config file, else from ``defaults``.
 
@@ -166,6 +175,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> None:
         raise _UsageError(f"--order must be in 1..{MAX_ORDER}, got {args.order}")
     if args.points < 1:
         raise _UsageError(f"--points must be >= 1, got {args.points}")
+    if args.points > _MAX_POINTS:
+        raise MemoryError(f"--points {args.points} is above {_MAX_POINTS}, more float64 "
+                          "values than numpy can allocate")
     if "t1" in defaults and not args.t1:
         raise _UsageError(f"{args.command} needs at least one --t1 horizon")
 

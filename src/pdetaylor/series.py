@@ -17,12 +17,12 @@ Coefficients combine through their own ``+``, ``-``, ``*``, ``/`` and
 unchanged, and mix with plain numbers: every series pads with ``0.0`` and
 seeds with ``1.0``, whatever its coefficients, and a number combines with a
 batch or a jet as the same number at every point.  A series also carries an
-algebra, which serves only, by equality, the compatibility check of binary
-operations: :class:`RealAlgebra` for floats, and the batch and spatial-jet
-algebras of :mod:`pdetaylor.jets`.  Two series of different orders raise
-:class:`OrderMismatchError`, except flat jets, which combine at the lower
-order: the check returns the number of coefficients two operands combine
-at, and every binary operation reads that many.  A quotient divides each
+algebra, which binary operations compare by equality: :class:`RealAlgebra`
+for floats, and the batch and spatial-jet algebras of :mod:`pdetaylor.jets`,
+where a batch's also gives a jet its point count.  Two series of different
+orders raise :class:`OrderMismatchError`, except flat jets, which combine at
+the lower order: the check returns the number of coefficients two operands
+combine at, and every binary operation reads that many.  A quotient divides each
 series of rows over a batch of points as its flat jet, so it is a jet when
 one is on either side, and two series of rows of different orders divide at
 the lower order, where ``+``, ``-`` and ``*`` raise.  Because a jet is
@@ -30,13 +30,16 @@ itself a truncated series, series can nest: a series in the time
 infinitesimal whose coefficients are jets in a space increment, whose
 coefficients are batches of reals.
 
-Analytic functions (exp, sin, cos, ln, constant powers) extend to series
+Analytic functions (exp, sin and cos, ln, constant powers) extend to series
 through the usual Taylor-composition recurrences, and reciprocal and sech are
-composed from them.  Only the constant term evaluates the function itself,
-and its type says how: a series is lifted again and anything else goes to
-NumPy elementwise, so a lift recurses through nested series (Griewank &
-Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13).  Division tests
-the innermost constant term for invertibility the same way.
+composed from them (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+2008, ch. 13).  A lift is two parts: its value at a constant term that is a
+number or an array, which NumPy evaluates elementwise after the domain
+checks of ln and of powers, and its recurrence for every later coefficient.
+One function runs every lift, eager or lazy, with one or two results (sin
+and cos share a recurrence); a constant term that is itself a series is
+lifted again by the same function and made flat, so a lift recurses through
+nested series.  Division tests the innermost constant term for invertibility.
 
 Series are immutable once constructed; share them freely.
 
@@ -84,6 +87,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -373,10 +377,10 @@ class TruncatedSeries:
 # a step for every k at once and LazySeries for one new k at a time; sharing
 # the step keeps the two bit-identical.  Steps combine coefficients with their
 # own operators, or with the same numpy operations on whole arrays of terms
-# (_fold), so they run unchanged on floats, arrays and jets.  Only the
-# constant term of a lift ever evaluates the function itself, and its type
-# says how: a series (a jet, in the expansion driver) is lifted again, and a
-# number or an array goes to numpy.  So a lift over nested series recurses.
+# (_fold), so they run unchanged on floats, arrays and jets.  A lift's step
+# starts at k = 1 and returns a tuple, one coefficient per result; _lift
+# evaluates the constant term, where a series (a jet, in the expansion driver)
+# is lifted again and a number or an array goes to numpy.
 
 
 def _is_invertible(a) -> bool:
@@ -398,31 +402,20 @@ def _flat(series):
     return flat(series)
 
 
-def _exp0(a):
-    return _flat(exp(a)) if isinstance(a, TruncatedSeries) else np.exp(a)
-
-
-def _sin_cos0(a):
-    if isinstance(a, TruncatedSeries):
-        s, c = sin_cos(a)
-        return _flat(s), _flat(c)
-    return np.sin(a), np.cos(a)
-
-
 def _log0(a):
-    if isinstance(a, TruncatedSeries):
-        return _flat(log(a))
     if np.any(a <= 0.0):
         raise LiftDomainError("log requires every constant-term entry positive")
-    return np.log(a)
+    return (np.log(a),)
 
 
-def _pow0(a, e: float):
-    if isinstance(a, TruncatedSeries):
-        return _flat(power(a, e))
+def _pow0(e: float, a):
+    if not np.all(a != 0.0):
+        raise LiftDomainError(
+            "power with non-integer or negative exponent needs an invertible constant term"
+        )
     if not e.is_integer() and np.any(a < 0.0):
         raise LiftDomainError("non-integer power of a negative entry")
-    return np.power(a, e)
+    return (np.power(a, e),)
 
 
 def _terms(x, y, k, lo, hi):
@@ -544,38 +537,26 @@ def _weighted_sum(a, f, k):
     return _fold(ZERO, a, f, k, 1, k + 1, _index)
 
 
-def _exp_step(a, out, k):
-    """k*E_k = sum_{j=1..k} j*A_j*E_{k-j}, E_0 = exp(A_0)."""
-    if k == 0:
-        return _exp0(_real(a[0]))
-    return _weighted_sum(a, out, k) * (1.0 / k)
+def _exp_step(a, k, e):
+    """k*E_k = sum_{j=1..k} j*A_j*E_{k-j}."""
+    return (_weighted_sum(a, e, k) * (1.0 / k),)
 
 
-def _sin_cos_step(a, s, c, k):
+def _sin_cos_step(a, k, s, c):
     """(S_k, C_k) with k*S_k = sum j*A_j*C_{k-j} and k*C_k = -sum j*A_j*S_{k-j}."""
-    if k == 0:
-        return _sin_cos0(_real(a[0]))
     return _weighted_sum(a, c, k) * (1.0 / k), _weighted_sum(a, s, k) * (-1.0 / k)
 
 
-def _log_step(a, out, k):
+def _log_step(a, k, out):
     """L_k = (A_k - (1/k) sum_{j<k} j*L_j*A_{k-j}) / A_0."""
-    if k == 0:
-        return _log0(_real(a[0]))
     acc = _fold(ZERO, out, a, k, 1, k, _index)
-    return (a[k] - acc * (1.0 / k)) / a[0]
+    return ((a[k] - acc * (1.0 / k)) / a[0],)
 
 
-def _power_step(a, out, k, e):
-    """k*A_0*P_k = sum_{j=1..k} ((e+1)*j - k) * A_j * P_{k-j}, P_0 = A_0**e."""
-    if k == 0:
-        if not _is_invertible(a[0]):
-            raise LiftDomainError(
-                "power with non-integer or negative exponent needs an invertible constant term"
-            )
-        return _pow0(a[0], e)
+def _power_step(e, a, k, out):
+    """k*A_0*P_k = sum_{j=1..k} ((e+1)*j - k) * A_j * P_{k-j}."""
     acc = _fold(ZERO, a, out, k, 1, k + 1, lambda j: (e + 1.0) * j - k)
-    return (acc * (1.0 / k)) / a[0]
+    return ((acc * (1.0 / k)) / a[0],)
 
 
 # -- lazy series ---------------------------------------------------------------
@@ -600,12 +581,13 @@ class LazySeries:
     the :class:`TruncatedSeries` operation, so the values are bit-identical.
 
     A node keeps only its newest coefficient, unless a later step reads its
-    older ones: operands of series products and quotients and the inputs and
-    outputs of lifts keep their whole history, in a list of the coefficients
-    as they were computed.  Nothing rewrites it, so kept jets keep their
-    orders, and a step meets them with newer, shorter jets at the lower
-    order.  A node has no order or coefficient tuple; only operators and
-    lifts apply, and only between nodes of one :class:`SeriesTape`.
+    older ones: operands of series products and quotients, a quotient itself
+    and the input of a lift keep their whole history, in a list of the
+    coefficients as they were computed, and a lift keeps its results in lists
+    of its own, which its nodes read.  Nothing rewrites them, so kept jets
+    keep their orders, and a step meets them with newer, shorter jets at the
+    lower order.  A node has no order or coefficient tuple; only operators
+    and lifts apply, and only between nodes of one :class:`SeriesTape`.
 
     A rule may return :data:`ZERO` for a coefficient that is zero whatever the
     data; a node is then ``ZERO`` where its inputs force it, at no product
@@ -720,26 +702,45 @@ class LazySeries:
 # -- analytic lifts -----------------------------------------------------
 #
 # Every public lift accepts a TruncatedSeries and returns one, or accepts a
-# LazySeries and returns a new node of the same tape.
+# LazySeries and returns a new node of the same tape, and each is one call of
+# _lift with its value at a constant term and its recurrence.
 
 
-def _lift(series, step):
-    """Apply a lift whose step reads its input and its own earlier output."""
+def _lift(series, f0, step, outputs=1):
+    """The ``outputs`` results of a lift, as a list of series or nodes.
+
+    Coefficient 0 of the results is the tuple ``f0(a_0)``, where ``f0`` takes
+    a number or an array and checks its domain; a constant term that is
+    itself a series (a jet, or the ``x`` node's series of rows) is lifted
+    again by this function and made flat.  Coefficient ``k >= 1`` is the tuple
+    ``step(a, k, *results)``, which reads the input and the results' earlier
+    coefficients.  A lazy lift keeps its results in its own histories, which
+    its nodes read, so a node keeps none unless a later step reads it.
+    """
+
+    def first(c):
+        c = _real(c)
+        if isinstance(c, TruncatedSeries):
+            return [_flat(r) for r in _lift(c, f0, step, outputs)]
+        return f0(c)
+
     if isinstance(series, LazySeries):
-        a = series._kept()
+        a, outs = series._kept(), [_History() for _ in range(outputs)]
 
-        def lifted(k):
-            series.coeff(k)
-            return step(a, out, k)
+        def rule(i, k):
+            if k == len(outs[0]):
+                c = series.coeff(k)
+                for h, v in zip(outs, step(a, k, *outs) if k else first(c)):
+                    h.append(v)
+            return outs[i][k]
 
-        node = LazySeries(series.tape, lifted)
-        out = node._kept()
-        return node
+        return [LazySeries(series.tape, partial(rule, i)) for i in range(outputs)]
     _require_series(series)
-    a, out = series.coeffs, series._buffer()
+    a, outs = series.coeffs, [series._buffer() for _ in range(outputs)]
     for k in range(len(a)):
-        out[k] = step(a, out, k)
-    return series._new(out)
+        for out, v in zip(outs, step(a, k, *outs) if k else first(a[0])):
+            out[k] = v
+    return [series._new(out) for out in outs]
 
 
 def _one_like(series):
@@ -752,33 +753,12 @@ def _one_like(series):
 
 def exp(series):
     """Exponential: k*E_k = sum_{j=1..k} j*A_j*E_{k-j}, E_0 = exp(A_0)."""
-    return _lift(series, _exp_step)
+    return _lift(series, lambda a: (np.exp(a),), _exp_step)[0]
 
 
 def sin_cos(series):
     """Sine and cosine together; their recurrences are coupled."""
-    if isinstance(series, LazySeries):
-        a = series._kept()
-        s, c = _History(), _History()
-
-        def pair(k):
-            if k == len(s):
-                series.coeff(k)
-                s_k, c_k = _sin_cos_step(a, s, c, k)
-                s.append(s_k)
-                c.append(c_k)
-            return s[k], c[k]
-
-        return (
-            LazySeries(series.tape, lambda k: pair(k)[0]),
-            LazySeries(series.tape, lambda k: pair(k)[1]),
-        )
-    _require_series(series)
-    a = series.coeffs
-    s, c = series._buffer(), series._buffer()
-    for k in range(len(a)):
-        s[k], c[k] = _sin_cos_step(a, s, c, k)
-    return series._new(s), series._new(c)
+    return tuple(_lift(series, lambda a: (np.sin(a), np.cos(a)), _sin_cos_step, 2))
 
 
 def sin(series):
@@ -791,7 +771,7 @@ def cos(series):
 
 def log(series):
     """Natural logarithm: L_k = (A_k - (1/k) sum_{j<k} j*L_j*A_{k-j}) / A_0."""
-    return _lift(series, _log_step)
+    return _lift(series, _log0, _log_step)[0]
 
 
 def power(series, exponent: float):
@@ -818,7 +798,7 @@ def power(series, exponent: float):
             if not n:
                 return result
             base = base * base
-    return _lift(series, lambda a, out, k: _power_step(a, out, k, e))
+    return _lift(series, partial(_pow0, e), partial(_power_step, e))[0]
 
 
 def reciprocal(series):

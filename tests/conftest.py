@@ -172,6 +172,41 @@ def cole_hopf_burgers_coefficients(points, max_order: int, digits: int = 120) ->
     return out
 
 
+def allen_cahn_coefficients(points, max_order: int, digits: int = 60) -> np.ndarray:
+    """Time-Taylor coefficients ``C_0..C_K`` of allen_cahn at t = 0, in mpmath.
+
+    Each ``C_k`` is a jet at the point: its Taylor coefficients in a space
+    increment, as a list of ``digits``-digit mpf.  ``C_0`` is ``mp.taylor`` of
+    ``x**2 cos(pi x)``.  ``U**2`` and ``U**3`` are running sums of jet products,
+    and ``C_{k+1} = (d U_xx + lam (U - U**3))_k / (k + 1)``, each jet truncated
+    at ``W = 2 (K - k - 1)``, the orders that the later ``C`` read.  ``pi``, ``d``
+    and ``lam`` are the float64 values the problem uses.  Returns an array of
+    shape ``(K+1, N)``.
+    """
+    params = get_problem("allen_cahn").params
+    out = np.empty((max_order + 1, len(points)))
+    with mp.workdps(digits):
+        pi, d, lam = mp.mpf(math.pi), mp.mpf(params["diffusion"]), mp.mpf(params["reaction"])
+
+        def products(pairs, w):
+            # the jet sum_(a, b) a * b, truncated at order w
+            return [mp.fsum(a[i] * b[n - i] for a, b in pairs for i in range(n + 1))
+                    for n in range(w + 1)]
+
+        for col, x in enumerate(points):
+            c = [mp.taylor(lambda y: y**2 * mp.cos(pi * y), mp.mpf(float(x)), 2 * max_order)]
+            sq, cube = [], []  # (U**2)_k and (U**3)_k
+            for k in range(max_order):
+                w = 2 * (max_order - k - 1)
+                sq.append(products([(c[i], c[k - i]) for i in range(k + 1)], w))
+                cube.append(products([(c[i], sq[k - i]) for i in range(k + 1)], w))
+                u = c[k]
+                c.append([(d * (n + 2) * (n + 1) * u[n + 2] + lam * (u[n] - cube[k][n])) / (k + 1)
+                          for n in range(w + 1)])
+            out[:, col] = [float(ck[0]) for ck in c]
+    return out
+
+
 def cole_hopf_burgers_values(points, t: float, digits: int = 90, terms: int = 200) -> np.ndarray:
     """Values of burgers at time ``t``, by the Fourier-Bessel form of Cole-Hopf.
 

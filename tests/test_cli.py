@@ -604,13 +604,17 @@ def test_out_pointing_at_a_file_is_a_usage_error(tmp_path):
 @pytest.mark.parametrize("command", ["derive", "plotdata"])
 def test_points_beyond_memory_print_one_error_line(tmp_path, command):
     # 10**17 doubles are 800 PB, past any address space, so the allocation
-    # fails at once whatever the kernel's overcommit policy
-    run = _run_warning_loud(
-        [command, "--problem", "heat", "--order", "2", "--points", str(10**17), "--out", str(tmp_path)]
-    )
-    assert run.returncode == 1
-    assert run.stderr.startswith("error: out of memory: ") and run.stderr.count("\n") == 1
-    assert not list(tmp_path.iterdir())
+    # fails at once whatever the kernel's overcommit policy; 2 * 10**18 and
+    # 2**63 are more doubles than one numpy array can index, and are refused
+    # before any allocation
+    for points in (10**17, 2 * 10**18, 2**63):
+        run = _run_warning_loud(
+            [command, "--problem", "heat", "--order", "2", "--points", str(points), "--out", str(tmp_path)]
+        )
+        assert run.returncode == 1, points
+        assert run.stderr.startswith("error: out of memory: ") and run.stderr.count("\n") == 1
+        assert "Traceback" not in run.stderr
+        assert not list(tmp_path.iterdir())
 
 
 def test_argparse_level_errors_map_to_exit_codes(capsys):

@@ -25,7 +25,12 @@ from pdetaylor.jets import BatchAlgebra, Jet
 from pdetaylor.series import ZERO, LazySeries, RealAlgebra, TruncatedSeries, sin
 from pdetaylor.series import exp as exp_
 
-from conftest import assert_equal_but_for_zero_signs, cole_hopf_burgers_coefficients, ic_jets
+from conftest import (
+    allen_cahn_coefficients,
+    assert_equal_but_for_zero_signs,
+    cole_hopf_burgers_coefficients,
+    ic_jets,
+)
 
 PI = math.pi
 KAPPA = -0.4 * PI**2  # heat decay rate for the default parameters
@@ -89,6 +94,15 @@ def test_order_20_burgers_coefficients_match_cole_hopf():
     rel = np.abs(got - want) / np.abs(want)
     assert rel.max() <= 1e-12, np.array2string(rel.max(axis=1), precision=2)
     assert np.delete(rel, 2, axis=0).max() <= 5e-14
+
+
+def test_order_20_allen_cahn_coefficients_match_a_60_digit_recursion():
+    # measured worst 5.45e-15 relative to each order's largest value
+    x = np.array([0.3, -0.55, 0.9, 0.05])
+    want = allen_cahn_coefficients(x, 20)
+    got = np.array(compute_expansion(get_problem("allen_cahn"), x, 20).coeffs[0])
+    rel = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+    assert rel.max() <= 2e-14, np.array2string(rel, precision=2)
 
 
 def test_order_20_burgers_values_match_cole_hopf(burgers_truth):

@@ -243,6 +243,29 @@ def test_batch_algebra_domain_errors():
         power(TruncatedSeries(alg, [np.array([-1.0, 2.0]), np.ones(2)]), 0.5)
 
 
+@pytest.mark.parametrize("nested", ["jet", "lazy"])
+@pytest.mark.parametrize(
+    "lift, entry, message",
+    [
+        (log, 0.0, "every constant-term entry positive"),
+        (log, -1.0, "every constant-term entry positive"),
+        (lambda a: power(a, 0.5), 0.0, "needs an invertible constant term"),
+        (lambda a: power(a, -2), 0.0, "needs an invertible constant term"),
+        (lambda a: power(a, 0.5), -1.0, "non-integer power of a negative entry"),
+    ],
+    ids=["log-zero", "log-negative", "sqrt-zero", "inverse_square-zero", "sqrt-negative"],
+)
+def test_lift_domain_errors_reach_the_value_row_of_a_jet(nested, lift, entry, message):
+    # the domain is checked on the innermost constant term, the jet's value
+    # row, whether the jet is lifted itself or is coefficient 0 of a lazy node
+    jet = seed_variable(np.array([0.5, entry]), 3)
+    with pytest.raises(LiftDomainError, match=message):
+        if nested == "jet":
+            lift(jet)
+        else:
+            lift(LazySeries(SeriesTape(), lambda k: jet if k == 0 else ZERO)).coeff(0)
+
+
 def test_jet_algebra_builds_series_elements():
     batch = BatchAlgebra(2)
     alg = JetAlgebra(batch, 3)
