@@ -39,10 +39,10 @@ That costs ``O(K**2)`` jet products per product in ``F`` instead of the
 ``O(K**3)`` of re-evaluating ``F`` at every order.  A step forms the jet
 products of its coefficient in stacks of up to ``_BLOCK // N`` pairs, and
 each stack costs one kernel call and one summing reduction
-(:mod:`pdetaylor.jets`): on a few dozen points, the jet pairs of one product
-node's order-``k`` coefficient, up to ``k + 1`` of them, make one call and
-one sum, and a full block makes one call per pair and adds each product
-into the sum in place.  Every recurrence step is the one
+(:mod:`pdetaylor.jets`): on up to 51 points, the jet pairs of one product
+node's order-``k`` coefficient, up to ``k + 1 <= MAX_ORDER`` of them, make
+one call and one sum, and a full block makes one call per pair and adds each
+product into the sum in place.  Every recurrence step is the one
 :class:`~pdetaylor.series.TruncatedSeries` uses, in the same summation
 order, and the coefficient of order ``k`` of any product depends
 only on input coefficients of order ``<= k``; so the computed ``C_0 ... C_K``
@@ -67,13 +67,15 @@ Iteration ``i`` reads only ``C_{i-1}``, so the driver holds one jet (or
 number, or ``ZERO``) per component, and of older orders only the values.
 
 A jet is one ``(P+1, N)`` array (:class:`~pdetaylor.jets.Jet`), and the
-points are expanded in blocks of ``_BLOCK``, each with its own ``rhs`` call
-and tape.  Every operation is elementwise across points, and a stack of jet
-products across its pairs, so the blocks give the coefficients of one pass
-bit for bit; a block's jets stay in cache, and only one block's histories
-are held at a time.  Value rows are copied out of the jets, so the
-expansion keeps none of them alive; a node's kept coefficients stay at the
-order they were computed at until its block ends.
+points are expanded in blocks of ``_BLOCK`` = 1024, each with its own ``rhs``
+call and tape.  Every operation is elementwise across points, and a stack of
+jet products across its pairs, so the blocks give the coefficients of one
+pass bit for bit.  Only one block's histories are held at a time, and they
+are what a block holds: each product node keeps both operand histories, so
+beyond its output a block holds a fixed number of bytes per point, about
+7 kB at K=20, whatever the number of points.  Value rows are copied out of
+the jets, so the expansion keeps none of them alive; a node's kept
+coefficients stay at the order they were computed at until its block ends.
 
 The expansion stores the raw coefficients ``C_i``; multiplying by ``i!`` only
 when actual derivatives are requested keeps the factorial round-off out of

@@ -19,7 +19,7 @@ jet products of one coefficient through :meth:`Jet._fold_products`: in stacks
 of up to ``_BLOCK // N`` pairs, each filled pair by pair into one preallocated
 ``(P+1, m, N)`` array per operand side and multiplied by one kernel call,
 whose result is weighted and summed over its ``m`` products by one reduction.  So
-50-point jets make one kernel call and one sum for up to 40 products, where a
+50-point jets make one kernel call and one sum for up to 20 products, where a
 call, a jet and an addition per product spent their time in Python dispatch,
 and a driver block of ``_BLOCK`` points still multiplies one pair at a time,
 adding each product into the sum in its own array.  Only that method sums jet
@@ -83,14 +83,18 @@ from .series import ZERO, TruncatedSeries, _as_scalar, _sum_terms
 
 
 # The width of one array operation on jets, in points times stacked pairs.
-# The driver expands points in blocks of ``_BLOCK``, and a series step stacks
-# up to ``_BLOCK // N`` jet products of ``N`` points into one kernel call: on 50
-# points one call forms up to 40 products, and a full block multiplies one
-# pair per call, holding no more than one product at a time.  At jet order 40
-# a block's jet is about 0.7 MB, which stays in cache.  Of 1024, 2048, 4096
-# and one pass, 2048 expanded allen_cahn and schrodinger fastest at K=20,
-# N=10**4 on a two-core Xeon VM.
-_BLOCK = 2048
+# The driver expands points in blocks of ``_BLOCK``, and what a block holds
+# is set by its kept histories, not by one jet: a product node keeps both
+# operand histories, 441 jet rows per kept node at K=20, so a block holds a
+# fixed number of bytes per point beyond its output (about 7 kB for
+# allen_cahn and burgers, 5.7 kB for schrodinger).  At 2048 a block held
+# about 14 MB; 1024 halves that, and every coefficient keeps its bits.  A
+# series step stacks up to ``_BLOCK // N`` jet products of ``N`` points into
+# one kernel call: on 50 points that cap is 20 = ``MAX_ORDER``, the most pairs
+# any step at K <= 20 has, so 50 points make one call per step, and a
+# full block multiplies one pair per call.  At K=20, N=10**4 on a two-core
+# Xeon VM, 1024 expanded 3-5 % slower than 2048 and 512 about 16 %.
+_BLOCK = 1024
 
 
 class InsufficientJetOrderError(ValueError):

@@ -3,7 +3,9 @@ under order changes, divergence detection, input validation and point blocks."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -428,6 +430,71 @@ def test_coefficients_own_their_memory():
                 assert c.flags.owndata and c.shape == (n,)
 
 
+# Kernel work of a K=20 expansion on 50 points: calls of the one jet-product
+# kernel, and its multiply-adds, n(n+1)/2 per column of an n-row product.
+# On 50 points every step's run of jet pairs makes one call.
+KERNEL_WORK_50 = {
+    "heat": (0, 0),
+    "diffusion": (0, 0),
+    "wave": (0, 0),
+    "burgers": (20, 1_540_000),
+    "allen_cahn": (40, 3_080_000),
+    "schrodinger": (39, 1_688_000),
+}
+# multiply-adds on 2100 points, in blocks or in one pass
+KERNEL_MULTIPLY_ADDS_2100 = {"burgers": 64_680_000, "allen_cahn": 129_360_000, "schrodinger": 70_896_000}
+
+
+def _kernel_work(prob, size):
+    """Kernel calls and multiply-adds of one K=20 expansion on ``size`` interior
+    points, counted by wrapping the kernel from outside the engine."""
+    work = []
+    convolve = jets._convolve
+
+    def counting(a, b):
+        work.append(len(a) * (len(a) + 1) // 2 * a[0].size)
+        return convolve(a, b)
+
+    with mock.patch.object(jets, "_convolve", counting):
+        compute_expansion(prob, np.linspace(*prob.domain, size + 2)[1:-1], 20)
+    return len(work), sum(work)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_WORK_50))
+def test_kernel_work_on_50_points_is_pinned(name):
+    assert _kernel_work(get_problem(name), 50) == KERNEL_WORK_50[name]
+
+
+@pytest.mark.parametrize("name", list(KERNEL_MULTIPLY_ADDS_2100))
+def test_blocks_do_not_change_kernel_work(name, monkeypatch):
+    prob = get_problem(name)
+    _, blocked = _kernel_work(prob, 2100)
+    monkeypatch.setattr(driver, "_BLOCK", 2100)
+    _, one_pass = _kernel_work(prob, 2100)
+    assert blocked == one_pass == KERNEL_MULTIPLY_ADDS_2100[name]
+
+
+@pytest.mark.parametrize("name", ["burgers", "allen_cahn", "schrodinger"])
+def test_block_working_memory_does_not_grow_with_points(name):
+    # a block holds its kept histories, a fixed number of bytes per block
+    # point beyond the output: at K=20 about 6.85, 7.02 and 5.60 MiB per
+    # block of 1024, against 13.65, 13.96 and 11.11 MiB per block of 2048
+    prob = get_problem(name)
+    compute_expansion(prob, np.linspace(*prob.domain, 9)[1:-1], 20)  # warm-up
+    working = []
+    for size in (BLOCK, 2 * BLOCK + 37):
+        x = np.linspace(*prob.domain, size + 2)[1:-1]
+        tracemalloc.start()
+        try:
+            exp = compute_expansion(prob, x, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        working.append(peak - sum(c.nbytes for comp in exp.coeffs for c in comp))
+    assert working[1] == pytest.approx(working[0], rel=0.02)
+    assert working[0] < 8 * 2**20
+
+
 # -- structural zeros ---------------------------------------------------------
 
 
@@ -505,7 +572,8 @@ def test_jet_products_run_at_the_working_order(name, above, monkeypatch):
     monkeypatch.setattr(LazySeries, "coeff", outermost)
     monkeypatch.setattr(jets, "_convolve", recording)
     prob = get_problem(name)
-    # 9 points stack every run in one call, and 1100 make one call per pair
+    # 9 points stack every run in one call, and 1100 make one call per pair in
+    # their first block
     for size in (9, 1100):
         rows.clear()
         compute_expansion(prob, np.linspace(*prob.domain, size + 2)[1:-1], max_order)

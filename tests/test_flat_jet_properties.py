@@ -280,8 +280,9 @@ def test_flat_rows_fold_term_by_term(order, size, seed, weighted, sub, from_zero
 
 
 @settings(max_examples=60, deadline=None)
-# 700 points cap a stack at 2 pairs, so 5 jet pairs make stacks of 2, 2 and 1
-@example(order=3, size=700, length=5, seed=5, kinds=["jet"] * 91)
+# _BLOCK // 3 + 1 points cap a stack at 2 pairs, so 5 jet pairs make stacks
+# of 2, 2 and 1
+@example(order=3, size=jets._BLOCK // 3 + 1, length=5, seed=5, kinds=["jet"] * 91)
 # one point: the 30 terms of a stack sum along a contiguous axis
 @example(order=12, size=1, length=30, seed=8, kinds=["jet"] * 91)
 @given(
@@ -359,9 +360,10 @@ def test_jets_of_different_orders_combine_at_the_lower_order(name):
 @pytest.mark.parametrize("mismatch", ["within a pair", "between pairs"])
 def test_stacked_products_of_different_orders_take_the_lower_order(mismatch):
     # five jet pairs: one stack of five on 3 points, and stacks of 2, 2 and 1
-    # on 700; every operand is read at the lowest order in the run, and a jet
-    # accumulator at its own order meets the terms at the lower of the two
-    for size, widths in ((3, [5]), (700, [2, 2, 1])):
+    # on _BLOCK // 3 + 1, which caps a stack at 2 pairs; every operand is read
+    # at the lowest order in the run, and a jet accumulator at its own order
+    # meets the terms at the lower of the two
+    for size, widths in ((3, [5]), (jets._BLOCK // 3 + 1, [2, 2, 1])):
         x = [_factor("jet", j, 4, size) for j in range(5)]
         y = [_factor("jet", 10 + j, 4, size) for j in range(5)]
         if mismatch == "within a pair":

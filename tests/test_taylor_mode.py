@@ -163,9 +163,10 @@ WIDTH_CASES = [(get_problem(name), 20) for name in ("diffusion", "burgers", "all
 
 @pytest.mark.parametrize("problem, order", WIDTH_CASES, ids=[p.name for p, _ in WIDTH_CASES])
 def test_coefficients_do_not_depend_on_block_width(problem, order):
-    # 2100 points expand as a block of 2048, whose steps multiply one jet pair
-    # per kernel call, and one of 52; a 50-point slice stacks up to 40 pairs,
-    # and a single point sums each stack along its one contiguous axis
+    # 2100 points expand as two blocks of 1024, whose steps multiply one jet
+    # pair per kernel call, and one of 52, which stacks up to 19; a 50-point
+    # slice stacks up to 20 pairs, and a single point sums each stack along
+    # its one contiguous axis
     lo, hi = problem.domain
     x = np.linspace(lo, hi, 2102)[1:-1]
     whole = compute_expansion(problem, x, order)
