@@ -12,8 +12,7 @@ harness need:
 * ``ic_numpy``    the same initial condition on plain arrays,
 * ``rhs_numpy``   the same right-hand side on plain arrays: ``u`` is a list
   of rows, and ``u_x`` and ``u_xx`` are read-only sequences of one row per
-  component, each row computed the first time it is read; a read-only grid
-  ``x`` does not change, so an equation may keep what it computes from it,
+  component, each row computed the first time it is read,
 * closed-form ``exact_time_derivative`` where one exists; its order 0 is the
   solution itself.
 
@@ -30,6 +29,13 @@ cross-checks.
 
 Second-order problems are posed as first-order systems in time (wave and the
 split real/imaginary Schrodinger system have two components).
+
+The series at a point is built from the jets of the initial data there, so it
+solves the whole-line problem with the same data.  Where periodic data are
+C^1 across the seam, the periodic problem is the same one.  Where they are
+not, the two part at t > 0: schrodinger's ``2 sech(x)`` at +-5 and
+allen_cahn's ``x^2 cos(pi x)`` at +-1 have slopes of opposite signs at the
+two ends.  The reference solver solves the periodic problem.
 """
 
 from __future__ import annotations
@@ -60,10 +66,12 @@ class PdeProblem:
 
     ``boundary`` is either ``"dirichlet"`` (solution vanishes at both ends,
     oddly extendable) or ``"periodic"``; the reference solver uses it to close
-    its finite-difference stencils.  ``diffusivity`` and ``advection_speed``
-    bound the stiffest second- and first-order terms for time-step selection;
-    they play no role in the series path.  ``ic`` receives the identity at
-    a block of points as a :class:`~pdetaylor.series.TruncatedSeries` over
+    its finite-difference stencils, and the series path, which solves the
+    whole-line problem with the same data, never reads it.  ``diffusivity``
+    and ``advection_speed`` bound the stiffest second- and first-order terms
+    for time-step selection; they play no role in the series path.  ``ic``
+    receives the identity at a block of points as a
+    :class:`~pdetaylor.series.TruncatedSeries` over
     :class:`~pdetaylor.jets.BatchAlgebra` of jet order ``2K``, ``(X, 1.0,
     ZERO, ..., ZERO)``: the points, the number ``1.0`` and the structural
     zero, and builds its result with series operations and lifts.  It
@@ -80,12 +88,10 @@ class PdeProblem:
     indexing, slices and iteration as a list does.  It returns one array
     per component, and may return an argument row itself.  The reference
     solver passes the same read-only grid ``x`` at every stage of a solve,
-    and a read-only ``x`` is taken not to change: diffusion keeps its forcing
-    profile at the last one it saw, and computes it anew for a writeable
-    ``x``.  Both numpy evaluators return ``components`` rows, or the
-    reference solver raises ``ValueError``.  ``exact_time_derivative(i, t,
-    x)``, where given, is the closed-form ``d^i U / dt^i``; :meth:`exact` is its
-    order 0.
+    so that no equation can change it between stages.  Both numpy
+    evaluators return ``components`` rows, or the reference solver raises
+    ``ValueError``.  ``exact_time_derivative(i, t, x)``, where given, is the
+    closed-form ``d^i U / dt^i``; :meth:`exact` is its order 0.
     """
 
     name: str
@@ -218,19 +224,9 @@ def _diffusion(overrides=None) -> PdeProblem:
     def ic_numpy(x):
         return [np.sin(PI * x)]
 
-    # the forcing profile at the last read-only grid it saw, read and replaced
-    # as one pair: the reference solver's fixed grid is not reread per stage
-    kept = (None, None)
-
     def rhs_numpy(u, u_x, u_xx, t, x):
-        nonlocal kept
-        grid, profile = kept
-        if x is not grid:
-            s = np.sin(PI * x)
-            profile = s - PI * PI * s
-            if isinstance(x, np.ndarray) and not x.flags.writeable:
-                kept = x, profile
-        return [u_xx[0] - math.exp(-t) * profile]
+        s = np.sin(PI * x)
+        return [u_xx[0] - math.exp(-t) * (s - PI * PI * s)]
 
     def exact_time_derivative(i, t, x):
         return [(-1.0) ** i * math.exp(-t) * np.sin(PI * x)]
@@ -345,7 +341,9 @@ def _burgers(overrides=None) -> PdeProblem:
 def _allen_cahn(overrides=None) -> PdeProblem:
     """U_t = diffusion*U_xx + reaction*(U - U^3) on [-1, 1], periodic.
 
-    U(0, x) = x^2 * cos(pi x).
+    U(0, x) = x^2 * cos(pi x), whose slope is -2 at x = 1 and 2 at x = -1, so
+    the series, which solves the whole-line problem, and the periodic problem
+    part at t > 0 near the seam.
     """
     params = _merge_params({"diffusion": 1e-4, "reaction": 5.0}, overrides, "allen_cahn")
     d, lam = _non_negative(params, "diffusion", "allen_cahn"), params["reaction"]
@@ -387,7 +385,9 @@ def _schrodinger(overrides=None) -> PdeProblem:
         U_t = -0.5*V_xx - (U^2 + V^2)*V
         V_t =  0.5*U_xx + (U^2 + V^2)*U
 
-    with H(0, x) = 2*sech(x).
+    with H(0, x) = 2*sech(x).  The series solves the whole-line problem,
+    whose solution is the breather; 2*sech(x) is not C^1 across the periodic
+    seam at +-5, so the periodic problem parts from it at t > 0.
     """
     params = _merge_params({}, overrides, "schrodinger")
 

@@ -207,6 +207,37 @@ def allen_cahn_coefficients(points, max_order: int, digits: int = 60) -> np.ndar
     return out
 
 
+def breather_coefficients(points, max_order: int, digits: int = 60) -> np.ndarray:
+    """Time-Taylor coefficients ``C_0..C_K`` of schrodinger at t = 0, from the
+    breather.
+
+    ``H = U + iV = 4 e^{it/2} (cosh 3x + 3 e^{4it} cosh x) / (cosh 4x +
+    4 cosh 2x + 3 cos 4t)`` solves the cubic Schrodinger equation on the whole
+    line from ``H(0, x) = 2 sech x`` (Satsuma & Yajima).  The numerator's
+    t-coefficients are ``4 (cosh 3x (i/2)**k + 3 cosh x (9i/2)**k) / k!``, the
+    denominator's past order 0 are ``3 Re (4i)**k / k!``, and ``H``'s are one
+    series division in t, in ``digits``-digit mpmath.  Returns an array of
+    shape ``(2, K+1, N)``: the coefficients of ``U`` and of ``V``.
+    """
+    out = np.empty((2, max_order + 1, len(points)))
+    with mp.workdps(digits):
+        half, nine_halves, four = mp.mpc(0, 0.5), mp.mpc(0, 4.5), mp.mpc(0, 4)
+        ks = range(max_order + 1)
+        fact = [mp.factorial(k) for k in ks]
+        den_t = [3 * mp.re(four**k) / fact[k] for k in ks]
+        for col, x in enumerate(points):
+            x = mp.mpf(float(x))
+            num = [4 * (mp.cosh(3 * x) * half**k + 3 * mp.cosh(x) * nine_halves**k) / fact[k]
+                   for k in ks]
+            den0 = mp.cosh(4 * x) + 4 * mp.cosh(2 * x) + 3
+            q = []
+            for k in ks:
+                q.append((num[k] - mp.fsum(den_t[j] * q[k - j] for j in range(1, k + 1))) / den0)
+            out[0, :, col] = [float(mp.re(qk)) for qk in q]
+            out[1, :, col] = [float(mp.im(qk)) for qk in q]
+    return out
+
+
 def cole_hopf_burgers_values(points, t: float, digits: int = 90, terms: int = 200) -> np.ndarray:
     """Values of burgers at time ``t``, by the Fourier-Bessel form of Cole-Hopf.
 

@@ -89,6 +89,11 @@ def test_criterion_4_finite_time_evaluation(heat_report, diffusion_report, wave_
 def test_criterion_5_reference_equivalence(heat_reference_error):
     # the numerical reference must first reproduce a known closed form
     assert heat_reference_error < 1e-8
+    # The series solves the whole-line problem; the reference solves the
+    # periodic one.  Schrodinger's 2 sech(x) is not C^1 across the seam at
+    # +-5, so the two part at t > 0: its gap here, 4.97e-6 of the 1e-5 bound,
+    # is the reference against the breather, while the K=5 series is 7.5e-12
+    # from the breather at these points.  It measures the seam, not the engine.
     for name, order in (("burgers", 7), ("allen_cahn", 7), ("schrodinger", 5)):
         prob = get_problem(name)
         pts = sample_points(prob, 20, tau=default_exclusion(prob), seed=2)

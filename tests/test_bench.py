@@ -387,6 +387,106 @@ def test_check_thresholds_unknown_problem_has_no_bounds():
     assert check_thresholds(dataclasses.replace(r, problem="toy")) == []
 
 
+def _passing_report(problem, components, max_order=10, t1_values=(0.01, 0.05, 0.1)):
+    """A report that meets every bound of ``problem``: zero errors, but for
+    diffusion's order 10, which sits inside its degradation window."""
+    rows = tuple((0.0,) * (max_order + 1) for _ in range(components))
+    report = BenchReport(
+        problem=problem, max_order=max_order, seed=0, tau=0.1, points=np.zeros(5),
+        t1_values=t1_values, derivative_nrmse=rows, coefficient_nrmse=rows,
+        taylor_nrmse=tuple((0.0,) * len(t1_values) for _ in range(components)),
+        runtime_seconds=0.0,
+    )
+    if problem == "diffusion" and max_order >= 10:
+        report = _with_error(report, "derivative_nrmse", 10, 1e-7)
+    return report
+
+
+def _with_error(report, field, index, value):
+    """``report`` with entry ``index`` of component 0's ``field`` set to ``value``."""
+    rows = getattr(report, field)
+    row = list(rows[0])
+    row[index] = value
+    return dataclasses.replace(report, **{field: (tuple(row),) + rows[1:]})
+
+
+@pytest.mark.parametrize(
+    "problem, components, field, index, value, message",
+    [
+        ("heat", 1, "derivative_nrmse", 2, 1e-10,
+         "heat derivative order 2: nrmse 1.000e-10 exceeds 1e-14"),
+        ("wave", 2, "derivative_nrmse", 4, 2.5e-13,
+         "wave derivative order 4: nrmse 2.500e-13 exceeds 1e-14"),
+        ("wave", 2, "derivative_nrmse", 3, 1e-20,
+         "wave derivative order 3: nrmse 1.000e-20, expected exactly 0"),
+        ("diffusion", 1, "coefficient_nrmse", 7, 3.25e-11,
+         "diffusion coefficient order 7: nrmse 3.250e-11 exceeds 1e-12"),
+        ("diffusion", 1, "derivative_nrmse", 10, 2e-4,
+         "diffusion derivative order 10: nrmse 2.000e-04 outside the degradation window [1e-09, 1e-05]"),
+        ("heat", 1, "taylor_nrmse", 2, 4e-11,
+         "heat evaluation at t1=0.1: nrmse 4.000e-11 exceeds 1e-11"),
+        ("diffusion", 1, "taylor_nrmse", 0, 2e-15,
+         "diffusion evaluation at t1=0.01: nrmse 2.000e-15 exceeds 1e-15"),
+        ("wave", 2, "taylor_nrmse", 1, 3e-14,
+         "wave evaluation at t1=0.05: nrmse 3.000e-14 exceeds 1e-14"),
+    ],
+    ids=["derivative_max", "even_derivative_max", "odd_derivative_exact_zero", "coefficient_max",
+         "derivative_order10_range", "heat-horizon", "diffusion-horizon", "wave-horizon"],
+)
+def test_check_thresholds_message_of_each_rule(problem, components, field, index, value, message):
+    report = _passing_report(problem, components)
+    assert check_thresholds(report) == []
+    assert check_thresholds(_with_error(report, field, index, value)) == [message]
+
+
+@pytest.mark.parametrize(
+    "problem, components, field, index, flagged",
+    [
+        ("heat", 1, "derivative_nrmse", 0, False),  # derivative_max holds from order 1
+        ("heat", 1, "derivative_nrmse", 10, True),
+        ("wave", 2, "derivative_nrmse", 0, True),  # even_derivative_max from order 0
+        ("wave", 2, "derivative_nrmse", 10, True),
+        ("diffusion", 1, "coefficient_nrmse", 0, True),  # coefficient_max at every order
+        ("diffusion", 1, "coefficient_nrmse", 10, True),
+        ("diffusion", 1, "derivative_nrmse", 9, False),  # diffusion caps no derivative
+    ],
+)
+def test_check_thresholds_orders_each_cap_covers(problem, components, field, index, flagged):
+    report = _with_error(_passing_report(problem, components), field, index, 1.0)
+    assert len(check_thresholds(report)) == flagged
+
+
+def test_check_thresholds_lists_breaches_rule_by_rule_and_order_by_order():
+    wave = _passing_report("wave", 2)
+    for field, index, value in (("taylor_nrmse", 2, 1.0), ("derivative_nrmse", 5, 1e-30),
+                                ("derivative_nrmse", 1, 2e-30), ("derivative_nrmse", 8, 1e-3),
+                                ("derivative_nrmse", 2, 2e-3)):
+        wave = _with_error(wave, field, index, value)
+    assert check_thresholds(wave) == [
+        "wave derivative order 2: nrmse 2.000e-03 exceeds 1e-14",
+        "wave derivative order 8: nrmse 1.000e-03 exceeds 1e-14",
+        "wave derivative order 1: nrmse 2.000e-30, expected exactly 0",
+        "wave derivative order 5: nrmse 1.000e-30, expected exactly 0",
+        "wave evaluation at t1=0.1: nrmse 1.000e+00 exceeds 1e-13",
+    ]
+    diffusion = _passing_report("diffusion", 1)
+    for field, index, value in (("taylor_nrmse", 1, 5e-15), ("derivative_nrmse", 10, 1e-12),
+                                ("coefficient_nrmse", 4, 1e-6), ("coefficient_nrmse", 0, 2e-6)):
+        diffusion = _with_error(diffusion, field, index, value)
+    assert check_thresholds(diffusion) == [
+        "diffusion coefficient order 0: nrmse 2.000e-06 exceeds 1e-12",
+        "diffusion coefficient order 4: nrmse 1.000e-06 exceeds 1e-12",
+        "diffusion derivative order 10: nrmse 1.000e-12 outside the degradation window [1e-09, 1e-05]",
+        "diffusion evaluation at t1=0.05: nrmse 5.000e-15 exceeds 1e-15",
+    ]
+
+
+def test_check_thresholds_skip_the_window_below_order_10_and_unknown_horizons():
+    # the degradation window needs order 10, and a horizon with no bound is not judged
+    short = _passing_report("diffusion", 1, max_order=9, t1_values=(0.02,))
+    assert check_thresholds(_with_error(short, "taylor_nrmse", 0, 1.0)) == []
+
+
 # -- report output ------------------------------------------------------------
 
 
@@ -401,6 +501,69 @@ def test_write_report_csv_round_trips(tmp_path):
     row = lines[1].split(",")
     assert row[0] == "derivative_nrmse" and row[1] == "0" and row[2] == "0"
     assert float(row[3]) == r.derivative_nrmse[0][0]
+
+
+def _table_report(problem, components, max_order, t1_values):
+    """A report with a different error in every cell."""
+    return BenchReport(
+        problem=problem, max_order=max_order, seed=7, tau=0.123456789, points=np.zeros(50),
+        t1_values=t1_values,
+        derivative_nrmse=tuple(tuple(1.25e-17 * (i + 1) * 3**c for i in range(max_order + 1))
+                               for c in range(components)),
+        coefficient_nrmse=tuple(tuple(2.5e-16 / (i + 1) * 7**c for i in range(max_order + 1))
+                                for c in range(components)),
+        taylor_nrmse=tuple(tuple(3.125e-15 * (j + 1) * 11**c for j in range(len(t1_values)))
+                           for c in range(components)),
+        runtime_seconds=0.0,
+    )
+
+
+_HEAT_TABLE = """\
+problem: heat  (max order 3, 50 points, seed 7, tau 0.123457)
+       order    derivative   coefficient
+           0     1.250e-17     2.500e-16
+           1     2.500e-17     1.250e-16
+           2     3.750e-17     8.333e-17
+           3     5.000e-17     6.250e-17
+
+          t1    evaluation
+        0.01     3.125e-15
+      0.0025     6.250e-15
+         0.1     9.375e-15"""
+
+_WAVE_TABLE = """\
+problem: wave  (max order 10, 50 points, seed 7, tau 0.123457)
+       order  derivative[0]  coefficient[0]  derivative[1]  coefficient[1]
+           0      1.250e-17       2.500e-16      3.750e-17       1.750e-15
+           1      2.500e-17       1.250e-16      7.500e-17       8.750e-16
+           2      3.750e-17       8.333e-17      1.125e-16       5.833e-16
+           3      5.000e-17       6.250e-17      1.500e-16       4.375e-16
+           4      6.250e-17       5.000e-17      1.875e-16       3.500e-16
+           5      7.500e-17       4.167e-17      2.250e-16       2.917e-16
+           6      8.750e-17       3.571e-17      2.625e-16       2.500e-16
+           7      1.000e-16       3.125e-17      3.000e-16       2.188e-16
+           8      1.125e-16       2.778e-17      3.375e-16       1.944e-16
+           9      1.250e-16       2.500e-17      3.750e-16       1.750e-16
+          10      1.375e-16       2.273e-17      4.125e-16       1.591e-16
+
+          t1  evaluation[0]  evaluation[1]
+        0.01      3.125e-15      3.437e-14
+      0.0025      6.250e-15      6.875e-14
+         0.1      9.375e-15      1.031e-13"""
+
+
+@pytest.mark.parametrize(
+    "problem, components, max_order, table",
+    [("heat", 1, 3, _HEAT_TABLE), ("wave", 2, 10, _WAVE_TABLE)],
+    ids=["heat", "wave"],
+)
+def test_format_report_table_text_is_pinned(problem, components, max_order, table):
+    # every column right-justified to its header, and at least 12, two spaces
+    # apart; without horizons the table ends after its last order
+    with_horizons = _table_report(problem, components, max_order, (0.01, 0.0025, 0.1))
+    assert format_report_table(with_horizons) == table
+    without = _table_report(problem, components, max_order, ())
+    assert format_report_table(without) == table.split("\n\n")[0]
 
 
 def test_format_report_table_layout():
@@ -627,12 +790,15 @@ def test_reference_checks_component_counts(change, message):
 )
 def test_reference_correlates_only_the_rows_rhs_numpy_reads(monkeypatch, name, per_stage):
     # wave reads u_xx[0] of its two components, schrodinger u_xx of both, and
-    # only burgers reads u_x
+    # only burgers reads u_x; every stage is handed one read-only grid, so no
+    # equation can change it between stages
     problem = get_problem(name)
-    stages, correlations = [], []
+    stages, correlations, grids = [], [], []
 
     def rhs_numpy(u, u_x, u_xx, t, x):
         stages.append(t)
+        grids.append(x)
+        assert not x.flags.writeable
         return problem.rhs_numpy(u, u_x, u_xx, t, x)
 
     def correlate(*args, **kwargs):
@@ -644,6 +810,7 @@ def test_reference_correlates_only_the_rows_rhs_numpy_reads(monkeypatch, name, p
     lo, hi = problem.domain
     reference_solve(dataclasses.replace(problem, rhs_numpy=rhs_numpy), np.array([(lo + hi) / 2]), 2e-6)
     assert stages and len(correlations) == per_stage * len(stages)
+    assert all(x is grids[0] for x in grids)
 
 
 def _reference_stage_by_stage(problem, points, t1):
@@ -727,40 +894,21 @@ def test_reference_stages_do_not_reach_each_other_through_their_arguments(name):
         np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
-def test_diffusion_forcing_is_computed_once_per_solve(monkeypatch):
-    # the reference solver's grid is read-only, so diffusion keeps its forcing
-    # profile there; a writeable grid is read again at every call
+def test_diffusion_forcing_follows_a_changed_grid_behind_a_read_only_view():
+    # a read-only view does not stop its base from changing, so the forcing is
+    # computed from the grid of each call, with the bits of a fresh array's
     problem = get_problem("diffusion")
-    stages, sines = [], []
-
-    def rhs_numpy(u, u_x, u_xx, t, x):
-        stages.append(t)
-        assert not x.flags.writeable
-        return problem.rhs_numpy(u, u_x, u_xx, t, x)
-
-    def spy(a, *args, **kwargs):
-        sines.append(np.size(a))
-        return real_sin(a, *args, **kwargs)
-
-    real_sin = np.sin
-    monkeypatch.setattr(np, "sin", spy)
-    solver = dataclasses.replace(problem, rhs_numpy=rhs_numpy)
-    for _ in range(2):
-        stages.clear()
-        sines.clear()
-        reference_solve(solver, np.array([0.3]), 2e-6)
-        # one sine for the initial condition, one for the forcing
-        assert len(stages) > 4 and sines == [_CELLS + 1] * 2
-
-    x = np.linspace(-1.0, 1.0, 9)
-    u, u_xx = [np.zeros(9)], [np.zeros(9)]
-    sines.clear()
-    fresh = [problem.rhs_numpy(u, u_xx, u_xx, 0.0, x)[0] for _ in range(2)]
-    x.flags.writeable = False
-    kept = [problem.rhs_numpy(u, u_xx, u_xx, 0.0, x)[0] for _ in range(2)]
-    assert sines == [9, 9, 9]
-    for row in fresh + kept:
-        np.testing.assert_array_equal(row.view(np.uint64), fresh[0].view(np.uint64))
+    base = np.linspace(-1.0, 1.0, 5)
+    view = base.view()
+    view.flags.writeable = False
+    u, u_xx = [np.zeros(5)], [np.full(5, 0.25)]
+    problem.rhs_numpy(u, u_xx, u_xx, 0.1, view)
+    base += 0.3
+    got = problem.rhs_numpy(u, u_xx, u_xx, 0.1, view)[0]
+    fresh = problem.rhs_numpy(u, u_xx, u_xx, 0.1, base.copy())[0]
+    np.testing.assert_array_equal(got.view(np.uint64), fresh.view(np.uint64))
+    s = np.sin(PI * base)
+    np.testing.assert_allclose(got, 0.25 - math.exp(-0.1) * (s - PI * PI * s), rtol=0, atol=1e-15)
 
 
 def test_reference_stencil_rows_answer_as_a_list_does():

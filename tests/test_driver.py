@@ -30,6 +30,7 @@ from pdetaylor.series import exp as exp_
 from conftest import (
     allen_cahn_coefficients,
     assert_equal_but_for_zero_signs,
+    breather_coefficients,
     cole_hopf_burgers_coefficients,
     ic_jets,
 )
@@ -105,6 +106,23 @@ def test_order_20_allen_cahn_coefficients_match_a_60_digit_recursion():
     got = np.array(compute_expansion(get_problem("allen_cahn"), x, 20).coeffs[0])
     rel = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
     assert rel.max() <= 2e-14, np.array2string(rel, precision=2)
+
+
+# ten times the worst error measured at the points below, rounded up; each
+# error is relative to its order's largest true value over both components.
+# Measured: 1.1e-16 to 1.9e-15 at orders 0-6, then 3.2e-14, 2.9e-13,
+# 1.5e-12, 5.4e-12, 4.4e-11 and 7.7e-11.  Past order 12 rounding takes over
+# (1.7e-9 at 13, 2.8e-2 at 20), so those orders are not asserted
+_BREATHER_BOUNDS = (2e-14,) * 7 + (4e-13, 3e-12, 2e-11, 6e-11, 5e-10, 8e-10)
+
+
+def test_order_20_schrodinger_coefficients_match_the_breather():
+    x = np.array([0.3, -0.55, 0.9, 0.05, 1.7, -2.4])
+    want = breather_coefficients(x, 20)
+    got = np.array(compute_expansion(get_problem("schrodinger"), x, 20).coeffs)
+    rel = np.max(np.abs(got - want), axis=(0, 2)) / np.max(np.abs(want), axis=(0, 2))
+    for order, bound in enumerate(_BREATHER_BOUNDS):
+        assert rel[order] <= bound, f"order {order}: {rel[order]:.3g}"
 
 
 def test_order_20_burgers_values_match_cole_hopf(burgers_truth):

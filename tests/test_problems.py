@@ -13,9 +13,13 @@ from pdetaylor import (
     available_problems,
     compute_expansion,
     derivative,
+    driver,
     get_problem,
+    sample_points,
     seed_variable,
 )
+from pdetaylor.jets import BatchAlgebra, Jet
+from pdetaylor.series import ZERO
 
 from conftest import ic_jets
 
@@ -219,6 +223,48 @@ def test_series_rhs_matches_array_rhs_at_start(name):
     f = prob.rhs_numpy(u, u_x, u_xx, 0.0, x)
     for m in range(prob.components):
         np.testing.assert_allclose(c1[m], f[m], rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_array_rhs_on_the_initial_jet_rows_is_the_first_coefficient(name):
+    # rhs_numpy at t = 0 on the rows of the driver's own C_0 (the values, u_x,
+    # and u_xx as twice row 2) gives the engine's C_1 bit for bit; the two
+    # right-hand sides are written apart, so this checks each against the
+    # other at order 1
+    prob = get_problem(name)
+    x = sample_points(prob, 200, None, 0)
+    u, u_x, u_xx = [], [], []
+    for c0 in driver._initial_condition(prob, BatchAlgebra(x.size), x, 2):
+        if isinstance(c0, Jet):
+            rows = c0.coeffs
+        else:  # ZERO or a number: the same value at every point, flat in x
+            rows = np.zeros((3, x.size))
+            rows[0] = 0.0 if c0 is ZERO else c0
+        u.append(rows[0])
+        u_x.append(rows[1])
+        u_xx.append(2 * rows[2])
+    f = prob.rhs_numpy(u, u_x, u_xx, 0.0, x)
+    c1 = compute_expansion(prob, x, 1).coeffs
+    for m in range(prob.components):
+        if (name, m) == ("schrodinger", 0):
+            # -0.5 * V_xx - |H|^2 V with V = +0.0 is -0.0 in numpy, and the
+            # engine stores that ZERO product as +0.0: equal values, other bits
+            np.testing.assert_array_equal(f[m], c1[m][1])
+            assert not np.any(c1[m][1])
+        else:
+            np.testing.assert_array_equal(f[m].view(np.uint64), c1[m][1].view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["schrodinger", "allen_cahn"])
+def test_periodic_data_are_continuous_but_not_c1_across_the_seam(name):
+    # the series solves the whole-line problem with the same data; the
+    # periodic problem is the same only where the data's jets at lo and hi
+    # agree, and for these two they first differ at row 1, the slope
+    prob = get_problem(name)
+    assert prob.boundary == "periodic"
+    at_lo, at_hi = np.asarray(prob.ic(seed_variable(np.array(prob.domain), 2))[0].coeffs).T
+    np.testing.assert_allclose(at_lo[0], at_hi[0], rtol=1e-15, atol=0)
+    assert abs(at_lo[1] - at_hi[1]) > 0.05 * abs(at_lo[1])
 
 
 def test_burgers_initial_rate_frozen_value():
