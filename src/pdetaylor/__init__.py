@@ -1,88 +1,17 @@
 """Arbitrary-order time derivatives of PDE solutions via series-of-jets arithmetic."""
 
-from .bench import (
-    BenchReport,
-    OracleFailure,
-    SamplingError,
-    check_thresholds,
-    default_exclusion,
-    format_report_table,
-    nrmse,
-    reference_solve,
-    run_benchmark,
-    sample_points,
-    write_report_csv,
-)
-from .driver import MAX_ORDER, DivergenceError, TaylorExpansion, compute_expansion
-from .jets import (
-    BatchAlgebra,
-    InsufficientJetOrderError,
-    JetAlgebra,
-    derivative,
-    seed_variable,
-)
-from .problems import (
-    NoExactOracleError,
-    PdeProblem,
-    UnknownProblemError,
-    available_problems,
-    get_problem,
-)
-from .series import (
-    InfinitesimalDivisorError,
-    LiftDomainError,
-    OrderMismatchError,
-    RealAlgebra,
-    TruncatedSeries,
-    cos,
-    exp,
-    log,
-    power,
-    reciprocal,
-    sech,
-    sin,
-    sin_cos,
-)
+from . import bench, driver, jets, problems, series
+from .bench import *
+from .driver import *
+from .jets import *
+from .problems import *
+from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BatchAlgebra",
-    "BenchReport",
-    "DivergenceError",
-    "InfinitesimalDivisorError",
-    "InsufficientJetOrderError",
-    "JetAlgebra",
-    "LiftDomainError",
-    "MAX_ORDER",
-    "NoExactOracleError",
-    "OracleFailure",
-    "OrderMismatchError",
-    "PdeProblem",
-    "RealAlgebra",
-    "SamplingError",
-    "TaylorExpansion",
-    "TruncatedSeries",
-    "UnknownProblemError",
-    "available_problems",
-    "check_thresholds",
-    "compute_expansion",
-    "cos",
-    "default_exclusion",
-    "derivative",
-    "exp",
-    "format_report_table",
-    "get_problem",
-    "log",
-    "nrmse",
-    "power",
-    "reciprocal",
-    "reference_solve",
-    "run_benchmark",
-    "sample_points",
-    "sech",
-    "seed_variable",
-    "sin",
-    "sin_cos",
-    "write_report_csv",
-]
+__all__ = []
+__all__ += bench.__all__
+__all__ += driver.__all__
+__all__ += jets.__all__
+__all__ += problems.__all__
+__all__ += series.__all__

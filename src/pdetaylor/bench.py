@@ -45,6 +45,20 @@ from .driver import DivergenceError, compute_expansion
 from .jets import _as_int, _real_points
 from .problems import NoExactOracleError, PdeProblem
 
+__all__ = [
+    "BenchReport",
+    "OracleFailure",
+    "SamplingError",
+    "check_thresholds",
+    "default_exclusion",
+    "format_report_table",
+    "nrmse",
+    "reference_solve",
+    "run_benchmark",
+    "sample_points",
+    "write_report_csv",
+]
+
 
 class SamplingError(RuntimeError):
     """Could not draw enough admissible sample points."""

@@ -95,6 +95,13 @@ from .jets import _BLOCK, BatchAlgebra, Jet, _as_int, _real_points, derivative, 
 from .problems import PdeProblem
 from .series import ZERO, LazySeries, SeriesTape, TruncatedSeries, _as_scalar, _real
 
+__all__ = [
+    "DivergenceError",
+    "MAX_ORDER",
+    "TaylorExpansion",
+    "compute_expansion",
+]
+
 MAX_ORDER = 20
 # Jet orders one time order consumes: ``rhs`` reads at most ``U_xx``.
 _SPATIAL_ORDER = 2

@@ -81,6 +81,14 @@ import numpy as np
 
 from .series import ZERO, TruncatedSeries, _as_scalar, _sum_terms
 
+__all__ = [
+    "BatchAlgebra",
+    "InsufficientJetOrderError",
+    "JetAlgebra",
+    "derivative",
+    "seed_variable",
+]
+
 
 # The width of one array operation on jets, in points times stacked pairs.
 # The driver expands points in blocks of ``_BLOCK``, and what a block holds

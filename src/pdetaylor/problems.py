@@ -49,6 +49,14 @@ import numpy as np
 from .jets import _as_int, _real_points
 from .series import ZERO, TruncatedSeries, cos, exp, sech, sin
 
+__all__ = [
+    "NoExactOracleError",
+    "PdeProblem",
+    "UnknownProblemError",
+    "available_problems",
+    "get_problem",
+]
+
 PI = math.pi
 
 

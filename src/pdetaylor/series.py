@@ -91,6 +91,22 @@ from functools import partial
 
 import numpy as np
 
+__all__ = [
+    "InfinitesimalDivisorError",
+    "LiftDomainError",
+    "OrderMismatchError",
+    "RealAlgebra",
+    "TruncatedSeries",
+    "cos",
+    "exp",
+    "log",
+    "power",
+    "reciprocal",
+    "sech",
+    "sin",
+    "sin_cos",
+]
+
 
 class OrderMismatchError(ValueError):
     """Binary operation on series of different truncation orders."""

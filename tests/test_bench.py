@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -765,6 +766,18 @@ def test_reference_raises_on_blow_up():
     )
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OracleFailure):
         reference_solve(prob, np.array([0.0]), 0.01)
+
+
+def test_reference_checks_the_final_state_of_a_short_solve():
+    # 100 steps of 1e-6 end before the check every 1000 steps runs once, so
+    # only the final check sees the infinite rows, and it warns of nothing
+    prob = dataclasses.replace(
+        get_problem("heat"), rhs_numpy=lambda u, u_x, u_xx, t, x: [np.full_like(u[0], np.inf)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OracleFailure, match="^reference solve finished with non-finite values$"):
+            reference_solve(prob, np.array([0.4]), 1e-4)
 
 
 @pytest.mark.parametrize(

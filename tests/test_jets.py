@@ -326,6 +326,15 @@ def test_jet_input_errors(call, error, message):
         call()
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+def test_jets_over_different_batches_do_not_combine(op):
+    a = seed_variable(np.linspace(-0.5, 0.5, 3), 4)
+    b = seed_variable(np.linspace(-0.5, 0.5, 4), 4)
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(TypeError, match="incompatible coefficient algebras"):
+            op(left, right)
+
+
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
                          ids=["add", "sub", "mul", "div"])
 def test_series_of_rows_meets_a_jet_as_its_flat_jet(op):

@@ -293,6 +293,12 @@ def test_power_rejects_non_finite_exponent(exponent):
         power(s(2, 1, 0), exponent)
 
 
+@pytest.mark.parametrize("call", [lambda: exp(1.0), lambda: sin_cos(np.ones(3))], ids=["float", "array"])
+def test_lifts_reject_what_is_not_a_series(call):
+    with pytest.raises(TypeError, match="expected a TruncatedSeries or LazySeries, got "):
+        call()
+
+
 def test_series_is_immutable():
     a = s(1, 2)
     with pytest.raises(AttributeError):

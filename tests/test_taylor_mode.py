@@ -202,6 +202,15 @@ def test_lazy_series_of_different_tapes_do_not_combine(op):
         op(a, b)
 
 
+def test_a_node_that_has_computed_a_coefficient_cannot_start_a_history():
+    # a product built now would read coefficient 0 of ``a``, which no history kept
+    tape = SeriesTape()
+    a, b = (LazySeries(tape, lambda k: 1.0) for _ in range(2))
+    a.coeff(0)
+    with pytest.raises(RuntimeError, match="before evaluation starts"):
+        a * b
+
+
 def test_only_operands_that_later_steps_read_keep_history():
     tape = SeriesTape()
     a = LazySeries(tape, lambda k: float(k + 1))
