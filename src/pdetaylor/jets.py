@@ -18,13 +18,16 @@ product, and ``a * b`` is the stack of one.  A series step forms and sums the
 jet products of one coefficient through :meth:`Jet._fold_products`: in stacks
 of up to ``_BLOCK // N`` pairs, each filled pair by pair into one preallocated
 ``(P+1, m, N)`` array per operand side and multiplied by one kernel call,
-whose result is weighted and summed over its ``m`` products by one reduction.  So
-50-point jets make one kernel call and one sum for up to 20 products, where a
-call, a jet and an addition per product spent their time in Python dispatch,
-and a driver block of ``_BLOCK`` points still multiplies one pair at a time,
-adding each product into the sum in its own array.  Only that method sums jet
-products; a lone term, such as a jet times a number, is added by one ``+``.  A
-coefficient that does not vary in space is not a jet at all: it is the
+whose order-first result is handed to the reduction as the pair-first view
+``(m, P+1, N)`` that :func:`~pdetaylor.series._sum_terms` reads, weighted
+and summed over its ``m`` products along its first axis.  So 50-point jets
+make one kernel call and one sum for up to 20 products, where a call, a jet
+and an addition per product spent their time in Python dispatch, and a
+driver block of ``_BLOCK`` points still multiplies one pair at a time,
+adding each product into the sum in its own array.  Only that method sums
+jet products, and it is the only method that folds a run of terms; a lone
+term, such as a jet times a number, is added by one ``+`` as the step meets
+it.  A coefficient that does not vary in space is not a jet at all: it is the
 structural zero of :mod:`pdetaylor.series` when it is zero whatever the data,
 such as Schrodinger's parity zeros, or a plain number, such as those of
 diffusion's ``exp(-t)``, and a jet times or over a number is one scaling or
@@ -240,8 +243,10 @@ class Jet(TruncatedSeries):
         every operand is read at the lowest order among them, which sizes the
         stacks.  The products are formed in stacks of ``_BLOCK // N`` pairs:
         each pair's rows are copied into one preallocated ``(n, m, N)`` array
-        per operand side, and one kernel call multiplies the stack.  A stack is
-        weighted and summed into ``acc`` in its own array with one reduction
+        per operand side, and one kernel call multiplies the stack.  Its
+        ``(n, m, N)`` result is handed over as the pair-first view ``(m, n,
+        N)``, a single pair's as ``(1, n, N)``, and weighted and summed into
+        ``acc`` in its own array with one reduction along that first axis
         (:func:`~pdetaylor.series._sum_terms`) before the next is formed, so a
         block of ``_BLOCK`` points holds one product at a time and, one pair
         per stack, copies no operand.
@@ -260,14 +265,14 @@ class Jet(TruncatedSeries):
         for start in range(0, len(pairs), per_stack):
             stack = pairs[start : start + per_stack]
             if len(stack) == 1:
-                c = _convolve(stack[0][1].coeffs[:n], stack[0][2].coeffs[:n])[:, None]
+                c = _convolve(stack[0][1].coeffs[:n], stack[0][2].coeffs[:n])[None]
             else:
                 for p, (_, x, y) in enumerate(stack):
                     xs[:, p] = x.coeffs[:n]
                     ys[:, p] = y.coeffs[:n]
-                c = _convolve(xs[:, : len(stack)], ys[:, : len(stack)])
+                c = _convolve(xs[:, : len(stack)], ys[:, : len(stack)]).swapaxes(0, 1)
             w = None if stack[0][0] is None else [w for w, _, _ in stack]
-            acc = _sum_terms(acc, c, w, sub, 1)
+            acc = _sum_terms(acc, c, w, sub)
         return Jet(first.algebra, acc)
 
 

@@ -351,7 +351,11 @@ def _allen_cahn(overrides=None) -> PdeProblem:
 
     U(0, x) = x^2 * cos(pi x), whose slope is -2 at x = 1 and 2 at x = -1, so
     the series, which solves the whole-line problem, and the periodic problem
-    part at t > 0 near the seam.
+    part at t > 0 near the seam.  Against ``reference_solve`` on 2001 evenly
+    spaced points at K=20: at t1 = 0.01 the gap is 6.6e-4 at the seam, above
+    1e-12 only within 0.0100 of it and 6.7e-15 or less farther than 0.0125;
+    at t1 = 0.1 it is above 1e-10 only within 0.023 of the seam, and the
+    1e-12 misses out to 0.216 are the size of the last term |C_20| t1^20.
     """
     params = _merge_params({"diffusion": 1e-4, "reaction": 5.0}, overrides, "allen_cahn")
     d, lam = _non_negative(params, "diffusion", "allen_cahn"), params["reaction"]

@@ -61,14 +61,16 @@ lazy history as a list it extends as it grows, and a step walks the shorter
 of its two factors' indices, checking only the other factor, so a lift of the
 identity ``(x, 1.0, ZERO, ...)`` visits one term per order.  A dense sequence
 keeps no index and is walked by ``range``.  Where the terms are
-arrays it forms them as one array: the rows of flat jets with one broadcast
-multiply, and each run of jet pairs in stacked kernel calls, through the
-series class's ``_fold_products``.  It sums such an array with one
-``np.subtract.reduce``, which numpy defines as the loop ``r = r - t``, every
-added term negated first; a lone term, such as a jet times a number, is one
-``+`` or ``-``.  Each term and each sum is the same float operation in the same
-order as one term at a time, so neither changes a bit, and nor does negating as
-``* -1.0`` or subtracting a number ``s`` as ``+ -s`` (IEEE 754 exact).
+arrays it forms them as one array, one term after another along its first
+axis: the rows of flat jets with one broadcast multiply, and each run of
+consecutive jet pairs in stacked kernel calls, through
+:meth:`~pdetaylor.jets.Jet._fold_products`, the only method that folds a run.
+It sums such an array with one ``np.subtract.reduce``, which numpy defines as
+the loop ``r = r - t``, every added term negated first; any other term, such
+as a jet times a number, is added alone with one ``+`` or ``-``.  Each term
+and each sum is the same float operation in the same order as one term at a
+time, so neither changes a bit, and nor does negating as ``* -1.0`` or
+subtracting a number ``s`` as ``+ -s`` (IEEE 754 exact).
 A :class:`TruncatedSeries` may hold ``ZERO`` too, and its operations skip those
 terms the same way: the expansion driver hands a problem's initial condition
 the identity with every coefficient past order 1 ``ZERO``, and its ``x`` node
@@ -329,19 +331,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def _fold_products(acc, pairs, sub):
-        """``acc + w * x * y`` for each ``(w, x, y)``, in order, or ``-`` with
-        ``sub``; a ``w`` of None weighs nothing.
-
-        :func:`_fold` passes each run of products of two series of one class to
-        that class's method, and any other run to this one, which forms one
-        product at a time; :class:`~pdetaylor.jets.Jet` sums stacks of them.
-        """
-        for w, x, y in pairs:
-            acc = _accumulate(acc, x * y, w, sub)
-        return acc
-
     def __truediv__(self, other):
         s = _number_divisor(other)
         if s is not None:
@@ -463,28 +452,29 @@ def _fold(acc, x, y, k, lo, hi, w=None, sub=False):
     factor is checked here.  When ``x`` and ``y`` are the ``(P+1, N)`` arrays
     of flat jets, all the terms are formed by one broadcast multiply and
     summed by :func:`_sum_terms`.  Otherwise each run of consecutive terms
-    whose two factors are series of one class is folded by that class's
-    ``_fold_products``, which a flat jet answers with stacked kernel calls and
-    one sum per stack, and a run of any other terms by
-    :meth:`TruncatedSeries._fold_products`, one product at a time.
+    whose two factors are jets (of one type, with a ``_fold_products``) is
+    folded by :meth:`~pdetaylor.jets.Jet._fold_products` in stacked kernel
+    calls, one sum per stack, and every other term is added alone, as it
+    comes, after the run before it.
     """
     if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
         if lo >= hi:
             return acc
         terms = x[lo:hi] * y[k - hi + 1 : k - lo + 1][::-1]
-        return _sum_terms(acc, terms, None if w is None else w(np.arange(lo, hi)), sub, 0)
-    run, kind = [], None  # consecutive (w_j, x_j, y_{k-j}) that kind folds
+        return _sum_terms(acc, terms, None if w is None else w(np.arange(lo, hi)), sub)
+    run = []  # consecutive jet pairs (w_j, x_j, y_{k-j}), folded as stacks
     for j in _terms(x, y, k, lo, hi):
         xj, yj = x[j], y[k - j]
         if xj is ZERO or yj is ZERO:
             continue
-        same = isinstance(xj, TruncatedSeries) and type(yj) is type(xj)
-        cls = type(xj) if same else TruncatedSeries
-        if run and cls is not kind:
-            acc, run = kind._fold_products(acc, run, sub), []
-        kind = cls
-        run.append((None if w is None else w(j), xj, yj))
-    return kind._fold_products(acc, run, sub) if run else acc
+        wj = None if w is None else w(j)
+        if hasattr(xj, "_fold_products") and type(yj) is type(xj):
+            run.append((wj, xj, yj))
+            continue
+        if run:
+            acc, run = run[0][1]._fold_products(acc, run, sub), []
+        acc = _accumulate(acc, xj * yj, wj, sub)
+    return run[0][1]._fold_products(acc, run, sub) if run else acc
 
 
 def _accumulate(acc, t, w, sub):
@@ -496,37 +486,37 @@ def _accumulate(acc, t, w, sub):
     return acc - t if sub else acc + t
 
 
-def _sum_terms(acc, terms, w, sub, axis):
+def _sum_terms(acc, terms, w, sub):
     """``acc + w_0 t_0 + w_1 t_1 + ...``, added in that order, or with ``-`` for
-    every ``+`` under ``sub``, over the terms ``t_i`` that the array ``terms``
-    holds along ``axis``; ``terms`` is overwritten.
+    every ``+`` under ``sub``, over the terms ``t_i = terms[i]`` along the
+    first axis of the array ``terms``, which is overwritten.
 
-    Along axis 0 a term is an array like ``acc``.  Along axis 1 it is a flat
-    jet, order first, to which a number ``acc`` adds at order 0 only, as a jet
+    A term is an array like ``acc``: a row of a flat jet, or a flat jet,
+    order first, to which a number ``acc`` adds at order 0 only, as a jet
     plus a number does.  numpy defines ``np.subtract.reduce`` as the loop
-    ``r = r - t_i`` along the axis, whatever the shape, and ``r + u`` is
-    ``r - u * -1.0`` bit for bit, so every added term after the first is
-    negated (with its weight, in one multiply) and the sum is one reduction.
-    ``np.add.reduce`` would sum pairwise along a contiguous axis, as it is for
-    the terms of a single point, which changes bits.
+    ``r = r - t_i`` along the axis, whatever the shape and memory layout, and
+    ``r + u`` is ``r - u * -1.0`` bit for bit, so every added term after the
+    first is negated (with its weight, in one multiply) and the sum is one
+    reduction.  ``np.add.reduce`` would sum pairwise along a contiguous axis,
+    as it is for the terms of a single point, which changes bits.
     """
-    n = terms.shape[axis]
-    first = terms[0] if axis == 0 else terms[:, 0]
+    n = len(terms)
+    first = terms[0]
     # ZERO, or a number that a jet adds at order 0: not summed elementwise
-    constant = acc is ZERO or (axis == 1 and not isinstance(acc, np.ndarray))
+    constant = not isinstance(acc, np.ndarray)
     if w is not None or (sub and constant) or (n > 1 and not sub):
         c = np.ones(n) if w is None else np.array(w, dtype=np.float64)
         if not sub:
             c[1:] *= -1.0
         elif constant:
             c[0] *= -1.0
-        terms *= c.reshape((n,) + (1,) * (terms.ndim - axis - 1))
+        terms *= c.reshape((n,) + (1,) * (terms.ndim - 1))
     if constant:
         if acc is not ZERO:
             first[0] += acc
     else:
         (np.subtract if sub else np.add)(acc, first, out=first)
-    return first if n == 1 else np.subtract.reduce(terms, axis=axis)
+    return first if n == 1 else np.subtract.reduce(terms, axis=0)
 
 
 def _index(j):
@@ -597,10 +587,11 @@ class LazySeries:
     the :class:`TruncatedSeries` operation, so the values are bit-identical.
 
     A node keeps only its newest coefficient, unless a later step reads its
-    older ones: operands of series products and quotients, a quotient itself
-    and the input of a lift keep their whole history, in a list of the
-    coefficients as they were computed, and a lift keeps its results in lists
-    of its own, which its nodes read.  Nothing rewrites them, so kept jets
+    older ones: operands of series products and quotients, a quotient itself,
+    the input of a lift and the lift's own nodes keep their whole history, in
+    a list of the coefficients as they were computed.  A lift fills its nodes'
+    lists itself, and a product that reads such a node reads the same list,
+    so no coefficient is kept twice.  Nothing rewrites them, so kept jets
     keep their orders, and a step meets them with newer, shorter jets at the
     lower order.  A node has no order or coefficient tuple; only operators
     and lifts apply, and only between nodes of one :class:`SeriesTape`.
@@ -626,7 +617,8 @@ class LazySeries:
         if k == self._count:
             self._newest = self._rule(k)
             self._count += 1
-            if self._history is not None:
+            # a lift's rule fills its nodes' histories itself
+            if self._history is not None and len(self._history) == k:
                 self._history.append(self._newest)
         elif k != self._count - 1:
             raise ValueError(
@@ -730,8 +722,8 @@ def _lift(series, f0, step, outputs=1):
     itself a series (a jet, or the ``x`` node's series of rows) is lifted
     again by this function and made flat.  Coefficient ``k >= 1`` is the tuple
     ``step(a, k, *results)``, which reads the input and the results' earlier
-    coefficients.  A lazy lift keeps its results in its own histories, which
-    its nodes read, so a node keeps none unless a later step reads it.
+    coefficients.  A lazy lift keeps its results in its nodes' histories, which
+    its rule fills and a later product or quotient reads as they are.
     """
 
     def first(c):
@@ -741,7 +733,7 @@ def _lift(series, f0, step, outputs=1):
         return f0(c)
 
     if isinstance(series, LazySeries):
-        a, outs = series._kept(), [_History() for _ in range(outputs)]
+        a = series._kept()
 
         def rule(i, k):
             if k == len(outs[0]):
@@ -750,7 +742,9 @@ def _lift(series, f0, step, outputs=1):
                     h.append(v)
             return outs[i][k]
 
-        return [LazySeries(series.tape, partial(rule, i)) for i in range(outputs)]
+        nodes = [LazySeries(series.tape, partial(rule, i)) for i in range(outputs)]
+        outs = [node._kept() for node in nodes]
+        return nodes
     _require_series(series)
     a, outs = series.coeffs, [series._buffer() for _ in range(outputs)]
     for k in range(len(a)):

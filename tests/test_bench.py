@@ -985,3 +985,15 @@ def test_taylor_and_reference_disagree_only_at_the_periodic_seam():
     near_seam, interior = np.abs(taylor - ref)
     assert 1e-6 < near_seam < 1e-3
     assert interior < 1e-9
+
+
+def test_allen_cahn_series_and_reference_part_only_within_a_hundredth_of_the_seam():
+    # On 2001 evenly spaced points at t1 = 0.01 the K=20 series and the
+    # periodic solve differ by up to 6.6e-4 at the seam, by more than 1e-12
+    # only within 0.0100 of it, and by at most 6.7e-15 farther than 0.0125.
+    prob = get_problem("allen_cahn")
+    pts = np.linspace(-1.0, 1.0, 2003)[1:-1]
+    gap = np.abs(compute_expansion(prob, pts, 20).evaluate(0.01)[0] - reference_solve(prob, pts, 0.01)[0])
+    to_seam = 1.0 - np.abs(pts)
+    assert gap[to_seam > 0.02].max() <= 1e-13
+    assert gap[to_seam <= 0.01].max() > 1e-6

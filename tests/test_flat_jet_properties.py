@@ -285,6 +285,9 @@ def test_flat_rows_fold_term_by_term(order, size, seed, weighted, sub, from_zero
 @example(order=3, size=jets._BLOCK // 3 + 1, length=5, seed=5, kinds=["jet"] * 91)
 # one point: the 30 terms of a stack sum along a contiguous axis
 @example(order=12, size=1, length=30, seed=8, kinds=["jet"] * 91)
+# runs of jet pairs cut by lone terms (a jet times a number) and ZERO terms:
+# each run is summed before the lone term that follows it is added
+@example(order=4, size=3, length=12, seed=13, kinds=["jet", "jet", "number", "jet", "jet", "zero"] * 15 + ["jet"])
 @given(
     order=orders,
     size=sizes,

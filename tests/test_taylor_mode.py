@@ -4,6 +4,7 @@ re-evaluating the right-hand side at every order."""
 import dataclasses
 import math
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from pdetaylor import (
     sin,
     sin_cos,
 )
+from pdetaylor import series
 from pdetaylor.jets import Jet
 from pdetaylor.series import LazySeries, SeriesTape
 
@@ -218,11 +220,11 @@ def test_only_operands_that_later_steps_read_keep_history():
     linear = (a + b) * 2.0 - 1.0
     product = linear * a
     lifted = exp(b)
-    for node in (linear, a, b):
+    # a lift keeps its results in its nodes' histories, which its step reads
+    for node in (linear, a, b, lifted):
         assert node._history is not None
-    # no later step reads these, and a lift keeps its results in histories
-    # of its own, which its node reads
-    for node in (product, -product, lifted):
+    # no later step reads these
+    for node in (product, -product):
         assert node._history is None
 
     want = TruncatedSeries(RealAlgebra(), [2.0, 4.0, 6.0, 8.0])
@@ -232,3 +234,52 @@ def test_only_operands_that_later_steps_read_keep_history():
         assert lifted.coeff(k) == exp(TruncatedSeries(RealAlgebra(), [0.5, 0.0, 0.0, 0.0])).coeffs[k]
     with pytest.raises(ValueError, match="order 4"):
         product.coeff(1)
+
+
+def _counted_histories():
+    """A stand-in for ``series._History`` that lists every history it makes
+    and counts each one's appends."""
+    made = []
+
+    class Counted(series._History):
+        __slots__ = ("appends",)
+
+        def __init__(self):
+            super().__init__()
+            self.appends = 0
+            made.append(self)
+
+        def append(self, c):
+            self.appends += 1
+            super().append(c)
+
+    return made, mock.patch.object(series, "_History", Counted)
+
+
+@pytest.mark.parametrize("lift", [lambda s: (exp(s),), sin_cos], ids=["exp", "sin_cos"])
+def test_a_lift_node_that_a_product_reads_keeps_one_history(lift):
+    # the lift fills its nodes' histories, and a product that reads a node
+    # reads that same list, so each coefficient is stored once
+    made, counting = _counted_histories()
+    with counting:
+        tape = SeriesTape()
+        a = LazySeries(tape, lambda k: 0.5 / (k + 1))
+        nodes = lift(a)
+        product = nodes[-1] * a
+        for k in range(5):
+            product.coeff(k)
+    assert [id(h) for h in made] == [id(a._history)] + [id(node._history) for node in nodes]
+    assert [h.appends for h in made] == [5] * len(made)
+    want = lift(TruncatedSeries(RealAlgebra(), [0.5 / (k + 1) for k in range(5)]))
+    assert [node._history for node in nodes] == [list(w.coeffs) for w in want]
+
+
+def test_diffusion_keeps_each_coefficient_once():
+    # K = 20 on 50 points: the inputs of the two lifts (x * pi and -t), their
+    # three results (sin, cos and exp) and the forcing that exp(-t) multiplies,
+    # 20 appends each (orders 0 to 19); exp(-t)'s product reads the lift's list
+    made, counting = _counted_histories()
+    with counting:
+        compute_expansion(get_problem("diffusion"), np.linspace(-1.0, 1.0, 52)[1:-1], 20)
+    assert len(made) == 6
+    assert sum(h.appends for h in made) == 120
