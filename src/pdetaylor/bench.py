@@ -26,7 +26,8 @@ changes.  It needs numpy alone.
 Sample points are numpy's ``default_rng(seed).uniform`` stream, bit for
 bit, computed without importing ``numpy.random``: :class:`_PCG64` seeds
 PCG64 (O'Neill, HMC-CS-2014-0905) the way ``SeedSequence`` does, steps its
-128-bit state in Python integers and maps the outputs to doubles with
+128-bit state in Python integers for the first 64 draws of a call and jumps
+ahead in uint64 arrays for the rest, and maps the outputs to doubles with
 numpy's arithmetic.  NEP 19 keeps that raw stream stable across numpy
 versions and no ``Generator`` method is called, so the points, and the
 CLI's files, are the same on each one.
@@ -136,7 +137,9 @@ def sample_points(problem: PdeProblem, count: int, tau: float | None, seed: int)
     a threshold leaving too little of the domain raises :class:`SamplingError`.
     Each round draws ``count`` points, the next values of
     ``numpy.random.default_rng(seed).uniform(lo, hi)`` bit for bit on every
-    supported numpy, though ``numpy.random`` is never imported.
+    supported numpy, though ``numpy.random`` is never imported; past its
+    first 64 a round's states are filled by jump-ahead in about
+    ``log2(count / 64)`` array passes.
     """
     return _sample(problem, count, tau, seed)[0]
 
@@ -193,7 +196,43 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+# the states a draw steps one by one before it jumps; a power of two, as
+# the jump is squared up from one step to the states filled
+_STEPPED = 64
+_LOW32, _32 = np.uint64(_MASK32), np.uint64(32)
+
+
+def _affine128(lo, hi, mult, add, out_lo, out_hi):
+    """Write ``(mult * s + add) mod 2**128`` to ``out_lo`` and ``out_hi`` for
+    the 128-bit states ``s`` whose low and high words are ``lo`` and ``hi``.
+
+    ``mult`` and ``add`` are Python ints below ``2**128``.  Every product and
+    sum is of uint64 arrays and ``np.uint64`` operands, which wrap mod
+    ``2**64`` without a warning or a float64 promotion on every numpy.  The
+    high word is ``hi * mult_lo + lo * mult_hi + add_hi`` wrapped, plus two
+    carries: the high word of the 128-bit product ``lo * mult_lo``, which a
+    uint64 product drops and 32-bit limbs recover, and the carry of adding
+    ``add_lo`` to the low word.
+    """
+    m_lo, a_lo = np.uint64(mult & _MASK64), np.uint64(add & _MASK64)
+    m0, m1 = np.uint64(mult & _MASK32), np.uint64(mult >> 32 & _MASK32)
+    s0, s1 = lo & _LOW32, lo >> _32
+    # lo * m_lo = s1*m1 << 64 + (s1*m0 + s0*m1) << 32 + s0*m0; t and w stay below
+    # 2**64.  The sums run in place: fewer temporaries are faster on large draws
+    t = s1 * m0
+    t += s0 * m0 >> _32
+    w = t & _LOW32
+    w += s0 * m1
+    np.multiply(hi, m_lo, out=out_hi)
+    out_hi += lo * np.uint64(mult >> 64)
+    out_hi += s1 * m1
+    out_hi += t >> _32
+    out_hi += w >> _32
+    out_hi += np.uint64(add >> 64)
+    np.multiply(lo, m_lo, out=out_lo)
+    out_lo += a_lo
+    out_hi += out_lo < a_lo
 
 
 class _PCG64:
@@ -203,11 +242,16 @@ class _PCG64:
     ``SeedSequence(seed)`` hashes the seed's 32-bit words, least significant
     first, into a pool of four and expands the pool into four 64-bit words:
     the initial state and the increment of PCG64's 128-bit linear
-    congruential generator.  Each draw steps the state in Python integers
-    and reads its XSL-RR output, the xor of its two halves rotated right by
-    its top six bits; ``>> 11`` and ``* 2**-53`` make that a double ``u`` in
-    [0, 1), and the draw is ``lo + (hi - lo) * u``.  The outputs are
-    computed in numpy from the states' little-endian bytes.
+    congruential generator.  A call steps its first 64 states in Python
+    integers and jumps to the rest: ``n`` steps are one affine map
+    ``s -> M**n * s + c_n mod 2**128`` (Brown, 1994), composed exactly in
+    Python integers by squaring, and states ``[n, 2n)`` are states
+    ``[0, n)`` mapped by it, so ``size`` states take about
+    ``log2(size / 64)`` rounds of :func:`_affine128`, exact 128-bit
+    arithmetic on uint64 arrays of low and high words with 32-bit limbs.
+    Each draw reads its state's XSL-RR output, the xor of its two halves
+    rotated right by its top six bits; ``>> 11`` and ``* 2**-53`` make that
+    a double ``u`` in [0, 1), and the draw is ``lo + (hi - lo) * u``.
     """
 
     __slots__ = ("_state", "_inc")
@@ -257,10 +301,23 @@ class _PCG64:
         # allocated first, so that a size beyond memory raises before the loop
         out = np.empty(size)
         s, inc = self._state, self._inc
-        states = b"".join([(s := (s * _PCG_MULT + inc) & _MASK128).to_bytes(16, "little")
-                           for _ in range(size)])
+        n = min(size, _STEPPED)
+        stepped = b"".join([(s := (s * _PCG_MULT + inc) & _MASK128).to_bytes(16, "little")
+                            for _ in range(n)])
+        low, high = words = np.empty((2, size), np.uint64)
+        words[:, :n] = np.frombuffer(stepped, dtype="<u8").reshape(n, 2).T
+        if n < size:
+            # s -> mult * s + add advances `jump` states, squared up to the n
+            # filled before each round, which doubles them
+            mult, add, jump = _PCG_MULT, inc, 1
+            while n < size:
+                while jump < n:
+                    mult, add, jump = mult * mult & _MASK128, (add * mult + add) & _MASK128, 2 * jump
+                m = min(n, size - n)
+                _affine128(low[:m], high[:m], mult, add, low[n:n + m], high[n:n + m])
+                n += m
+            s = int(high[-1]) << 64 | int(low[-1])
         self._state = s
-        low, high = np.frombuffer(states, dtype="<u8").reshape(size, 2).T
         xsl = low ^ high
         rot = high >> 58
         bits = (xsl >> rot) | (xsl << ((64 - rot) & 63))

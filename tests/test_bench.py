@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdetaylor import (
     BenchReport,
@@ -26,7 +29,7 @@ from pdetaylor import (
     write_report_csv,
 )
 from pdetaylor.bench import (
-    _CELLS, _DT_MAX, _PCG64, _interpolate, _stable_step, default_exclusion,
+    _CELLS, _DT_MAX, _PCG64, _affine128, _interpolate, _stable_step, default_exclusion,
 )
 from pdetaylor.series import sin as series_sin
 
@@ -96,21 +99,73 @@ def test_sampling_without_threshold_is_plain_uniform():
 # multi-word seeds up to seven 32-bit words, and numpy integer seeds
 _STREAM_SEEDS = [*range(256), 2**32, 2**64 - 1, 2**64 + 5, 2**128, 2**200 + 12345,
                  np.int64(7), np.uint64(2**64 - 1)]
+# draws that end just before, at and just past the 64 stepped states and
+# the jumps to 128 and 1024 states, two that run through many jumps, and a
+# small one from the state the largest leaves
+_JUMP_SIZES = (63, 64, 65, 127, 128, 129, 1023, 1024, 1025, 10_001, 100_003, 7)
 
 
 def test_sampling_stream_is_numpys_default_rng_uniform_bit_for_bit():
-    # successive draws of sizes 1, 7 and 50 over each problem's domain, from
-    # one generator per seed; the tests may import numpy.random, the package not
+    # successive draws over each problem's domain from one generator per
+    # seed: of sizes 1, 7 and 50 for every seed, and of _JUMP_SIZES for seed
+    # 0 and the multi-word and numpy seeds; the tests may import
+    # numpy.random, the package not
     domains = [get_problem(name).domain for name in available_problems()]
+    runs = [(seed, (1, 7, 50)) for seed in _STREAM_SEEDS]
+    runs += [(seed, _JUMP_SIZES) for seed in [0, *_STREAM_SEEDS[256:]]]
     mismatched = []
-    for seed in _STREAM_SEEDS:
+    for seed, sizes in runs:
         ours, numpys = _PCG64(seed), np.random.default_rng(seed)
-        for size in (1, 7, 50):
+        for size in sizes:
             for lo, hi in domains:
                 got, want = ours.uniform(lo, hi, size), numpys.uniform(lo, hi, size)
                 if got.dtype != want.dtype or got.tobytes() != want.tobytes():
                     mismatched.append((seed, size, (lo, hi)))
     assert mismatched == []
+
+
+_WORDS = st.integers(0, 2**128 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_WORDS, min_size=1, max_size=8), _WORDS, _WORDS)
+# words of 0 and 2**64 - 1, so that both carries into the high word run
+@example([2**128 - 1], 2**128 - 1, 2**128 - 1)
+@example([2**64 - 1, 2**128 - 2**64, 0], 2**64 - 1, 2**64 - 1)
+@example([2**64 - 1, 2**128 - 1], 2**64, 2**128 - 2**64)
+@example([2**128 - 2**64 + 1], 2**128 - 1, 0)
+def test_jump_is_the_affine_map_mod_2_128(states, mult, add):
+    lo = np.array([s & (2**64 - 1) for s in states], dtype=np.uint64)
+    hi = np.array([s >> 64 for s in states], dtype=np.uint64)
+    out_lo, out_hi = np.empty_like(lo), np.empty_like(hi)
+    _affine128(lo, hi, mult, add, out_lo, out_hi)
+    got = [int(h) << 64 | int(l) for l, h in zip(out_lo, out_hi)]
+    assert got == [(mult * s + add) & (2**128 - 1) for s in states]
+
+
+def test_sampling_memory_per_draw_is_bounded():
+    # a million draws peak at 64.0 traced bytes a draw: two state words, the
+    # output and the read-out's temporaries; 80 leaves a quarter's margin,
+    # and stepping every state in Python ints peaked at 161
+    ours = _PCG64(0)
+    tracemalloc.start()
+    try:
+        ours.uniform(0.0, 1.0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 10**6
+
+
+def test_an_empty_draw_is_empty_and_leaves_the_stream_where_it_was():
+    ours, numpys = _PCG64(3), np.random.default_rng(3)
+    got = []
+    for size in (0, 100, 0, 3):
+        draw = ours.uniform(-1.0, 1.0, size)
+        assert draw.dtype == np.float64 and draw.shape == (size,)
+        got.append(draw.tobytes())
+    assert got == [b"", numpys.uniform(-1.0, 1.0, 100).tobytes(), b"",
+                   numpys.uniform(-1.0, 1.0, 3).tobytes()]
 
 
 def _numpy_sample(problem, count, seed):
