@@ -218,8 +218,8 @@ def _affine128(lo, hi, mult, add, out_lo, out_hi):
     m_lo, a_lo = np.uint64(mult & _MASK64), np.uint64(add & _MASK64)
     m0, m1 = np.uint64(mult & _MASK32), np.uint64(mult >> 32 & _MASK32)
     s0, s1 = lo & _LOW32, lo >> _32
-    # lo * m_lo = s1*m1 << 64 + (s1*m0 + s0*m1) << 32 + s0*m0; t and w stay below
-    # 2**64.  The sums run in place: fewer temporaries are faster on large draws
+    # lo * m_lo = 2**64 s1*m1 + 2**32 (s1*m0 + s0*m1) + s0*m0, and t and w stay
+    # below 2**64; the sums run in place, as fewer temporaries are faster
     t = s1 * m0
     t += s0 * m0 >> _32
     w = t & _LOW32
