@@ -318,10 +318,14 @@ class _PCG64:
                 n += m
             s = int(high[-1]) << 64 | int(low[-1])
         self._state = s
-        xsl = low ^ high
-        rot = high >> 58
-        bits = (xsl >> rot) | (xsl << ((64 - rot) & 63))
-        np.multiply((bits >> 11).astype(np.float64), 2.0**-53, out=out)
+        # the read-out runs in the state words: low becomes the xsl and high
+        # the rotation, negated in place for the left shift
+        low ^= high
+        high >>= np.uint64(58)
+        right = low >> high
+        low <<= np.negative(high, out=high) & np.uint64(63)
+        low |= right
+        np.multiply(low >> np.uint64(11), 2.0**-53, out=out)
         out *= hi - lo
         out += lo
         return out

@@ -73,9 +73,11 @@ jet products across its pairs, so the blocks give the coefficients of one
 pass bit for bit.  Only one block's histories are held at a time, and they
 are what a block holds: each product node keeps both operand histories, so
 beyond its output a block holds a fixed number of bytes per point, about
-7 kB at K=20, whatever the number of points.  Value rows are copied out of
-the jets, so the expansion keeps none of them alive; a node's kept
-coefficients stay at the order they were computed at until its block ends.
+7 kB at K=20, whatever the number of points.  The expansion is one
+``(components, K+1, N)`` float64 array, allocated once; each block writes
+its columns of it in place, copying value rows out of the jets, so the
+expansion keeps none of them alive; a node's kept coefficients stay at the
+order they were computed at until its block ends.
 
 The expansion stores the raw coefficients ``C_i``; multiplying by ``i!`` only
 when actual derivatives are requested keeps the factorial round-off out of
@@ -122,28 +124,33 @@ class DivergenceError(ArithmeticError):
 class TaylorExpansion:
     """Time-Taylor coefficients of a problem's solution at t = 0.
 
-    ``coeffs[m][i]`` is the batch of values of ``C_i`` for component ``m``:
-    the i-th Taylor coefficient (not the derivative) at each point, an array
-    of its own.  The coefficients come from one call of the problem's ``rhs``
-    on lazy series per block of points, followed by one new coefficient per
-    node and order; the spatial jets they were computed as are not kept.
+    ``coeffs`` is one C-contiguous float64 array of shape
+    ``(components, max_order + 1, N)``, and ``coeffs[m][i]`` is the batch of
+    values of ``C_i`` for component ``m``: the i-th Taylor coefficient (not
+    the derivative) at each point.  The coefficients come from one call of
+    the problem's ``rhs`` on lazy series per block of points, followed by one
+    new coefficient per node and order; the spatial jets they were computed
+    as are not kept.
     """
 
     problem: str
     points: np.ndarray
     max_order: int
     components: int
-    coeffs: tuple[tuple[np.ndarray, ...], ...]
+    coeffs: np.ndarray
 
-    def derivatives(self) -> list[list[np.ndarray]]:
-        """Time derivatives ``d^i U/dt^i = i! * C_i`` per component and order;
-        :class:`OverflowError` names the lowest order, then component, that overflows."""
+    def derivatives(self) -> np.ndarray:
+        """Time derivatives ``d^i U/dt^i = i! * C_i``, an array shaped like
+        ``coeffs``; :class:`OverflowError` names the lowest order, then
+        component, that overflows."""
+        # i! is exact in float64 through 22!, so each value is math.factorial(i) * C_i
+        factorials = np.array([math.factorial(i) for i in range(self.max_order + 1)], float)
         with np.errstate(over="ignore"):
-            derivs = [[math.factorial(i) * c for i, c in enumerate(comp)] for comp in self.coeffs]
-        for i in range(self.max_order + 1):
-            for m, comp in enumerate(derivs):
-                if not np.isfinite(comp[i]).all():
-                    raise OverflowError(f"time derivative of order {i} (component {m}) overflows")
+            derivs = self.coeffs * factorials[:, None]
+        overflows = np.argwhere(~np.isfinite(derivs).all(axis=2).T)
+        if overflows.size:
+            i, m = overflows[0]
+            raise OverflowError(f"time derivative of order {i} (component {m}) overflows")
         return derivs
 
     def evaluate(self, t1: float) -> list[np.ndarray]:
@@ -151,13 +158,10 @@ class TaylorExpansion:
         t1 = float(t1)
         if not math.isfinite(t1):
             raise ValueError(f"evaluate needs a finite time, got {t1!r}")
-        out = []
-        for comp in self.coeffs:
-            acc = comp[self.max_order].copy()
-            for i in range(self.max_order - 1, -1, -1):
-                acc = acc * t1 + comp[i]
-            out.append(acc)
-        return out
+        acc = self.coeffs[:, self.max_order]
+        for i in range(self.max_order - 1, -1, -1):
+            acc = acc * t1 + self.coeffs[:, i]
+        return list(acc)
 
 
 def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpansion:
@@ -179,16 +183,14 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
     if max_order is None or not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be an integer in 1..{MAX_ORDER}")
 
-    m = problem.components
-    coeffs = tuple(tuple(np.empty(x.size) for _ in range(max_order + 1)) for _ in range(m))
+    coeffs = np.empty((problem.components, max_order + 1, x.size))
     failure = None
     for start in range(0, x.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        rows = [[c[block] for c in comp] for comp in coeffs]
         try:
             # an overflow or NaN is reported once, as DivergenceError, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                _expand_block(problem, x[block], max_order, rows)
+                _expand_block(problem, x[block], max_order, coeffs[:, :, block])
         except DivergenceError as exc:
             if failure is None or (exc.order, exc.component) < (failure.order, failure.component):
                 failure = exc
@@ -199,13 +201,13 @@ def compute_expansion(problem: PdeProblem, points, max_order: int) -> TaylorExpa
         problem=problem.name,
         points=x,
         max_order=max_order,
-        components=m,
+        components=problem.components,
         coeffs=coeffs,
     )
 
 
-def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> None:
-    """Expand at one block of points, writing ``C_i`` of component ``c`` into ``rows[c][i]``."""
+def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, out: np.ndarray) -> None:
+    """Expand at one block of points, writing ``C_i`` of component ``c`` into ``out[c, i]``."""
     m = problem.components
     seed_order = _SPATIAL_ORDER * max_order
     batch = BatchAlgebra(x.size)
@@ -213,10 +215,10 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
 
     # Per component: the newest coefficient, C_i as a jet of order W_i or
     # more, a number or ZERO.  Only its value row is kept of older orders,
-    # copied out into ``rows``.
+    # copied out into ``out``.
     newest = _initial_condition(problem, batch, x, seed_order)
     for c, coeff in enumerate(newest):
-        _store(coeff, rows[c][0], 0, c)
+        _store(coeff, out, 0, c)
     tape = SeriesTape()
 
     def spatial(c, d):
@@ -250,7 +252,7 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, rows) -> N
         new = []
         for c in range(m):
             new.append(flat(f[c].coeff(i - 1) * (1.0 / i)))
-            _store(new[c], rows[c][i], i, c)
+            _store(new[c], out, i, c)
         newest[:] = new
 
 
@@ -289,10 +291,11 @@ def _initial_condition(problem: PdeProblem, batch: BatchAlgebra, x: np.ndarray, 
     return out
 
 
-def _store(coeff, row: np.ndarray, order: int, component: int) -> None:
-    """Write the values of ``C_order`` into ``row`` once it is checked finite:
-    row 0 of a jet, or a number (``+0.0`` for ZERO) at every point."""
+def _store(coeff, out: np.ndarray, order: int, component: int) -> None:
+    """Write the values of ``C_order`` into ``out[component, order]`` once its
+    whole jet is checked finite: row 0 of a jet, or a number (``+0.0`` for
+    ZERO) at every point."""
     rows = coeff.coeffs if isinstance(coeff, Jet) else np.full((1, 1), _real(coeff))
     if not np.isfinite(rows).all():
         raise DivergenceError(order=order, component=component)
-    row[:] = rows[0]
+    out[component, order] = rows[0]

@@ -144,18 +144,35 @@ def test_derivatives_name_the_lowest_order_that_overflows():
     with pytest.raises(OverflowError, match=r"order 10 \(component 0\)"):
         exp.derivatives()
     # the lowest order wins over the components: 9! * 1e303 overflows
-    second = exp.coeffs[0][:9] + (np.full(2, 1e303), np.zeros(2))
-    exp = dataclasses.replace(exp, components=2, coeffs=(exp.coeffs[0], second))
+    second = np.stack([*exp.coeffs[0][:9], np.full(2, 1e303), np.zeros(2)])
+    exp = dataclasses.replace(exp, components=2, coeffs=np.stack([exp.coeffs[0], second]))
     with pytest.raises(OverflowError, match=r"order 9 \(component 1\)"):
         exp.derivatives()
 
 
-def test_derivatives_are_factorial_scaled_coefficients():
-    x = np.linspace(0.1, 0.9, 5)
-    exp = compute_expansion(get_problem("heat"), x, 6)
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, 9) for name in available_problems()] + [("schrodinger", 2 * driver._BLOCK + 37)],
+)
+def test_derivatives_are_factorial_scaled_coefficients(name, n):
+    # derivatives() and evaluate() work on the whole array; each value has
+    # the bits of the per-component, per-order loop
+    prob = get_problem(name)
+    x = np.linspace(*prob.domain, n + 2)[1:-1]
+    exp = compute_expansion(prob, x, 20)
+    assert exp.coeffs.shape == (prob.components, 21, n)
     derivs = exp.derivatives()
-    for i in range(7):
-        np.testing.assert_array_equal(derivs[0][i], math.factorial(i) * exp.coeffs[0][i])
+    for m in range(prob.components):
+        for i in range(21):
+            want = math.factorial(i) * exp.coeffs[m][i]
+            np.testing.assert_array_equal(derivs[m][i].view(np.uint64), want.view(np.uint64))
+    for t1 in (0.01, 0.1):
+        values = exp.evaluate(t1)
+        for m, comp in enumerate(exp.coeffs):
+            acc = comp[20].copy()
+            for i in range(19, -1, -1):
+                acc = acc * t1 + comp[i]
+            np.testing.assert_array_equal(values[m].view(np.uint64), acc.view(np.uint64))
 
 
 def test_evaluate_at_zero_returns_initial_profile():
@@ -444,9 +461,11 @@ def test_coefficients_own_their_memory():
     x = np.linspace(-0.9, 0.9, BLOCK + 5)
     for n in (3, x.size):
         exp = compute_expansion(get_problem("schrodinger"), x[:n], 4)
+        assert exp.coeffs.flags.owndata and exp.coeffs.flags.c_contiguous
+        assert exp.coeffs.dtype == np.float64 and exp.coeffs.shape == (2, 5, n)
         for comp in exp.coeffs:
             for c in comp:
-                assert c.flags.owndata and c.shape == (n,)
+                assert c.base is exp.coeffs
 
 
 # Kernel work of a K=20 expansion on 50 points: calls of the one jet-product
@@ -704,8 +723,9 @@ def test_rhs_of_x_or_t_alone_gives_exact_coefficients(rhs, expected, rtol):
     x = np.array([-0.5, 0.0, 0.25])
     exp = compute_expansion(_toy_problem(3.0, rhs), x, 6)
     want = {0: np.full_like(x, 3.0), **expected(x)}
+    assert exp.coeffs.flags.owndata
     for i, c in enumerate(exp.coeffs[0]):
-        assert c.flags.owndata
+        assert c.base is exp.coeffs
         w = want.get(i, np.zeros_like(x))
         if rtol:
             np.testing.assert_allclose(c, w, rtol=rtol, atol=0)
