@@ -36,7 +36,12 @@ the opposite parity (``U``'s odd and ``V``'s even ones) is ``ZERO`` too, and
 the products, sums and derivatives of that half cost nothing.
 
 That costs ``O(K**2)`` jet products per product in ``F`` instead of the
-``O(K**3)`` of re-evaluating ``F`` at every order.  A step forms the jet
+``O(K**3)`` of re-evaluating ``F`` at every order: ``k + 1`` at order ``k``
+for a product, and ``k // 2 + 1`` for a square of
+:func:`~pdetaylor.series.power`, which forms each cross term once and
+doubles it; ``v * v`` stays a plain product.  So allen_cahn's cube ``v **
+3``, ``square(v) * v``, makes 22.6 % fewer kernel multiply-adds at K=20
+than ``v * v * v``.  A step forms the jet
 products of its coefficient in stacks of up to ``_BLOCK // N`` pairs, and
 each stack costs one kernel call and one summing reduction
 (:mod:`pdetaylor.jets`): on up to 51 points, the jet pairs of one product
@@ -59,7 +64,7 @@ Nothing else is truncated, because two jets combine at the lower of their orders
 only operand rows ``<= r``.  So a product of the newest coefficient with an
 older, longer one that a node keeps runs at ``W_i``, and no kept coefficient
 is narrowed or copied.  A term that pairs only older coefficients runs
-higher: Schrodinger's odd-parity square ``u1*u1`` has no term that holds
+higher: Schrodinger's odd-parity product ``u1*u1`` has no term that holds
 ``V``'s newest coefficient, and runs two orders above ``W_i``.  ``C_i`` has
 order ``W_i`` or more, and ``C_K`` is never differentiated.  Coefficient
 values are exact to the end regardless, for the same triangularity reason.

@@ -356,6 +356,11 @@ def _allen_cahn(overrides=None) -> PdeProblem:
     1e-12 only within 0.0100 of it and 6.7e-15 or less farther than 0.0125;
     at t1 = 0.1 it is above 1e-10 only within 0.023 of the seam, and the
     1e-12 misses out to 0.216 are the size of the last term |C_20| t1^20.
+
+    ``rhs`` writes the cube as ``v ** 3``, which :func:`~pdetaylor.series.power`
+    forms as ``square(v) * v``: the square forms each cross term once and
+    doubles it, where ``v * v`` is a plain product.  ``rhs_numpy`` keeps
+    ``v * v * v``, independent of the series path.
     """
     params = _merge_params({"diffusion": 1e-4, "reaction": 5.0}, overrides, "allen_cahn")
     d, lam = _non_negative(params, "diffusion", "allen_cahn"), params["reaction"]
@@ -365,7 +370,7 @@ def _allen_cahn(overrides=None) -> PdeProblem:
 
     def rhs(u, u_x, u_xx, t, x):
         v = u[0]
-        return [u_xx[0] * d + (v - v * v * v) * lam]
+        return [u_xx[0] * d + (v - v ** 3) * lam]
 
     def ic_numpy(x):
         return [x * x * np.cos(PI * x)]

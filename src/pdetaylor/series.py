@@ -529,6 +529,13 @@ def _mul_step(a, b, k):
     return _fold(ZERO, a, b, k, 0, k + 1)
 
 
+def _sq_step(a, k):
+    """Coefficient k of a square: each cross term a_j*a_{k-j} with j < k-j
+    formed once at weight 2.0, and for an even k the middle term a_{k/2}**2
+    at weight 1.0, in one sum."""
+    return _fold(ZERO, a, a, k, 0, k // 2 + 1, lambda j: 2.0 - (2 * j == k))
+
+
 def _div_step(a_k, b, q, k):
     """Coefficient k of a quotient q = a / b: (a_k - sum_{j=1..k} b_j*q_{k-j}) / b_0."""
     if k == 0 and not _is_invertible(b[0]):
@@ -789,7 +796,12 @@ def power(series, exponent: float):
 
     Non-negative integer exponents use square-and-multiply starting from the
     series itself, which needs no invertible constant term and multiplies by
-    no constant one; anything else uses the recurrence
+    no constant one.  A square forms each cross term ``a_j * a_{k-j}`` once
+    and doubles it (:func:`_sq_step`), about half the products of ``x * x``,
+    which stays a plain product.  The higher power is the left factor, so
+    ``power(v, 3)`` is ``square(v) * v``, the association and operand order
+    of ``v * v * v``; only the square's summation order differs.  Anything
+    else uses the recurrence
     k*A_0*P_k = sum_{j=1..k} ((e+1)*j - k) * A_j * P_{k-j}.
     """
     e = float(exponent)
@@ -803,12 +815,29 @@ def power(series, exponent: float):
         result, base, n = None, series, int(e)
         while True:
             if n & 1:
-                result = base if result is None else result * base
+                result = base if result is None else base * result
             n >>= 1
             if not n:
                 return result
-            base = base * base
+            base = _square(base)
     return _lift(series, partial(_pow0, e), partial(_power_step, e))[0]
+
+
+def _square(series):
+    """``series * series`` through :func:`_sq_step`, as a node of the same tape
+    or as a series of the same kind."""
+    if isinstance(series, LazySeries):
+        h = series._kept()
+
+        def square(k):
+            series.coeff(k)
+            return _sq_step(h, k)
+
+        return LazySeries(series.tape, square)
+    a, out = series.coeffs, series._buffer()
+    for k in range(len(a)):
+        out[k] = _sq_step(a, k)
+    return series._new(out)
 
 
 def reciprocal(series):

@@ -101,7 +101,7 @@ def test_order_20_burgers_coefficients_match_cole_hopf():
 
 
 def test_order_20_allen_cahn_coefficients_match_a_60_digit_recursion():
-    # measured worst 5.45e-15 relative to each order's largest value
+    # measured worst 5.61e-15 relative to each order's largest value (at order 18)
     x = np.array([0.3, -0.55, 0.9, 0.05])
     want = allen_cahn_coefficients(x, 20)
     got = np.array(compute_expansion(get_problem("allen_cahn"), x, 20).coeffs[0])
@@ -468,19 +468,62 @@ def test_coefficients_own_their_memory():
                 assert c.base is exp.coeffs
 
 
-# Kernel work of a K=20 expansion on 50 points: calls of the one jet-product
-# kernel, and its multiply-adds, n(n+1)/2 per column of an n-row product.
-# On 50 points every step's run of jet pairs makes one call.
+# Kernel work of a K=20 expansion: calls of the one jet-product kernel, and
+# its multiply-adds, n(n+1)/2 per column of an n-row product.  A product node
+# forms its order-k coefficient at iteration k + 1, on n_k = 2(K - k) - 1 rows,
+# from k + 1 jet pairs; a square from floor(k/2) + 1.  On 50 points every
+# step's run of jet pairs makes one call.
+def _node_work(pairs, above=0, max_order=20):
+    """Kernel calls on 50 points and multiply-adds per point of one node whose
+    order-k step multiplies ``pairs(k)`` jet pairs on ``n_k + above`` rows."""
+    ks = [k for k in range(max_order) if pairs(k)]
+    rows = [2 * (max_order - k) - 1 + above for k in ks]
+    return len(ks), sum(pairs(k) * n * (n + 1) // 2 for k, n in zip(ks, rows))
+
+
+def _product_pairs(k):
+    return k + 1
+
+
+def _square_pairs(k):
+    return k // 2 + 1
+
+
+# Schrodinger's U is even in t and V odd: u0*u0 and amp*u0 have k/2 + 1 pairs
+# at even k, u1*u1 has k/2, two rows above (it pairs only V_1 .. V_{k-1}), and
+# amp*u1 has (k+1)/2 at odd k
+_NODES = {
+    "heat": [],
+    "diffusion": [],
+    "wave": [],
+    "burgers": [_node_work(_product_pairs)],
+    "allen_cahn": [_node_work(_square_pairs), _node_work(_product_pairs)],
+    "schrodinger": [
+        _node_work(lambda k: 0 if k % 2 else k // 2 + 1),
+        _node_work(lambda k: 0 if k % 2 else k // 2, above=2),
+        _node_work(lambda k: 0 if k % 2 else k // 2 + 1),
+        _node_work(lambda k: (k + 1) // 2 if k % 2 else 0),
+    ],
+}
 KERNEL_WORK_50 = {
-    "heat": (0, 0),
-    "diffusion": (0, 0),
-    "wave": (0, 0),
-    "burgers": (20, 1_540_000),
-    "allen_cahn": (40, 3_080_000),
-    "schrodinger": (39, 1_688_000),
+    name: (sum(c for c, _ in nodes), 50 * sum(w for _, w in nodes)) for name, nodes in _NODES.items()
 }
 # multiply-adds on 2100 points, in blocks or in one pass
-KERNEL_MULTIPLY_ADDS_2100 = {"burgers": 64_680_000, "allen_cahn": 129_360_000, "schrodinger": 70_896_000}
+KERNEL_MULTIPLY_ADDS_2100 = {
+    name: 2100 * sum(w for _, w in _NODES[name]) for name in ("burgers", "allen_cahn", "schrodinger")
+}
+
+
+def test_kernel_work_closed_form_gives_the_recorded_counts():
+    # per point at K=20: a product 30,800 multiply-adds, a square 16,885
+    assert _node_work(_product_pairs) == (20, 30_800)
+    assert _node_work(_square_pairs) == (20, 16_885)
+    assert KERNEL_WORK_50["burgers"] == (20, 1_540_000)
+    assert KERNEL_WORK_50["allen_cahn"] == (40, 2_384_250)
+    assert KERNEL_WORK_50["schrodinger"] == (39, 1_688_000)
+    assert KERNEL_MULTIPLY_ADDS_2100 == {
+        "burgers": 64_680_000, "allen_cahn": 100_138_500, "schrodinger": 70_896_000
+    }
 
 
 def _kernel_work(prob, size):
@@ -515,8 +558,9 @@ def test_blocks_do_not_change_kernel_work(name, monkeypatch):
 @pytest.mark.parametrize("name", ["burgers", "allen_cahn", "schrodinger"])
 def test_block_working_memory_does_not_grow_with_points(name):
     # a block holds its kept histories, a fixed number of bytes per block
-    # point beyond the output: at K=20 about 6.85, 7.02 and 5.60 MiB per
-    # block of 1024, against 13.65, 13.96 and 11.11 MiB per block of 2048
+    # point beyond the output: at K=20 about 6.84, 7.02 and 5.59 MiB per
+    # block of 1024, against 13.64, 13.96 and 11.10 MiB per block of 2048
+    # (a square keeps the one history of its operand)
     prob = get_problem(name)
     compute_expansion(prob, np.linspace(*prob.domain, 9)[1:-1], 20)  # warm-up
     working = []
@@ -623,9 +667,10 @@ def test_jet_products_run_at_the_working_order(name, above, monkeypatch):
             assert any(len_a > 2 * (max_order - i) + 1 for i, len_a, _ in rows)
 
 
-def test_integer_power_costs_the_jet_products_of_repeated_products(jet_products):
-    # square-and-multiply must start from the base: starting from a constant
-    # one convolves that one's zero jets (632 jet products here, not 422)
+def test_integer_power_starts_from_the_base_and_squares_once(jet_products):
+    # square-and-multiply starts from the base and multiplies by no constant
+    # one; the cube is square(v) * v, 110 square pairs and 210 product pairs
+    # over the 20 orders, where v * v * v makes 210 and 210
     base = get_problem("allen_cahn")
     d, lam = base.params["diffusion"], base.params["reaction"]
     counts = {}
@@ -636,7 +681,30 @@ def test_integer_power_costs_the_jet_products_of_repeated_products(jet_products)
         jet_products.clear()
         compute_expansion(dataclasses.replace(base, rhs=rhs), np.linspace(-0.9, 0.9, 50), 20)
         counts[spelling] = len(jet_products)
-    assert counts["power"] == counts["products"]
+    assert counts == {"power": 320, "products": 420}
+
+
+def test_a_square_step_forms_each_cross_term_once_at_the_working_order(jet_products, monkeypatch):
+    # the order-k coefficient of u ** 2 is formed at iteration k + 1 from
+    # floor(k/2) + 1 jet pairs, the middle term in the same stack, so every
+    # pair is read at the newest coefficient's W_{k+1} + 1 rows; u * u is a
+    # plain product of k + 1 pairs.  On 9 points each step is one call
+    max_order = 8
+    calls, recording = [], jets._convolve
+
+    def counting(a, b):
+        before = len(jet_products)
+        c = recording(a, b)
+        calls.append((len(a), len(jet_products) - before))
+        return c
+
+    monkeypatch.setattr(jets, "_convolve", counting)
+    base = get_problem("allen_cahn")
+    for square, pairs in ((lambda u: u ** 2, _square_pairs), (lambda u: u * u, _product_pairs)):
+        calls.clear()
+        prob = dataclasses.replace(base, rhs=lambda u, u_x, u_xx, t, x, f=square: [f(u[0])])
+        compute_expansion(prob, np.linspace(-0.9, 0.9, 9), max_order)
+        assert calls == [(2 * (max_order - k) - 1, pairs(k)) for k in range(max_order)]
 
 
 @pytest.fixture

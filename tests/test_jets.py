@@ -56,6 +56,20 @@ def test_square_of_seed_and_its_derivative():
     assert dd.coeffs[0][0] == 2.0
 
 
+@pytest.mark.parametrize("exponent", [2, 3])
+def test_integer_power_is_bit_identical_lazy_eager_and_flat(exponent):
+    # a square sums its doubled cross terms and its middle term in one order
+    # on every path: term by term on a lazy node or a series of rows, and as
+    # one broadcast array on a flat jet
+    rows = np.random.default_rng(7).uniform(-2.0, 2.0, (9, 5))
+    alg = BatchAlgebra(5)
+    want = power(Jet(alg, rows), exponent).coeffs.view(np.uint64)
+    eager = power(TruncatedSeries(alg, list(rows)), exponent)
+    lazy = power(LazySeries(SeriesTape(), lambda k: rows[k]), exponent)
+    assert np.array_equal(np.array(eager.coeffs).view(np.uint64), want)
+    assert np.array_equal(np.array([lazy.coeff(k) for k in range(9)]).view(np.uint64), want)
+
+
 def test_values_returns_zeroth_coefficient():
     jet = seed_variable(np.array([0.5, 1.5]), 2)
     np.testing.assert_array_equal((jet * jet).coeffs[0], [0.25, 2.25])
