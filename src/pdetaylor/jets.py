@@ -47,14 +47,14 @@ jet, ``Jet(batch, rows)``: a number fills its row and the structural zero is
 ..., 0]``; evaluating an expression on the seed yields the jet of that
 expression.  The expansion driver uses the identity as a series ``(X, 1.0,
 ZERO, ..., ZERO)`` instead, for the initial condition and for its ``x`` node,
-so that a lift of it visits only the rows that are not ``ZERO``: one term per
-order.  The driver converts each series that the initial condition returns
-and each new coefficient, a lift converts its result when its constant term
-is such a series, every jet operator, ``+``, ``-`` and ``*`` on either side,
-converts one that it meets, and a quotient, which jets inherit from
-:class:`~pdetaylor.series.TruncatedSeries`, converts both of its operands, so
-``x`` works wherever a jet does; the left factor of a product stays the left
-one, since the kernel sums each row in the order of its rows.
+so that a lift of it forms products only for the rows that are not ``ZERO``:
+one term per order.  The driver converts each series that the initial
+condition returns and each new coefficient, a lift converts its result when
+its constant term is such a series, every jet operator, ``+``, ``-`` and
+``*`` on either side, converts one that it meets, and a quotient, which jets
+inherit from :class:`~pdetaylor.series.TruncatedSeries`, converts both of its
+operands, so ``x`` works wherever a jet does; the left factor of a product
+stays the left one, since the kernel sums each row in the order of its rows.
 :func:`derivative` extracts the jet of ``f^(m)``, which is ``m`` orders
 shorter than its input.
 

@@ -54,14 +54,10 @@ on, so the shared steps skip its terms; one that is the same at every point may
 be a plain number (activity analysis; Hascoet & Pascual, ACM TOMS 39(3), 2013).
 Each step sums the terms ``x_j * y_{k-j}`` of its coefficient in the order of
 ``j`` and leaves out every one with a ``ZERO`` factor before multiplying, since
-``acc + ZERO`` is ``acc`` and ``ZERO + t`` is ``t``.  It does not look at
-those terms either: a sequence of coefficients that holds ``ZERO`` keeps the
-indices of the others, an eager series as a tuple made at construction and a
-lazy history as a list it extends as it grows, and a step walks the shorter
-of its two factors' indices, checking only the other factor, so a lift of the
-identity ``(x, 1.0, ZERO, ...)`` visits one term per order.  A dense sequence
-keeps no index and is walked by ``range``.  Where the terms are
-arrays it forms them as one array, one term after another along its first
+``acc + ZERO`` is ``acc`` and ``ZERO + t`` is ``t``: it walks every ``j`` and
+skips such a term with one identity test of each factor, so a lift of the
+identity ``(x, 1.0, ZERO, ...)`` forms one product per order.  Where the terms
+are arrays it forms them as one array, one term after another along its first
 axis: the rows of flat jets with one broadcast multiply, and each run of
 consecutive jet pairs in stacked kernel calls, through
 :meth:`~pdetaylor.jets.Jet._fold_products`, the only method that folds a run.
@@ -159,32 +155,6 @@ class _StructuralZero:
 ZERO = _StructuralZero()
 
 
-class _SparseCoeffs(tuple):
-    """The coefficients of an eager series that holds :data:`ZERO`; the series
-    sets ``nonzero_at``, the indices of the others in order, for :func:`_terms`."""
-
-
-class _History(list):
-    """The coefficients of a lazy node as they are computed.  ``nonzero_at``
-    lists the indices of those that are not :data:`ZERO`, in order, from the
-    first ``ZERO`` on; it is None while there is none, so a dense history
-    keeps no index and :func:`_terms` walks it by ``range``."""
-
-    __slots__ = ("nonzero_at",)
-
-    def __init__(self):
-        super().__init__()
-        self.nonzero_at = None
-
-    def append(self, c):
-        if c is ZERO:
-            if self.nonzero_at is None:
-                self.nonzero_at = list(range(len(self)))
-        elif self.nonzero_at is not None:
-            self.nonzero_at.append(len(self))
-        super().append(c)
-
-
 def _real(c):
     """``c`` with the structural zero as ``0.0``, which numpy evaluates."""
     return 0.0 if c is ZERO else c
@@ -211,11 +181,11 @@ def _number_divisor(x):
 class TruncatedSeries:
     """Coefficients of a power series in one infinitesimal, truncated at a fixed order.
 
-    ``coeffs`` is a tuple of ``order + 1`` algebra elements, constant term
-    first (:class:`~pdetaylor.jets.Jet` holds them as the rows of one array);
-    one that holds :data:`ZERO` also keeps the indices of the others.
-    Instances are immutable; every operation returns a new series of the same
-    kind and algebra, and of the same order (two jets: the lower of theirs).
+    ``coeffs`` is a tuple of ``order + 1`` algebra elements or :data:`ZERO`,
+    constant term first (:class:`~pdetaylor.jets.Jet` holds them as the rows
+    of one array).  Instances are immutable; every operation returns a new
+    series of the same kind and algebra, and of the same order (two jets: the
+    lower of theirs).
     """
 
     __slots__ = ("algebra", "coeffs")
@@ -224,10 +194,6 @@ class TruncatedSeries:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least its constant term")
-        nonzero_at = tuple(j for j, c in enumerate(coeffs) if c is not ZERO)
-        if len(nonzero_at) < len(coeffs):
-            coeffs = _SparseCoeffs(coeffs)
-            coeffs.nonzero_at = nonzero_at
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -423,34 +389,15 @@ def _pow0(e: float, a):
     return (np.power(a, e),)
 
 
-def _terms(x, y, k, lo, hi):
-    """The indices ``j`` in ``lo <= j < hi``, ascending, of the terms ``x_j *
-    y_{k-j}`` that a step visits.
-
-    A sequence that keeps ``nonzero_at`` (an eager series that holds ZERO, a
-    lazy history that has met one) is walked by it, and of two such the
-    shorter, so a step visits no term whose factor there is ZERO; ``y``'s
-    indices ``i`` are walked down, as ``j = k - i``.  A sequence without them
-    is dense, and two dense ones are walked by ``range``.
-    """
-    xs, ys = getattr(x, "nonzero_at", None), getattr(y, "nonzero_at", None)
-    if ys is not None and (xs is None or len(ys) < len(xs)):
-        return [k - i for i in reversed(ys) if k - hi < i <= k - lo]
-    if xs is not None:
-        return [j for j in xs if lo <= j < hi]
-    return range(lo, hi)
-
-
 def _fold(acc, x, y, k, lo, hi, w=None, sub=False):
     """``acc + w(j) * x_j * y_{k-j}`` for ``lo <= j < hi``, added in order of
     ``j``, or subtracted with ``sub``; ``w`` maps an index, or an array of them,
     to its weight, and None weighs nothing.
 
-    Terms with a ZERO factor are left out: such a term is ZERO, which a sum
-    drops, so leaving it out changes no bit.  :func:`_terms` visits only the
-    terms whose factor in an indexed sequence is not ZERO, and the other
-    factor is checked here.  When ``x`` and ``y`` are the ``(P+1, N)`` arrays
-    of flat jets, all the terms are formed by one broadcast multiply and
+    Terms with a ZERO factor are left out, by one identity test of each
+    factor and without a product: such a term is ZERO, which a sum drops, so
+    leaving it out changes no bit.  When ``x`` and ``y`` are the ``(P+1, N)``
+    arrays of flat jets, all the terms are formed by one broadcast multiply and
     summed by :func:`_sum_terms`.  Otherwise each run of consecutive terms
     whose two factors are jets (of one type, with a ``_fold_products``) is
     folded by :meth:`~pdetaylor.jets.Jet._fold_products` in stacked kernel
@@ -463,7 +410,7 @@ def _fold(acc, x, y, k, lo, hi, w=None, sub=False):
         terms = x[lo:hi] * y[k - hi + 1 : k - lo + 1][::-1]
         return _sum_terms(acc, terms, None if w is None else w(np.arange(lo, hi)), sub)
     run = []  # consecutive jet pairs (w_j, x_j, y_{k-j}), folded as stacks
-    for j in _terms(x, y, k, lo, hi):
+    for j in range(lo, hi):
         xj, yj = x[j], y[k - j]
         if xj is ZERO or yj is ZERO:
             continue
@@ -633,12 +580,12 @@ class LazySeries:
             )
         return self._newest
 
-    def _kept(self) -> "_History":
+    def _kept(self) -> list:
         """The coefficient history, kept from now on because a later step reads it."""
         if self._history is None:
             if self._count:
                 raise RuntimeError("a node's history must be requested before evaluation starts")
-            self._history = _History()
+            self._history = []
         return self._history
 
     def _operand(self, other):

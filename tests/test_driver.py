@@ -708,51 +708,59 @@ def test_a_square_step_forms_each_cross_term_once_at_the_working_order(jet_produ
 
 
 @pytest.fixture
-def visited_terms(monkeypatch):
-    """One entry per step's walk over the terms ``x_j * y_{k-j}`` made in the
-    test: the terms it visits and, of those, the ones whose factors are both
-    not ZERO, which the step sums.
+def formed_products(monkeypatch):
+    """A function that returns and resets the products that the steps made in
+    the test have formed: ``(lone products, jet pairs)``.
 
-    Every step that forms its terms one by one walks them through the one
-    ``series._terms``, which is hooked here.
+    A step adds each product that is not a jet pair alone, through the one
+    ``series._accumulate``, and folds runs of jet pairs through the one
+    ``Jet._fold_products``; both are hooked here.
     """
-    walks = []
-    terms = series._terms
+    counts = [0, 0]
+    accumulate, fold_products = series._accumulate, Jet._fold_products
 
-    def recording(x, y, k, lo, hi):
-        js = terms(x, y, k, lo, hi)
-        walks.append((len(js), sum(x[j] is not ZERO and y[k - j] is not ZERO for j in js)))
-        return js
+    def lone(acc, t, w, sub):
+        counts[0] += 1
+        return accumulate(acc, t, w, sub)
 
-    monkeypatch.setattr(series, "_terms", recording)
-    return walks
+    def pairs(acc, run, sub):
+        counts[1] += len(run)
+        return fold_products(acc, run, sub)
+
+    def formed():
+        seen = tuple(counts)
+        counts[:] = [0, 0]
+        return seen
+
+    monkeypatch.setattr(series, "_accumulate", lone)
+    monkeypatch.setattr(Jet, "_fold_products", staticmethod(pairs))
+    return formed
 
 
-def test_steps_visit_only_the_terms_they_sum(visited_terms):
+def test_steps_form_only_the_products_they_sum(formed_products):
     # heat's initial condition sin(seed * pi) on the identity (x, 1.0, ZERO,
-    # ...) at jet order 40 has one term per order for sine and one for cosine:
-    # walking every index of each step visited 1,640 terms to sum these 80
+    # ...) at jet order 40 has one product per order for sine and one for
+    # cosine: every other term has a ZERO factor and is skipped unformed
     heat = get_problem("heat")
     x = np.linspace(*heat.domain, 52)[1:-1]
     compute_expansion(heat, x, 20)
-    assert sum(v for v, _ in visited_terms) == sum(s for _, s in visited_terms) == 80
+    assert formed_products() == (80, 0)
 
     # diffusion's forcing lifts x, the same identity at the working order
-    # W_1 = 38 of K = 20, which costs one term per order for each of sine
+    # W_1 = 38 of K = 20, which costs one product per order for each of sine
     # and cosine where the dense seed jet took 741 each
     diffusion = get_problem("diffusion")
-    visited_terms.clear()
     forcing = dataclasses.replace(
         diffusion, ic=lambda seed: [0.0], rhs=lambda u, u_x, u_xx, t, x_node: [sin(x_node * PI)]
     )
     expansion = compute_expansion(forcing, x, 20)
-    assert sum(v for v, _ in visited_terms) == sum(s for _, s in visited_terms) == 2 * 38
+    assert formed_products() == (2 * 38, 0)
     np.testing.assert_allclose(expansion.coeffs[0][1], np.sin(PI * x), rtol=1e-15, atol=0)
 
-    # and the whole of diffusion visits no term that it does not sum
-    visited_terms.clear()
+    # and the whole of diffusion: 80 for its initial condition, 76 for the
+    # forcing's lift, 19 for exp(-t) and 20 for its product with the forcing
     compute_expansion(diffusion, x, 20)
-    assert all(visited == summed for visited, summed in visited_terms)
+    assert formed_products() == (195, 0)
 
 
 def test_a_lift_of_x_is_one_flat_jet():

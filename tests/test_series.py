@@ -396,14 +396,16 @@ EAGER_OPERATIONS = pytest.mark.parametrize(
 @EAGER_OPERATIONS
 def test_series_with_structural_zero_rows_matches_zero_rows(f):
     # the driver hands the initial condition the identity with its rows past 1
-    # ZERO; every eager operation computes what it computes on zero rows, but
-    # for the sign of an exact zero, since ZERO skips terms that add +0.0
+    # ZERO, and ZERO rows between others put ZERO in either factor of a term;
+    # every eager operation computes what it computes on zero rows, but for
+    # the sign of an exact zero, since ZERO skips terms that add +0.0
     x = np.array([0.3, -0.4, 0.0, 1.2])
     alg = BatchAlgebra(4)
-    structural = TruncatedSeries(alg, (x, np.ones(4)) + (ZERO,) * 4)
-    got, want = f(structural), f(TruncatedSeries(alg, (x, np.ones(4)) + (np.zeros(4),) * 4))
-    assert got.order == want.order
-    assert_equal_but_for_zero_signs(_dense(got), _dense(want))
+    for rows in ((x, np.ones(4)) + (ZERO,) * 4, (x, ZERO, 0.5, ZERO, x, ZERO)):
+        zeros = tuple(np.zeros(4) if c is ZERO else c for c in rows)
+        got, want = f(TruncatedSeries(alg, rows)), f(TruncatedSeries(alg, zeros))
+        assert got.order == want.order
+        assert_equal_but_for_zero_signs(_dense(got), _dense(want))
 
 
 @pytest.mark.parametrize(

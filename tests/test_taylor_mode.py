@@ -29,7 +29,6 @@ from pdetaylor import (
     sin,
     sin_cos,
 )
-from pdetaylor import series
 from pdetaylor.jets import Jet
 from pdetaylor.series import LazySeries, SeriesTape
 
@@ -237,23 +236,18 @@ def test_only_operands_that_later_steps_read_keep_history():
 
 
 def _counted_histories():
-    """A stand-in for ``series._History`` that lists every history it makes
-    and counts each one's appends."""
-    made = []
+    """A wrapper of ``LazySeries._kept`` that lists every history as it is
+    made; nothing removes from a history, so its length counts its appends."""
+    made, kept = [], LazySeries._kept
 
-    class Counted(series._History):
-        __slots__ = ("appends",)
+    def counted(node):
+        new = node._history is None
+        history = kept(node)
+        if new:
+            made.append(history)
+        return history
 
-        def __init__(self):
-            super().__init__()
-            self.appends = 0
-            made.append(self)
-
-        def append(self, c):
-            self.appends += 1
-            super().append(c)
-
-    return made, mock.patch.object(series, "_History", Counted)
+    return made, mock.patch.object(LazySeries, "_kept", counted)
 
 
 @pytest.mark.parametrize("lift", [lambda s: (exp(s),), sin_cos], ids=["exp", "sin_cos"])
@@ -269,7 +263,7 @@ def test_a_lift_node_that_a_product_reads_keeps_one_history(lift):
         for k in range(5):
             product.coeff(k)
     assert [id(h) for h in made] == [id(a._history)] + [id(node._history) for node in nodes]
-    assert [h.appends for h in made] == [5] * len(made)
+    assert [len(h) for h in made] == [5] * len(made)
     want = lift(TruncatedSeries(RealAlgebra(), [0.5 / (k + 1) for k in range(5)]))
     assert [node._history for node in nodes] == [list(w.coeffs) for w in want]
 
@@ -282,4 +276,4 @@ def test_diffusion_keeps_each_coefficient_once():
     with counting:
         compute_expansion(get_problem("diffusion"), np.linspace(-1.0, 1.0, 52)[1:-1], 20)
     assert len(made) == 6
-    assert sum(h.appends for h in made) == 120
+    assert sum(len(h) for h in made) == 120
