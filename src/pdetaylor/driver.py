@@ -57,8 +57,9 @@ the expansion is re-run with a larger ``K``.
 Each spatial differentiation consumes jet orders.  ``F`` reads at most
 ``U_xx``, so ``C_0`` is seeded with ``2*K`` jet orders and iteration ``i``
 works at jet order ``W_i = 2*(K - i)``.  That order is set where ``C_{i-1}``
-is read: the ``U`` nodes read it as a view of ``W_i + d`` orders before
-differentiating it ``d`` times, and ``x`` is the identity at ``W_1``.
+is read: the ``U`` nodes read its first ``W_i + d + 1`` rows as a view and
+differentiate them ``d`` times with row weights built once per block, and
+``x`` is the identity at ``W_1``.
 Nothing else is truncated, because two jets combine at the lower of their orders
 (:mod:`pdetaylor.jets`): row ``r`` of a sum, product, quotient or lift reads
 only operand rows ``<= r``.  So a product of the newest coefficient with an
@@ -98,7 +99,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import _BLOCK, BatchAlgebra, Jet, _as_int, _real_points, derivative, flat
+from .jets import _BLOCK, BatchAlgebra, Jet, _as_int, _derivative_rows, _real_points, flat
 from .problems import PdeProblem
 from .series import ZERO, LazySeries, SeriesTape, TruncatedSeries, _as_scalar, _real
 
@@ -225,15 +226,18 @@ def _expand_block(problem: PdeProblem, x: np.ndarray, max_order: int, out: np.nd
     for c, coeff in enumerate(newest):
         _store(coeff, out, 0, c)
     tape = SeriesTape()
+    weights = np.arange(1.0, seed_order + 1)[:, None]  # the row weights of every U_x and U_xx read
 
     def spatial(c, d):
         # d-th x-derivative of component c.  Every node is asked for coefficient
-        # k = i - 1 at iteration i, while ``newest`` still holds C_k; it is read
-        # at W_{k+1} + d jet orders, a view, so its derivative has order W_{k+1}.
+        # k = i - 1 at iteration i, while ``newest`` still holds C_k; it reads
+        # the first W_{k+1} + d + 1 rows, a view, so its derivative has order
+        # W_{k+1}.
         def rule(k):
             coeff = newest[c]
             if isinstance(coeff, Jet):
-                return derivative(coeff.truncated(seed_order - _SPATIAL_ORDER * (k + 1) + d), d)
+                rows = coeff.coeffs[: seed_order - _SPATIAL_ORDER * (k + 1) + d + 1]
+                return Jet._made(coeff.algebra, _derivative_rows(rows, d, weights))
             return ZERO if d else coeff
 
         return LazySeries(tape, rule)

@@ -56,7 +56,16 @@ inherit from :class:`~pdetaylor.series.TruncatedSeries`, converts both of its
 operands, so ``x`` works wherever a jet does; the left factor of a product
 stays the left one, since the kernel sums each row in the order of its rows.
 :func:`derivative` extracts the jet of ``f^(m)``, which is ``m`` orders
-shorter than its input.
+shorter than its input, and the driver's reads of ``U_x`` and ``U_xx`` use the
+same row differentiation with row weights built once per block.  An eager
+square, ``power(jet, 2)``, is one symmetric kernel that forms each cross term
+``a_j a_{k-j}`` once and doubles it, with the bits of the square step.
+
+``Jet(...)`` converts and checks what comes from outside the engine.  A jet
+that the engine has just made is taken as it is by :meth:`Jet._made`: the
+results of ``+``, ``-`` and ``*``, the sum of :meth:`Jet._fold_products` and
+the driver's reads of ``C_k``, each a fresh C-contiguous float64 ``(P+1, N)``
+array or a view of the first rows of one.
 
 Two jets over one batch combine at the lower of their orders: row ``r`` of a
 sum, product, quotient or lift reads only operand rows ``<= r`` (Griewank &
@@ -165,6 +174,16 @@ class Jet(TruncatedSeries):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @staticmethod
+    def _made(algebra: BatchAlgebra, coeffs: np.ndarray) -> "Jet":
+        """A jet of rows that the engine has just made, taken as they are,
+        without the checks of ``Jet(...)``: ``coeffs`` must be a C-contiguous
+        float64 ``(P+1, N)`` array over the ``N`` points of ``algebra``."""
+        jet = object.__new__(Jet)
+        object.__setattr__(jet, "algebra", algebra)
+        object.__setattr__(jet, "coeffs", coeffs)
+        return jet
+
     def __repr__(self):
         return f"Jet({self.algebra!r}, {self.coeffs!r})"
 
@@ -195,11 +214,11 @@ class Jet(TruncatedSeries):
         if s is not None:
             c = self.coeffs.copy()
             c[0] += s
-            return Jet(self.algebra, c)
+            return Jet._made(self.algebra, c)
         rows = self._rows(other)
         if rows is None:
             return NotImplemented
-        return Jet(self.algebra, rows[0] + rows[1])
+        return Jet._made(self.algebra, rows[0] + rows[1])
 
     __radd__ = __add__
 
@@ -210,29 +229,33 @@ class Jet(TruncatedSeries):
         rows = self._rows(other)
         if rows is None:
             return NotImplemented
-        return Jet(self.algebra, rows[0] - rows[1])
+        return Jet._made(self.algebra, rows[0] - rows[1])
 
     def __rsub__(self, other):
         rows = self._rows(other)
         if rows is None:
             return TruncatedSeries.__rsub__(self, other)
-        return Jet(self.algebra, rows[1] - rows[0])
+        return Jet._made(self.algebra, rows[1] - rows[0])
 
     def __mul__(self, other):
         s = _as_scalar(other)
         if s is not None:
-            return Jet(self.algebra, self.coeffs * s)
+            return Jet._made(self.algebra, self.coeffs * s)
         rows = self._rows(other)
         if rows is None:
             return NotImplemented
-        return Jet(self.algebra, _convolve(*rows))
+        return Jet._made(self.algebra, _convolve(*rows))
 
     def __rmul__(self, other):
         # the kernel sums a row's terms in order of the left factor's rows
         rows = self._rows(other)
         if rows is None:
             return self.__mul__(other)
-        return Jet(self.algebra, _convolve(rows[1], rows[0]))
+        return Jet._made(self.algebra, _convolve(rows[1], rows[0]))
+
+    def _squared(self):
+        """``self * self`` in one symmetric kernel, :func:`_square_rows`."""
+        return Jet._made(self.algebra, _square_rows(self.coeffs))
 
     @staticmethod
     def _fold_products(acc, pairs, sub):
@@ -255,7 +278,10 @@ class Jet(TruncatedSeries):
         size = first.algebra.size
         n = len(first.coeffs)
         for _, x, y in pairs:
-            n = min(n, first._check_compatible(x), x._check_compatible(y))
+            if x.algebra is first.algebra is y.algebra:
+                n = min(n, len(x.coeffs), len(y.coeffs))
+            else:
+                n = min(n, first._check_compatible(x), x._check_compatible(y))
         if isinstance(acc, TruncatedSeries):
             n = min(n, first._check_compatible(acc))
             acc = flat(acc).coeffs[:n]
@@ -273,7 +299,7 @@ class Jet(TruncatedSeries):
                 c = _convolve(xs[:, : len(stack)], ys[:, : len(stack)]).swapaxes(0, 1)
             w = None if stack[0][0] is None else [w for w, _, _ in stack]
             acc = _sum_terms(acc, c, w, sub)
-        return Jet(first.algebra, acc)
+        return Jet._made(first.algebra, acc)
 
 
 def _convolve(a, b):
@@ -288,6 +314,21 @@ def _convolve(a, b):
     c = a[0] * b
     for i in range(1, n):
         c[i:] += a[i] * b[: n - i]
+    return c
+
+
+def _square_rows(a):
+    """The rows of the square of the jet rows ``a``, each cross term formed
+    once: row ``k`` sums ``2 a_j a_{k-j}`` for ``j < k/2``, then ``a_{k/2}**2``
+    when ``k`` is even, in that order and each product doubled after it is
+    formed, so it is :func:`~pdetaylor.series._sq_step` on every row, bit for
+    bit."""
+    n = len(a)
+    c = a[0] * a
+    c[1:] *= 2.0
+    for i in range(1, (n + 1) // 2):
+        c[2 * i] += a[i] * a[i]
+        c[2 * i + 1 :] += (a[i] * a[i + 1 : n - i]) * 2.0
     return c
 
 
@@ -348,10 +389,17 @@ def derivative(jet: Jet, m: int = 1) -> Jet:
         raise InsufficientJetOrderError(
             f"jet of order {jet.order} cannot produce derivative order {m}"
         )
-    coeffs = jet.coeffs
+    weights = np.arange(1.0, len(jet.coeffs))[:, None]
+    return Jet._made(jet.algebra, _derivative_rows(jet.coeffs, m, weights))
+
+
+def _derivative_rows(coeffs, m, weights):
+    """The rows of the ``m``-th derivative of the jet rows ``coeffs``: each
+    differentiation drops row 0 and multiplies row ``k+1`` by ``weights[k]``,
+    a column that holds at least ``1.0, 2.0, ..., len(coeffs) - 1``."""
     for _ in range(m):
-        coeffs = coeffs[1:] * np.arange(1.0, len(coeffs))[:, None]
-    return Jet(jet.algebra, coeffs)
+        coeffs = coeffs[1:] * weights[: len(coeffs) - 1]
+    return coeffs
 
 
 @dataclass(frozen=True)

@@ -54,12 +54,16 @@ on, so the shared steps skip its terms; one that is the same at every point may
 be a plain number (activity analysis; Hascoet & Pascual, ACM TOMS 39(3), 2013).
 Each step sums the terms ``x_j * y_{k-j}`` of its coefficient in the order of
 ``j`` and leaves out every one with a ``ZERO`` factor before multiplying, since
-``acc + ZERO`` is ``acc`` and ``ZERO + t`` is ``t``: it walks every ``j`` and
-skips such a term with one identity test of each factor, so a lift of the
-identity ``(x, 1.0, ZERO, ...)`` forms one product per order.  Where the terms
-are arrays it forms them as one array, one term after another along its first
-axis: the rows of flat jets with one broadcast multiply, and each run of
-consecutive jet pairs in stacked kernel calls, through
+``acc + ZERO`` is ``acc`` and ``ZERO + t`` is ``t``: it walks the ``j`` for
+which both factors are held and skips such a term with one identity test of
+each factor.  An eager lift hands its steps the input without its trailing
+``ZERO`` terms, trimmed once per lift, so a lift of the identity ``(x, 1.0,
+ZERO, ...)`` walks no ``j`` at all: the weighted sum of exp, sin and cos over
+two coefficients forms its one term ``a_1 * f_{k-1}`` directly, one product
+per order and per result, and ln reads a missing ``a_k`` as ``ZERO``.  Where
+the terms are arrays it forms them as one array, one term after another along
+its first axis: the rows of flat jets with one broadcast multiply, and each
+run of consecutive jet pairs in stacked kernel calls, through
 :meth:`~pdetaylor.jets.Jet._fold_products`, the only method that folds a run.
 It sums such an array with one ``np.subtract.reduce``, which numpy defines as
 the loop ``r = r - t``, every added term negated first; any other term, such
@@ -326,6 +330,13 @@ class TruncatedSeries:
             return NotImplemented
         return power(self, s)
 
+    def _squared(self):
+        """``self * self`` through :func:`_sq_step`, one coefficient at a time."""
+        a, out = self.coeffs, self._buffer()
+        for k in range(len(a)):
+            out[k] = _sq_step(a, k)
+        return self._new(out)
+
     # -- truncation ----------------------------------------------------
 
     def truncated(self, order: int) -> "TruncatedSeries":
@@ -394,9 +405,12 @@ def _fold(acc, x, y, k, lo, hi, w=None, sub=False):
     ``j``, or subtracted with ``sub``; ``w`` maps an index, or an array of them,
     to its weight, and None weighs nothing.
 
-    Terms with a ZERO factor are left out, by one identity test of each
-    factor and without a product: such a term is ZERO, which a sum drops, so
-    leaving it out changes no bit.  When ``x`` and ``y`` are the ``(P+1, N)``
+    Only the ``j`` for which both ``x_j`` and ``y_{k-j}`` are held are walked,
+    so an input trimmed of its trailing ZERO terms, or a lazy history of the
+    orders computed so far, is read as it is.  Terms with a ZERO factor
+    among those are left out, by one identity test of each factor and
+    without a product: such a term is ZERO, which a sum drops, so leaving it
+    out changes no bit.  When ``x`` and ``y`` are the ``(P+1, N)``
     arrays of flat jets, all the terms are formed by one broadcast multiply and
     summed by :func:`_sum_terms`.  Otherwise each run of consecutive terms
     whose two factors are jets (of one type, with a ``_fold_products``) is
@@ -404,6 +418,7 @@ def _fold(acc, x, y, k, lo, hi, w=None, sub=False):
     calls, one sum per stack, and every other term is added alone, as it
     comes, after the run before it.
     """
+    lo, hi = max(lo, k - len(y) + 1), min(hi, len(x))
     if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
         if lo >= hi:
             return acc
@@ -493,7 +508,14 @@ def _div_step(a_k, b, q, k):
 
 
 def _weighted_sum(a, f, k):
-    """sum_{j=1..k} j*a_j*f_{k-j}, shared by the exp, sin and cos recurrences."""
+    """sum_{j=1..k} j*a_j*f_{k-j}, shared by the exp, sin and cos recurrences.
+
+    An input of two coefficients, such as a lift's trimmed identity, has the
+    one term ``a_1 * f_{k-1}`` of weight 1.0, which is formed here and added by
+    :func:`_accumulate` as :func:`_fold` would add it, without its walk."""
+    if len(a) == 2:
+        x, y = a[1], f[k - 1]
+        return ZERO if x is ZERO or y is ZERO else _accumulate(ZERO, x * y, None, False)
     return _fold(ZERO, a, f, k, 1, k + 1, _index)
 
 
@@ -510,7 +532,8 @@ def _sin_cos_step(a, k, s, c):
 def _log_step(a, k, out):
     """L_k = (A_k - (1/k) sum_{j<k} j*L_j*A_{k-j}) / A_0."""
     acc = _fold(ZERO, out, a, k, 1, k, _index)
-    return ((a[k] - acc * (1.0 / k)) / a[0],)
+    a_k = a[k] if k < len(a) else ZERO  # past a trimmed input's end
+    return ((a_k - acc * (1.0 / k)) / a[0],)
 
 
 def _power_step(e, a, k, out):
@@ -676,8 +699,11 @@ def _lift(series, f0, step, outputs=1):
     itself a series (a jet, or the ``x`` node's series of rows) is lifted
     again by this function and made flat.  Coefficient ``k >= 1`` is the tuple
     ``step(a, k, *results)``, which reads the input and the results' earlier
-    coefficients.  A lazy lift keeps its results in its nodes' histories, which
-    its rule fills and a later product or quotient reads as they are.
+    coefficients.  An eager lift's steps read the input without its trailing
+    ZERO terms, trimmed once here, so no step walks those terms; the results
+    keep the input's order.  A lazy lift keeps its results in its
+    nodes' histories, which its rule fills and a later product or quotient
+    reads as they are, and reads its input's whole history.
     """
 
     def first(c):
@@ -700,8 +726,12 @@ def _lift(series, f0, step, outputs=1):
         outs = [node._kept() for node in nodes]
         return nodes
     _require_series(series)
-    a, outs = series.coeffs, [series._buffer() for _ in range(outputs)]
-    for k in range(len(a)):
+    coeffs, outs = series.coeffs, [series._buffer() for _ in range(outputs)]
+    n = len(coeffs)
+    while n > 1 and coeffs[n - 1] is ZERO:
+        n -= 1
+    a = coeffs[:n]
+    for k in range(len(coeffs)):
         for out, v in zip(outs, step(a, k, *outs) if k else first(a[0])):
             out[k] = v
     return [series._new(out) for out in outs]
@@ -745,7 +775,8 @@ def power(series, exponent: float):
     series itself, which needs no invertible constant term and multiplies by
     no constant one.  A square forms each cross term ``a_j * a_{k-j}`` once
     and doubles it (:func:`_sq_step`), about half the products of ``x * x``,
-    which stays a plain product.  The higher power is the left factor, so
+    which stays a plain product; a flat jet squares in one symmetric kernel
+    with the same bits.  The higher power is the left factor, so
     ``power(v, 3)`` is ``square(v) * v``, the association and operand order
     of ``v * v * v``; only the square's summation order differs.  Anything
     else uses the recurrence
@@ -772,7 +803,8 @@ def power(series, exponent: float):
 
 def _square(series):
     """``series * series`` through :func:`_sq_step`, as a node of the same tape
-    or as a series of the same kind."""
+    or as a series of the same kind, which a flat jet forms in one kernel with
+    the same bits (:meth:`TruncatedSeries._squared`)."""
     if isinstance(series, LazySeries):
         h = series._kept()
 
@@ -781,10 +813,7 @@ def _square(series):
             return _sq_step(h, k)
 
         return LazySeries(series.tape, square)
-    a, out = series.coeffs, series._buffer()
-    for k in range(len(a)):
-        out[k] = _sq_step(a, k)
-    return series._new(out)
+    return series._squared()
 
 
 def reciprocal(series):

@@ -763,6 +763,51 @@ def test_steps_form_only_the_products_they_sum(formed_products):
     assert formed_products() == (195, 0)
 
 
+def test_lifts_of_the_identity_walk_no_terms(monkeypatch):
+    # an eager lift hands its steps the identity (x, 1.0, ZERO, ...) without
+    # its trailing ZERO terms, and a weighted sum over two coefficients forms
+    # its one term a_1 * f_{k-1} without a walk: at the initial condition's
+    # jet order 40, sin_cos and exp call no _fold, where a walk over every j
+    # made 80 and 40 calls.  The values are those of the dense seed jet
+    x = np.linspace(-0.9, 0.9, 50)
+    identity = driver._identity(BatchAlgebra(x.size), x, 40)
+    want = [*series.sin_cos(seed_variable(x, 40)), exp_(seed_variable(x, 40))]
+    calls, fold = [], series._fold
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(series, "_fold", counting)
+    got = [*series.sin_cos(identity), exp_(identity)]
+    assert calls == []
+    for g, w in zip(got, want):
+        assert_equal_but_for_zero_signs(jets.flat(g).coeffs, w.coeffs)
+
+
+@pytest.mark.parametrize("name", available_problems())
+def test_engine_made_jets_are_c_contiguous_float64_rows(name, monkeypatch):
+    # the results of jet + - *, the stacked sums and the driver's U reads are
+    # taken by Jet._made without the checks of Jet(...), so each must already
+    # be what those checks pass: a C-contiguous float64 (P+1, N) array over
+    # its block of N points.  1025 points make blocks of 1024 and 1
+    made, original = [], Jet._made
+
+    def recording(algebra, coeffs):
+        made.append((algebra.size, coeffs))
+        return original(algebra, coeffs)
+
+    monkeypatch.setattr(Jet, "_made", staticmethod(recording))
+    prob = get_problem(name)
+    for size, blocks in ((1, {1}), (50, {50}), (1025, {1024, 1})):
+        made.clear()
+        compute_expansion(prob, np.linspace(*prob.domain, size + 2)[1:-1], 20)
+        assert made
+        for n, c in made:
+            assert type(c) is np.ndarray and c.dtype == np.float64 and c.flags.c_contiguous
+            assert c.ndim == 2 and c.shape[0] >= 1 and c.shape[1] == n and n in blocks
+
+
 def test_a_lift_of_x_is_one_flat_jet():
     # the lift runs on the identity's rows and is converted once, so the
     # forcing's products and sums with U's jets do not convert it again

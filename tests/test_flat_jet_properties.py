@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from pdetaylor import BatchAlgebra, TruncatedSeries, derivative, exp, jets, log, power, seed_variable, sin_cos
 from pdetaylor.jets import Jet
-from pdetaylor.series import ZERO, RealAlgebra, _div_step, _fold, _index, _mul_step, _weighted_sum
+from pdetaylor.series import ZERO, RealAlgebra, _div_step, _fold, _index, _mul_step, _sq_step, _weighted_sum
 
 orders = st.integers(0, 42)
 sizes = st.integers(1, 70)
@@ -129,6 +129,24 @@ def test_flat_jet_matches_row_by_row_series(name, order, size, seed, s):
         assert isinstance(g, Jet) and g.coeffs.flags.c_contiguous
         assert g.coeffs.shape == (order + 1, size)
         np.testing.assert_array_equal(_bits(g.coeffs), _bits(w.coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@example(order=40, size=50, seed=7, zero_rows=[0, 3, 40, 21])
+@given(order=orders, size=sizes, seed=seeds, zero_rows=st.lists(st.integers(0, 42), max_size=4))
+def test_flat_square_matches_per_row_square_steps(order, size, seed, zero_rows):
+    # power(jet, 2) squares in one symmetric kernel that forms each cross term
+    # once, doubled: it must give the square step run on each row bit for bit,
+    # also with whole rows of exact and negative zeros
+    rows = _rows(seed, order, size)
+    for i, r in enumerate(zero_rows):
+        if r <= order:
+            rows[r] = -0.0 if i % 2 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = power(Jet(BatchAlgebra(size), rows), 2)
+        want = [_sq_step(rows, k) for k in range(order + 1)]
+    assert isinstance(got, Jet) and got.coeffs.flags.c_contiguous
+    np.testing.assert_array_equal(_bits(got.coeffs), _bits(want))
 
 
 def test_quotient_of_zero_dimensional_rows():

@@ -16,7 +16,9 @@ from pdetaylor import (
 from pdetaylor.jets import Jet
 from pdetaylor.series import (
     ZERO,
+    LazySeries,
     LiftDomainError,
+    SeriesTape,
     _real,
     cos,
     exp,
@@ -428,3 +430,31 @@ def test_series_padded_with_numbers_matches_zero_and_one_rows(f, padded, rows):
     got, want = f(padded(alg, x)), f(TruncatedSeries(alg, rows(x)))
     assert got.order == want.order
     np.testing.assert_array_equal(_dense(got).view(np.uint64), _dense(want).view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "lift", [log, lambda s: power(s, 0.5), exp, sin_cos], ids=["log", "sqrt", "exp", "sin-cos"]
+)
+@pytest.mark.parametrize(
+    "make", [lambda seed: seed + 2.0, lambda seed: seed * seed + 1.0], ids=["two-terms", "three-terms"]
+)
+def test_eager_lift_of_a_trimmed_input_matches_the_lazy_lift(lift, make):
+    # an eager lift reads its input without the trailing ZERO terms, and a
+    # missing a_k as ZERO; a lazy lift reads the whole history, ZERO terms and
+    # all, through the same steps
+    alg = BatchAlgebra(4)
+    a = make(TruncatedSeries(alg, (np.array([0.3, -0.4, 0.0, 0.9]), 1.0) + (ZERO,) * 7))
+    eager = lift(a)
+    tape = SeriesTape()
+    lazy = lift(LazySeries(tape, lambda k: a.coeffs[k]))
+    eager, lazy = (r if isinstance(r, tuple) else (r,) for r in (eager, lazy))
+    got = [[] for _ in lazy]
+    for k in range(9):  # in lockstep, as the expansion driver asks
+        for out, node in zip(got, lazy):
+            out.append(node.coeff(k))
+    assert len(eager) == len(got)
+    for want, values in zip(eager, got):
+        assert [c is ZERO for c in values] == [c is ZERO for c in want.coeffs]
+        np.testing.assert_array_equal(
+            _dense(TruncatedSeries(alg, values)).view(np.uint64), _dense(want).view(np.uint64)
+        )
