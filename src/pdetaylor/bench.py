@@ -43,8 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import DivergenceError, compute_expansion
-from .jets import _as_int, _real_points
+from .jets import _real_points
 from .problems import NoExactOracleError, PdeProblem
+from .series import _as_int
 
 __all__ = [
     "BenchReport",

@@ -99,9 +99,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import _BLOCK, BatchAlgebra, Jet, _as_int, _derivative_rows, _real_points, flat
+from .jets import _BLOCK, BatchAlgebra, Jet, _derivative_rows, _real_points, flat
 from .problems import PdeProblem
-from .series import ZERO, LazySeries, SeriesTape, TruncatedSeries, _as_scalar, _real
+from .series import ZERO, LazySeries, SeriesTape, TruncatedSeries, _as_int, _as_scalar, _real
 
 __all__ = [
     "DivergenceError",

@@ -34,7 +34,7 @@ diffusion's ``exp(-t)``, and a jet times or over a number is one scaling or
 one division of its array.
 
 A jet is a :class:`~pdetaylor.series.TruncatedSeries` over
-:class:`BatchAlgebra`, so the quotient and the analytic lifts of
+:class:`BatchAlgebra`, so the quotient, the square and the analytic lifts of
 :mod:`pdetaylor.series` apply unchanged: they run the series recurrence steps
 on the whole ``(P+1, N)`` array, forming the terms of each new row with one
 broadcast multiply and summing them with one reduction into a preallocated
@@ -57,9 +57,7 @@ operands, so ``x`` works wherever a jet does; the left factor of a product
 stays the left one, since the kernel sums each row in the order of its rows.
 :func:`derivative` extracts the jet of ``f^(m)``, which is ``m`` orders
 shorter than its input, and the driver's reads of ``U_x`` and ``U_xx`` use the
-same row differentiation with row weights built once per block.  An eager
-square, ``power(jet, 2)``, is one symmetric kernel that forms each cross term
-``a_j a_{k-j}`` once and doubles it, with the bits of the square step.
+same row differentiation with row weights built once per block.
 
 ``Jet(...)`` converts and checks what comes from outside the engine.  A jet
 that the engine has just made is taken as it is by :meth:`Jet._made`: the
@@ -86,12 +84,11 @@ and the batch, which an eager series of jets compares its operands by.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import ZERO, TruncatedSeries, _as_scalar, _sum_terms
+from .series import ZERO, TruncatedSeries, _as_int, _as_scalar, _sum_terms
 
 __all__ = [
     "BatchAlgebra",
@@ -155,22 +152,23 @@ class Jet(TruncatedSeries):
 
     def __init__(self, algebra: BatchAlgebra, coeffs):
         n = algebra.size
-        if not isinstance(coeffs, np.ndarray):
-            # rows of n values or numbers, each ZERO left at the array's +0.0;
-            # a row of any other shape leaves an unwritten array of that shape
-            # for the check
+        if isinstance(coeffs, np.ndarray):
+            shape = coeffs.shape
+        else:
+            # rows of n values or numbers: a row of any other shape is
+            # reported from the shapes alone, before anything is allocated
             rows = list(coeffs)
             bad = [s for s in map(_row_shape, rows) if s not in ((), (n,))]
-            if bad:
-                coeffs = np.empty((len(rows),) + bad[0])
-            else:
-                coeffs = np.zeros((len(rows), n))
-                for k, r in enumerate(rows):
-                    if r is not ZERO:
-                        coeffs[k] = r
+            shape = (len(rows),) + (bad[0] if bad else (n,))
+        if len(shape) != 2 or shape[0] == 0 or shape[1] != n:
+            raise ValueError(f"a jet over {n} points needs a (P+1, {n}) array, got shape {shape}")
+        if not isinstance(coeffs, np.ndarray):
+            # each ZERO is left at the array's +0.0
+            coeffs = np.zeros(shape)
+            for k, r in enumerate(rows):
+                if r is not ZERO:
+                    coeffs[k] = r
         coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-        if coeffs.ndim != 2 or coeffs.shape[0] == 0 or coeffs.shape[1] != n:
-            raise ValueError(f"a jet over {n} points needs a (P+1, {n}) array, got shape {coeffs.shape}")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -253,10 +251,6 @@ class Jet(TruncatedSeries):
             return self.__mul__(other)
         return Jet._made(self.algebra, _convolve(rows[1], rows[0]))
 
-    def _squared(self):
-        """``self * self`` in one symmetric kernel, :func:`_square_rows`."""
-        return Jet._made(self.algebra, _square_rows(self.coeffs))
-
     @staticmethod
     def _fold_products(acc, pairs, sub):
         """``acc + w * x * y`` for each ``(w, x, y)`` of jet pairs, in order, or
@@ -317,21 +311,6 @@ def _convolve(a, b):
     return c
 
 
-def _square_rows(a):
-    """The rows of the square of the jet rows ``a``, each cross term formed
-    once: row ``k`` sums ``2 a_j a_{k-j}`` for ``j < k/2``, then ``a_{k/2}**2``
-    when ``k`` is even, in that order and each product doubled after it is
-    formed, so it is :func:`~pdetaylor.series._sq_step` on every row, bit for
-    bit."""
-    n = len(a)
-    c = a[0] * a
-    c[1:] *= 2.0
-    for i in range(1, (n + 1) // 2):
-        c[2 * i] += a[i] * a[i]
-        c[2 * i + 1 :] += (a[i] * a[i + 1 : n - i]) * 2.0
-    return c
-
-
 def flat(series):
     """The one conversion of a series to a flat jet.
 
@@ -353,17 +332,6 @@ def _real_points(points, what: str) -> np.ndarray:
     if np.iscomplexobj(x):
         raise ValueError(f"{what} must be real, got complex points {x.ravel()[:3].tolist()}")
     return x.astype(np.float64, copy=False)
-
-
-def _as_int(value):
-    """``value`` as an int when it is an integer, read by ``operator.index``,
-    else None: a bool is not one here, so ``True`` is not the integer 1."""
-    if isinstance(value, bool):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
 
 
 def seed_variable(points, order: int) -> Jet:

@@ -46,8 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import _as_int, _real_points
-from .series import ZERO, TruncatedSeries, cos, exp, sech, sin
+from .jets import _real_points
+from .series import ZERO, TruncatedSeries, _as_int, cos, exp, sech, sin
 
 __all__ = [
     "NoExactOracleError",

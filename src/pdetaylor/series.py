@@ -88,6 +88,8 @@ is evaluated as ``0.0``.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -173,6 +175,26 @@ def _as_scalar(x):
     return None
 
 
+def _as_int(value):
+    """``value`` as an int when it is an integer, read by ``operator.index``,
+    else None: a bool is not one here, so ``True`` is not the integer 1."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _order(value, least=0) -> int:
+    """A truncation order, read by :func:`_as_int`; anything else, or an order
+    below ``least``, raises a ValueError that names it."""
+    k = _as_int(value)
+    if k is None or k < least:
+        raise ValueError(f"order must be an integer >= {least}, got {value!r}")
+    return k
+
+
 def _number_divisor(x):
     """:func:`_as_scalar` of a divisor; the number zero raises, for a series
     of any coefficients, instead of numpy's warning or Python's float error."""
@@ -209,14 +231,12 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, algebra, value, order: int) -> "TruncatedSeries":
         """Series ``value``: every coefficient past the constant term is ``0.0``."""
-        return cls(algebra, (value,) + (0.0,) * order)
+        return cls(algebra, (value,) + (0.0,) * _order(order))
 
     @classmethod
     def variable(cls, algebra, value, order: int) -> "TruncatedSeries":
         """Series ``value + eps``: the seed for differentiating through ``value``."""
-        if order < 1:
-            raise ValueError("a variable seed needs order >= 1")
-        return cls(algebra, (value, 1.0) + (0.0,) * (order - 1))
+        return cls(algebra, (value, 1.0) + (0.0,) * (_order(order, 1) - 1))
 
     # -- basic queries -------------------------------------------------
 
@@ -325,17 +345,7 @@ class TruncatedSeries:
         return (_one_like(self) * s) / self
 
     def __pow__(self, exponent):
-        s = _as_scalar(exponent)
-        if s is None:
-            return NotImplemented
-        return power(self, s)
-
-    def _squared(self):
-        """``self * self`` through :func:`_sq_step`, one coefficient at a time."""
-        a, out = self.coeffs, self._buffer()
-        for k in range(len(a)):
-            out[k] = _sq_step(a, k)
-        return self._new(out)
+        return power(self, exponent)
 
     # -- truncation ----------------------------------------------------
 
@@ -345,8 +355,7 @@ class TruncatedSeries:
         Dropping orders may share coefficients with ``self``; a jet returns a
         view of its array.
         """
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        order = _order(order)
         if order <= self.order:
             return self._new(self.coeffs[: order + 1])
         return self._new(tuple(self.coeffs) + (0.0,) * (order - self.order))
@@ -775,13 +784,15 @@ def power(series, exponent: float):
     series itself, which needs no invertible constant term and multiplies by
     no constant one.  A square forms each cross term ``a_j * a_{k-j}`` once
     and doubles it (:func:`_sq_step`), about half the products of ``x * x``,
-    which stays a plain product; a flat jet squares in one symmetric kernel
-    with the same bits.  The higher power is the left factor, so
+    which stays a plain product.  The higher power is the left factor, so
     ``power(v, 3)`` is ``square(v) * v``, the association and operand order
     of ``v * v * v``; only the square's summation order differs.  Anything
     else uses the recurrence
     k*A_0*P_k = sum_{j=1..k} ((e+1)*j - k) * A_j * P_{k-j}.
     """
+    # a real number, numpy's among them, and no bool or string, for ** too
+    if isinstance(exponent, bool) or not isinstance(exponent, numbers.Real):
+        raise TypeError(f"power needs a real exponent, got {exponent!r}")
     e = float(exponent)
     if not math.isfinite(e):
         raise ValueError(f"power needs a finite exponent, got {exponent!r}")
@@ -803,8 +814,8 @@ def power(series, exponent: float):
 
 def _square(series):
     """``series * series`` through :func:`_sq_step`, as a node of the same tape
-    or as a series of the same kind, which a flat jet forms in one kernel with
-    the same bits (:meth:`TruncatedSeries._squared`)."""
+    or as a series of the same kind, one coefficient at a time; a flat jet's
+    step forms the terms of each row with one broadcast multiply."""
     if isinstance(series, LazySeries):
         h = series._kept()
 
@@ -813,7 +824,10 @@ def _square(series):
             return _sq_step(h, k)
 
         return LazySeries(series.tape, square)
-    return series._squared()
+    a, out = series.coeffs, series._buffer()
+    for k in range(len(a)):
+        out[k] = _sq_step(a, k)
+    return series._new(out)
 
 
 def reciprocal(series):

@@ -135,9 +135,9 @@ def test_flat_jet_matches_row_by_row_series(name, order, size, seed, s):
 @example(order=40, size=50, seed=7, zero_rows=[0, 3, 40, 21])
 @given(order=orders, size=sizes, seed=seeds, zero_rows=st.lists(st.integers(0, 42), max_size=4))
 def test_flat_square_matches_per_row_square_steps(order, size, seed, zero_rows):
-    # power(jet, 2) squares in one symmetric kernel that forms each cross term
-    # once, doubled: it must give the square step run on each row bit for bit,
-    # also with whole rows of exact and negative zeros
+    # power(jet, 2) runs the square step on the whole (P+1, N) array, one
+    # broadcast multiply per coefficient: it must give the square step run on
+    # each row bit for bit, also with whole rows of exact and negative zeros
     rows = _rows(seed, order, size)
     for i, r in enumerate(zero_rows):
         if r <= order:

@@ -56,11 +56,12 @@ def test_square_of_seed_and_its_derivative():
     assert dd.coeffs[0][0] == 2.0
 
 
-@pytest.mark.parametrize("exponent", [2, 3])
+@pytest.mark.parametrize("exponent", [2, 3, 4, 5])
 def test_integer_power_is_bit_identical_lazy_eager_and_flat(exponent):
     # a square sums its doubled cross terms and its middle term in one order
     # on every path: term by term on a lazy node or a series of rows, and as
-    # one broadcast array on a flat jet
+    # one broadcast array on a flat jet; 4 squares a square, and 5 squares
+    # twice and multiplies once
     rows = np.random.default_rng(7).uniform(-2.0, 2.0, (9, 5))
     alg = BatchAlgebra(5)
     want = power(Jet(alg, rows), exponent).coeffs.view(np.uint64)
@@ -331,9 +332,12 @@ def test_jet_rows_keep_their_zero_signs():
          "derivative needs a Jet, got TruncatedSeries"),
         (lambda: Jet(BatchAlgebra(2), [1.0, [0.0, 1.0, 2.0]]), ValueError,
          r"jet over 2 points needs a \(P\+1, 2\) array, got shape \(2, 3\)$"),
+        # a row of 2**50 values is reported from its shape, never allocated
+        (lambda: jets.flat(TruncatedSeries(BatchAlgebra(3), [np.broadcast_to(np.zeros(1), (2**50,)), 1.0])),
+         ValueError, rf"jet over 3 points needs a \(P\+1, 3\) array, got shape \(2, {2**50}\)$"),
     ],
     ids=["array-shape", "one-axis", "no-rows", "row-length", "row-axes", "empty-rows", "no-points",
-         "not-a-jet", "list-row-length"],
+         "not-a-jet", "list-row-length", "huge-broadcast-row"],
 )
 def test_jet_input_errors(call, error, message):
     with pytest.raises(error, match=message):

@@ -1,9 +1,14 @@
 """Each module's export list names only what that module defines, the
-package exports their union, and the public calls that the benchmark's layer
-probes make keep working."""
+package exports their union, the public calls that the benchmark's layer
+probes make keep working, and every cross-reference in a docstring names
+something that still exists."""
 
 import ast
+import builtins
+import importlib
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,3 +81,57 @@ def test_package_exports_the_union_of_the_module_lists():
         "compute_expansion", "default_exclusion", "get_problem", "nrmse", "sample_points",
     }
     assert probed <= union
+
+
+# a Sphinx cross-reference, :role:`target` or :role:`~target`
+ROLE = re.compile(r":(?:func|meth|class|data|exc|mod):`~?([\w.]+)`")
+
+
+def _docstrings(node, cls=None):
+    """Each docstring of a module's syntax tree, with the name of the class it
+    sits in, or None: the module's, every class's and every function's."""
+    doc = ast.get_docstring(node, clean=False)
+    if doc:
+        yield doc, cls
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _docstrings(child, child.name)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _docstrings(child, cls)
+
+
+def _resolve(target, module, cls):
+    """What ``target`` names as seen from a docstring of ``module`` inside the
+    class ``cls``: a dotted path from the package, or a name of the class, the
+    module or the builtins and then its attributes; None when nothing is."""
+    parts = target.split(".")
+    if parts[0] == "pdetaylor":
+        scopes, parts = [pdetaylor], parts[1:]
+    else:
+        scopes = [getattr(module, cls)] if cls else []
+        scopes += [module, builtins]
+    for obj in scopes:
+        try:
+            for part in parts:
+                obj = getattr(obj, part)
+        except AttributeError:
+            continue
+        home = obj.__name__ if inspect.ismodule(obj) else getattr(obj, "__module__", None)
+        if home is None or home == "builtins" or home.split(".")[0] == "pdetaylor":
+            return obj
+    return None
+
+
+def test_every_docstring_cross_reference_names_something_in_src_or_builtins():
+    # a deleted function, method or class must take its references with it
+    refs, stale = 0, []
+    for path in sorted(Path(pdetaylor.__file__).parent.glob("*.py")):
+        name = "pdetaylor" if path.stem == "__init__" else f"pdetaylor.{path.stem}"
+        module = importlib.import_module(name)
+        for doc, cls in _docstrings(ast.parse(path.read_text())):
+            for target in ROLE.findall(doc):
+                refs += 1
+                if _resolve(target, module, cls) is None:
+                    stale.append(f"{path.name}: {target}")
+    assert refs > 0
+    assert stale == []

@@ -1,6 +1,8 @@
 """Truncated-series arithmetic: frozen examples, ring axioms, lift identities."""
 
 import math
+import operator
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from pdetaylor import (
     OrderMismatchError,
     RealAlgebra,
     TruncatedSeries,
+    seed_variable,
 )
 from pdetaylor.jets import Jet
 from pdetaylor.series import (
@@ -293,6 +296,45 @@ def test_negative_fractional_power_of_negative_base(make):
 def test_power_rejects_non_finite_exponent(exponent):
     with pytest.raises(ValueError, match=f"finite exponent, got {exponent!r}$"):
         power(s(2, 1, 0), exponent)
+
+
+ORDER_CALLS = {
+    "constant": lambda order: TruncatedSeries.constant(R, 1.0, order),
+    "variable": lambda order: TruncatedSeries.variable(R, 1.0, order),
+    "seed_variable": lambda order: seed_variable(np.array([0.5]), order),
+    "truncated": lambda order: s(1, 2, 3).truncated(order),
+}
+
+
+@pytest.mark.parametrize(
+    "call, order",
+    [("constant", -1), ("constant", True), ("variable", True), ("variable", 2.0),
+     ("seed_variable", 2.5), ("seed_variable", True), ("truncated", True), ("truncated", "1")],
+)
+def test_an_order_that_is_not_a_valid_integer_raises_naming_it(call, order):
+    # an order is read as an index: a bool is not the integer 1, a float is
+    # not an integer, and no order is negative
+    with pytest.raises(ValueError, match=rf"^order must be an integer >= [01], got {re.escape(repr(order))}$"):
+        ORDER_CALLS[call](order)
+
+
+def test_numpy_integer_orders_and_exponents_keep_working():
+    a = TruncatedSeries.variable(R, 1.5, np.int64(3))
+    assert a.coeffs == (1.5, 1.0, 0.0, 0.0)
+    assert TruncatedSeries.constant(R, 2.0, np.uint8(1)).coeffs == (2.0, 0.0)
+    assert a.truncated(np.int16(1)).coeffs == (1.5, 1.0)
+    assert seed_variable(np.array([0.5]), np.int64(2)).order == 2
+    for e in (np.int64(3), np.uint8(3)):
+        assert power(a, e).coeffs == (a**e).coeffs == power(a, 3).coeffs
+
+
+@pytest.mark.parametrize("exponent", [True, False, "2", np.bool_(True)], ids=repr)
+@pytest.mark.parametrize("kind", ["eager", "lazy"])
+def test_power_and_the_operator_refuse_an_exponent_that_is_no_real_number(exponent, kind):
+    base = s(2, 1, 0) if kind == "eager" else LazySeries(SeriesTape(), lambda k: 1.0)
+    for call in (power, operator.pow):
+        with pytest.raises(TypeError, match=f"power needs a real exponent, got {re.escape(repr(exponent))}$"):
+            call(base, exponent)
 
 
 @pytest.mark.parametrize("call", [lambda: exp(1.0), lambda: sin_cos(np.ones(3))], ids=["float", "array"])
