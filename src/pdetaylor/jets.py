@@ -14,7 +14,14 @@ so every jet operation, gives bit for bit the coefficients of a series over
 :class:`BatchAlgebra` on the same rows.  The same kernel runs on a stack of
 ``m`` jet pairs held as two ``(P+1, m, N)`` arrays, order first, so each of
 its array operations spans all ``m * N`` columns of a row; it is the only jet
-product, and ``a * b`` is the stack of one.  A series step forms and sums the
+product, and ``a * b`` is the stack of one.  It writes its result and the
+products ``a_i b_{k-i}`` into two buffers that start on a 64-byte boundary,
+where a fresh numpy temporary starts wherever ``malloc`` puts it, 16 bytes
+aligned, and its stores split cache lines: the same multiplies and additions
+in the same order, so the same bits, and at K=20 on 10**4 points about 20 %
+less time per expansion (see :func:`_aligned_empty`).  A single pair's sum is
+accumulated in the kernel's result, so the coefficients that later products
+read start on the boundary too.  A series step forms and sums the
 jet products of one coefficient through :meth:`Jet._fold_products`: in stacks
 of up to ``_BLOCK // N`` pairs, each filled pair by pair into one preallocated
 ``(P+1, m, N)`` array per operand side and multiplied by one kernel call,
@@ -84,6 +91,8 @@ and the batch, which an eager series of jets compares its operands by.
 
 from __future__ import annotations
 
+import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +119,10 @@ __all__ = [
 # one kernel call: on 50 points that cap is 20 = ``MAX_ORDER``, the most pairs
 # any step at K <= 20 has, so 50 points make one call per step, and a
 # full block multiplies one pair per call.  At K=20, N=10**4 on a two-core
-# Xeon VM, 1024 expanded 3-5 % slower than 2048 and 512 about 16 %.
+# Xeon VM with the aligned kernel, burgers, allen_cahn and schrodinger
+# expanded 6-10 % slower at 1024 than at 2048, and 18-28 % slower at 512
+# than at 1024 (best of four rounds of three runs; single rounds put 1024
+# between 13 % faster and 37 % slower than 2048).
 _BLOCK = 1024
 
 
@@ -303,12 +315,45 @@ def _convolve(a, b):
     Row ``k`` of each product accumulates ``a_0 b_k + a_1 b_{k-1} + ... +
     a_k b_0`` in that order, the order of the row-by-row series product;
     every axis after the first is elementwise, so a stack changes no bit.
+    The result and one scratch array for the products ``a_i b_{k-i}`` start
+    on a 64-byte boundary (:func:`_aligned_empty`), where ``a[i] * b[:n-i]``
+    would write each product into a fresh temporary that ``malloc`` aligns
+    to 16 bytes only: the same multiplies and additions in the same order,
+    so the same bits, with stores that do not split cache lines.  On a
+    two-core Xeon VM that took allen_cahn at K=20 on 10**4 points from
+    782-838 ms to 616-721 ms (best of 5, pinned to one CPU), and
+    preallocating the same buffers at 16 bytes past a 64-byte boundary
+    gained nothing.
     """
     n = len(a)
-    c = a[0] * b
+    # the scratch array first: freed below the result, it leaves a hole that
+    # the next call's scratch fills (allocated after the result, it raised the
+    # peak RSS of two K=20 expansions on 10**4 points by about 0.5 MB)
+    products = _aligned_empty((n - 1,) + b.shape[1:])
+    c = _aligned_empty(b.shape)
+    np.multiply(a[0], b, out=c)
     for i in range(1, n):
-        c[i:] += a[i] * b[: n - i]
+        t = products[: n - i]
+        np.multiply(a[i], b[: n - i], out=t)
+        c[i:] += t
     return c
+
+
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialised C-contiguous float64 array of ``shape`` whose data
+    starts on a 64-byte boundary: a view of an array 8 floats longer.
+
+    glibc's ``malloc`` aligns a numpy array to 16 bytes only, and numpy does
+    not align it further.  At 20,480 elements ``np.multiply(x, y, out=t)``
+    took 0.34-0.40 ns per element with ``t`` on a 64-byte boundary and
+    0.60-0.97 ns at every other offset from 8 to 56 bytes (two-core Xeon
+    VM).  The address is read through ``ctypes``' buffer protocol, about
+    0.3 us, where ``.ctypes.data`` takes 1.3 us.
+    """
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    start = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % 64 // 8
+    return raw[start : start + size].reshape(shape)
 
 
 def flat(series):

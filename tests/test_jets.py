@@ -3,6 +3,7 @@ finite-difference oracle on every problem's initial profile."""
 
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,3 +407,66 @@ def test_seed_variable_rejects_complex_points(points):
 def test_seed_variable_rejects_zero_order():
     with pytest.raises(ValueError):
         seed_variable(np.array([1.0]), 0)
+
+
+def _reference_convolve(a, b):
+    # the kernel's summation order, each product in a fresh temporary
+    n = len(a)
+    c = a[0] * b
+    for i in range(1, n):
+        c[i:] += a[i] * b[: n - i]
+    return c
+
+
+def _operands(rng, rows, size, shape):
+    # random rows, a -0.0 row and a +0.0 row, and scattered +-0.0, +-inf and nan
+    x = rng.standard_normal((rows,) + shape + (size,))
+    if rows > 2:
+        x[1], x[-1] = -0.0, 0.0
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    hit = rng.random(x.shape) < 0.03
+    x[hit] = rng.choice(specials, size=hit.sum())
+    return x
+
+
+@pytest.mark.parametrize("rows", [1, 2, 21, 41])
+@pytest.mark.parametrize("size", [1, 7, 50, 784, 1024])
+def test_convolve_is_the_reference_loop_bit_for_bit(rows, size):
+    # the kernel writes into 64-byte-aligned buffers, with the same ufuncs in
+    # the same order as the loop above: single pairs, (P+1, m, N) stacks and
+    # a non-contiguous view of a wider stack, as Jet._fold_products passes
+    rng = np.random.default_rng(rows * 10_000 + size)
+    wide = [_operands(rng, rows, size, (5,)) for _ in range(2)]
+    cases = {
+        "pair": [_operands(rng, rows, size, ()) for _ in range(2)],
+        "stack": [_operands(rng, rows, size, (3,)) for _ in range(2)],
+        "stack view": [w[:, ::2] for w in wide],
+    }
+    assert not cases["stack view"][0].flags.c_contiguous
+    for layout, (a, b) in cases.items():
+        before = [a.copy(), b.copy()]
+        with np.errstate(all="ignore"):
+            want = _reference_convolve(a, b)
+            got = jets._convolve(a, b)
+        assert got.dtype == np.float64 and got.flags.c_contiguous, layout
+        assert got.shape == a.shape and got.ctypes.data % 64 == 0, layout
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=layout)
+        for x, x0 in zip((a, b), before):
+            np.testing.assert_array_equal(x.view(np.uint64), x0.view(np.uint64), err_msg=layout)
+
+
+def test_convolve_holds_its_result_and_one_scratch_array():
+    # the result and the products' scratch rows, each over-allocated by 8
+    # floats for the 64-byte boundary, and no temporary per product; while a
+    # ufunc broadcasts a row over the rows below it, numpy's iterator may hold
+    # one buffer of np.getbufsize() elements (numpy 2.4 does, 64 KiB)
+    rng = np.random.default_rng(41)
+    a, b = rng.standard_normal((2, 41, 1024))
+    jets._convolve(a, b)  # warm-up
+    tracemalloc.start()
+    try:
+        jets._convolve(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 41 * 1024 * 8 + 128 + 8 * np.getbufsize()
